@@ -72,7 +72,7 @@ bool BufferedHashTable::insert(std::uint64_t key, std::uint64_t value) {
 
 void BufferedHashTable::mergeIntoHhat() { mergeIntoHhatWith({}); }
 
-void BufferedHashTable::mergeIntoHhatWith(std::vector<Record> newest) {
+void BufferedHashTable::mergeIntoHhatWith(std::vector<HashedRecord> newest) {
   // One hash-ordered streaming pass over (batch newest, buffer next,
   // Ĥ oldest) rebuilds Ĥ at load <= 1/2. Every input is read once; the
   // new Ĥ is written once — the paper's O(|Ĥ|/b) scan per merge.
@@ -96,7 +96,8 @@ void BufferedHashTable::mergeIntoHhatWith(std::vector<Record> newest) {
   std::unique_ptr<ChainingHashTable> old = std::move(hhat_);
   if (old) sources.push_back(old->scanInHashOrder());
 
-  KWayMerger merged(std::move(sources), ctx_.hash, /*drop_tombstones=*/true);
+  KWayMerger merged(std::move(sources), /*drop_tombstones=*/true,
+                    *ctx_.memory);
   const std::size_t buckets = std::max<std::size_t>(
       1,
       (2 * std::max<std::size_t>(total_estimate, 1) + records_per_block_ - 1) /
@@ -162,16 +163,9 @@ void BufferedHashTable::applyBatch(std::span<const tables::Op> ops) {
     for (std::size_t i = head.size(); i < fresh.size(); ++i) {
       tail.push_back(tables::Op::insertOp(fresh[i].key, fresh[i].value));
     }
-    const auto& h = *ctx_.hash;
-    std::sort(head.begin(), head.end(),
-              [&](const Record& a, const Record& b) {
-                const std::uint64_t ha = h(a.key), hb = h(b.key);
-                if (ha != hb) return ha < hb;
-                return a.key < b.key;
-              });
     extmem::MemoryCharge scratch(*ctx_.memory,
-                                 fresh.size() * kWordsPerRecord);
-    mergeIntoHhatWith(std::move(head));
+                                 fresh.size() * kWordsPerHashedRecord);
+    mergeIntoHhatWith(sortByHash(head, *ctx_.hash));
     if (!tail.empty()) applyBatch(tail);  // buffer is empty now
     return;
   }

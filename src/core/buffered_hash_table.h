@@ -10,8 +10,9 @@
 //  * Whenever the buffer holds |Ĥ|/β items, it is merged into Ĥ by one
 //    hash-ordered streaming pass that rebuilds Ĥ (the paper's "Ĥ is
 //    scanned β times per doubling round" charging argument; our ranges-
-//    as-buckets layout makes the scan literally single-pass, DESIGN.md §2).
-//    Rounds double implicitly: the merge threshold scales with |Ĥ|.
+//    as-buckets layout makes the scan literally single-pass, README
+//    "Merges"). Rounds double implicitly: the merge threshold scales
+//    with |Ĥ|.
 //
 // Query cost for a uniformly random successful lookup:
 //    1·(1 - 1/β) + O(1)·(1/β) = 1 + O(1/β);
@@ -97,7 +98,7 @@ class BufferedHashTable final : public tables::ExternalHashTable {
   /// records newer than the whole buffer (hash-ordered, deduplicated)
   /// joining the merge directly — the applyBatch path, which spares those
   /// records a round-trip through the buffer's disk levels.
-  void mergeIntoHhatWith(std::vector<Record> newest);
+  void mergeIntoHhatWith(std::vector<HashedRecord> newest);
   std::size_t mergeThreshold() const;
 
   BufferedConfig config_;

@@ -147,10 +147,13 @@ BlockId BlockDevice::allocate() { return allocateExtent(1); }
 BlockId BlockDevice::allocateExtent(std::size_t count) {
   EXTHASH_CHECK(count >= 1);
   throwIfFrozen(IoOpKind::kWrite, kInvalidBlock);
-  auto it = free_pool_.find(count);
-  if (it != free_pool_.end() && !it->second.empty()) {
-    const BlockId first = it->second.back();
-    it->second.pop_back();
+  // Best fit: the shortest free range that holds the extent (the lowest
+  // address among equals); its tail stays free.
+  const auto fit = free_by_size_.lower_bound({count, BlockId{0}});
+  if (fit != free_by_size_.end()) {
+    const auto [length, first] = *fit;
+    removeFreeRange(free_ranges_.find(first));
+    if (length > count) addFreeRange(first + count, length - count);
     markAllocated(first, count, /*reused=*/true);
     return first;
   }
@@ -176,7 +179,32 @@ void BlockDevice::freeExtent(BlockId first, std::size_t count) {
   }
   blocks_in_use_ -= count;
   stats_.freed_blocks += count;
-  free_pool_[count].push_back(first);
+  // Coalesce with the free neighbours on either side.
+  const auto next = free_ranges_.lower_bound(first);
+  if (next != free_ranges_.begin()) {
+    const auto prev = std::prev(next);
+    if (prev->first + prev->second == first) {
+      first = prev->first;
+      count += prev->second;
+      removeFreeRange(prev);
+    }
+  }
+  if (next != free_ranges_.end() && first + count == next->first) {
+    count += next->second;
+    removeFreeRange(next);
+  }
+  addFreeRange(first, count);
+}
+
+void BlockDevice::addFreeRange(BlockId first, std::size_t count) {
+  free_ranges_.emplace(first, count);
+  free_by_size_.emplace(count, first);
+}
+
+void BlockDevice::removeFreeRange(
+    std::map<BlockId, std::size_t>::iterator range) {
+  free_by_size_.erase({range->second, range->first});
+  free_ranges_.erase(range);
 }
 
 std::vector<Word> BlockDevice::readCopy(BlockId id) {
@@ -218,7 +246,7 @@ BlockDevice::Image BlockDevice::captureImage() const {
   }
   image.allocated = allocated_;
   image.allocated.resize(next_id_);
-  image.free_pool = free_pool_;
+  image.free_ranges = free_ranges_;
   image.next_id = next_id_;
   image.blocks_in_use = blocks_in_use_;
   return image;
@@ -239,7 +267,11 @@ void BlockDevice::restoreImage(const Image& image) {
   }
   allocated_ = image.allocated;
   allocated_.resize(next_id_);
-  free_pool_ = image.free_pool;
+  free_ranges_ = image.free_ranges;
+  free_by_size_.clear();
+  for (const auto& [first, length] : free_ranges_) {
+    free_by_size_.emplace(length, first);
+  }
   blocks_in_use_ = image.blocks_in_use;
 }
 

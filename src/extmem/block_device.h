@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -222,7 +223,9 @@ class BlockDevice {
 
   /// Number of currently allocated blocks.
   std::size_t blocksInUse() const noexcept { return blocks_in_use_; }
-  /// High-water mark of the id space (includes freed blocks).
+  /// High-water mark of the id space (includes freed blocks). Freed
+  /// ranges are reused best-fit, so it stays within a small factor of the
+  /// peak live block count.
   std::size_t idSpaceSize() const noexcept { return next_id_; }
   bool isAllocated(BlockId id) const noexcept;
 
@@ -246,7 +249,7 @@ class BlockDevice {
   bool frozen() const noexcept { return frozen_; }
 
   /// Full value snapshot of the device's durable state: block contents,
-  /// allocation map, free pool, id-space watermark. Statistics, latency
+  /// allocation map, free ranges, id-space watermark. Statistics, latency
   /// and fault policies are deliberately excluded. Uncounted — this is
   /// the checkpoint primitive, the in-memory stand-in for "the bytes that
   /// were on the platter when the checkpoint completed".
@@ -254,7 +257,7 @@ class BlockDevice {
     std::size_t words_per_block = 0;
     std::vector<Word> words;  // next_id blocks, words_per_block each
     std::vector<std::uint8_t> allocated;
-    std::map<std::size_t, std::vector<BlockId>> free_pool;
+    std::map<BlockId, std::size_t> free_ranges;  // first id -> length
     BlockId next_id = 0;
     std::size_t blocks_in_use = 0;
   };
@@ -330,13 +333,17 @@ class BlockDevice {
   void checkLive(BlockId id) const;
   void ensureBacking(BlockId last_id);
   void markAllocated(BlockId first, std::size_t count, bool reused);
+  void addFreeRange(BlockId first, std::size_t count);
+  void removeFreeRange(std::map<BlockId, std::size_t>::iterator range);
 
   std::size_t words_per_block_;
   std::unique_ptr<StorageBackend> storage_;  // chunk-stable frames inside
   bool storage_persistent_ = false;
   std::vector<std::uint8_t> allocated_;  // per-block liveness
-  // Freed extents pooled by exact size for reuse; singles use size 1.
-  std::map<std::size_t, std::vector<BlockId>> free_pool_;
+  // Freed ids as maximal ranges (neighbours coalesce on free), in address
+  // order, plus a (length, first) index for O(log n) best fit.
+  std::map<BlockId, std::size_t> free_ranges_;
+  std::set<std::pair<std::size_t, BlockId>> free_by_size_;
   BlockId next_id_ = 0;
   std::size_t blocks_in_use_ = 0;
   std::uint32_t latency_spins_ = 0;

@@ -101,18 +101,13 @@ void MemTable::forEach(const std::function<void(const Record&)>& fn) const {
   }
 }
 
-std::vector<Record> MemTable::drainSorted(
+std::vector<HashedRecord> MemTable::drainSorted(
     const std::function<std::uint64_t(std::uint64_t)>& order) {
-  std::vector<Record> out;
-  out.reserve(size_);
-  forEach([&](const Record& r) { out.push_back(r); });
-  std::sort(out.begin(), out.end(), [&](const Record& a, const Record& b) {
-    const std::uint64_t oa = order(a.key), ob = order(b.key);
-    if (oa != ob) return oa < ob;
-    return a.key < b.key;
-  });
+  std::vector<Record> records;
+  records.reserve(size_);
+  forEach([&](const Record& r) { records.push_back(r); });
   clear();
-  return out;
+  return sortByHash(records, order);
 }
 
 void MemTable::clear() {

@@ -42,8 +42,9 @@ class MemTable {
 
   void forEach(const std::function<void(const Record&)>& fn) const;
 
-  /// Drain all records, sorted by `order(key)` ascending; empties the table.
-  std::vector<Record> drainSorted(
+  /// Drain all records, each tagged with `order(key)` (one call per
+  /// record) and sorted by (order(key), key); empties the table.
+  std::vector<HashedRecord> drainSorted(
       const std::function<std::uint64_t(std::uint64_t)>& order);
 
   void clear();

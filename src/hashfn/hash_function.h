@@ -8,7 +8,7 @@
 //   RangeIndexer — j = floor(h · d / 2^64): partitions the hash space into
 //                  d consecutive ranges. Monotone in h, so a scan in hash
 //                  order visits buckets in order — this is what makes all
-//                  merges single-pass (see DESIGN.md §2).
+//                  merges single-pass (see README, "Merges").
 //   ModIndexer   — j = h mod d: the textbook least-significant-bits
 //                  convention the paper states.
 // Both are uniform under an ideal h; they differ only in which bits they

@@ -2,7 +2,8 @@
 //
 // kRange     — consecutive hash ranges (monotone in h). The library default:
 //              monotone indexers make table scans emit records in one global
-//              hash order, so every merge is single-pass (DESIGN.md §2).
+//              hash order, so every merge is single-pass (README,
+//              "Merges").
 // kMod       — h mod d, the paper's least-significant-bits convention.
 //              Not monotone, so tables using it cannot be bulk-built from
 //              hash-ordered streams (standalone use only).

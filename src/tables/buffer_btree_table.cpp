@@ -517,16 +517,18 @@ void BufferBTreeTable::splitMemRoot() {
   const Geometry g{fanout_, buffer_cap_, leaf_cap_};
   EXTHASH_CHECK(!root_is_leaf_);
   // A batched flush can install many pivots at once, so the memory root is
-  // carved into as many disk nodes as needed — each holding at most
-  // max(1, F/2) pivots, comfortably within the node layout — with the
-  // separators promoted. Recurse if the promoted level still overflows.
+  // carved into as many disk nodes as needed — each holding keep =
+  // max(1, F/2) pivots — with the separators promoted. A lone leftover
+  // child would make a node without pivots, so it joins the node before
+  // it, which then holds keep + 1 <= F pivots. Recurse if the promoted
+  // level still overflows.
   const std::size_t keep = std::max<std::size_t>(1, fanout_ / 2);
   std::vector<std::uint64_t> new_keys;
   std::vector<BlockId> new_children;
   std::size_t begin = 0;  // index into root_children_
   while (begin < root_children_.size()) {
-    const std::size_t end =
-        std::min(root_children_.size(), begin + keep + 1);
+    std::size_t end = std::min(root_children_.size(), begin + keep + 1);
+    if (root_children_.size() - end == 1) end = root_children_.size();
     NodeImage img;
     img.is_leaf = false;
     img.pivots.assign(

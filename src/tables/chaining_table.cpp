@@ -473,8 +473,8 @@ std::unique_ptr<ChainingHashTable> ChainingHashTable::buildFromSorted(
   const std::size_t cap = table->records_per_block_;
   const auto& h = *ctx.hash;
 
-  PeekableCursor in(records);
   std::vector<Record> bucket_records;
+  std::vector<BlockId> chain;
   // Scratch for one bucket's records, charged against the memory budget
   // (this is the merge working set; it stays O(b) except for pathological
   // skew).
@@ -488,7 +488,7 @@ std::unique_ptr<ChainingHashTable> ChainingHashTable::buildFromSorted(
     // each overflow block the next `cap`. Every block is written once.
     const std::size_t blocks =
         (bucket_records.size() + cap - 1) / cap;
-    std::vector<BlockId> chain(blocks);
+    chain.assign(blocks, kInvalidBlock);
     chain[0] = table->primaryBlock(j);
     for (std::size_t i = 1; i < blocks; ++i) {
       chain[i] = ctx.device->allocate();
@@ -512,21 +512,23 @@ std::unique_ptr<ChainingHashTable> ChainingHashTable::buildFromSorted(
   };
 
   std::uint64_t prev_hash = 0;
-  while (in.peek()) {
-    const Record r = *in.next();
-    const std::uint64_t hv = h(r.key);
-    EXTHASH_CHECK_MSG(first || hv >= prev_hash,
+  forEachRecord(records, [&](const HashedRecord& r) {
+    // The two Release checks cost one hash call per record: the carried
+    // hash is h(key), and the stream never goes backwards.
+    EXTHASH_CHECK_MSG(h(r.record.key) == r.hash,
+                      "buildFromSorted input carries a wrong hash");
+    EXTHASH_CHECK_MSG(first || r.hash >= prev_hash,
                       "buildFromSorted input not in hash order");
-    prev_hash = hv;
-    const std::uint64_t j = config.indexer(hv, config.bucket_count);
+    prev_hash = r.hash;
+    const std::uint64_t j = config.indexer(r.hash, config.bucket_count);
     if (!first && j != last_bucket) flushBucket(last_bucket);
     first = false;
     last_bucket = j;
-    bucket_records.push_back(r);
+    bucket_records.push_back(r.record);
     if (bucket_records.size() * kWordsPerRecord > scratch.words()) {
       scratch.resize(bucket_records.size() * kWordsPerRecord);
     }
-  }
+  });
   if (!first) flushBucket(last_bucket);
   return table;
 }
@@ -535,58 +537,43 @@ std::unique_ptr<ChainingHashTable> ChainingHashTable::buildFromSorted(
 // Hash-ordered scan
 // ---------------------------------------------------------------------------
 
-class ChainingHashTable::ScanCursor final : public RecordCursor {
- public:
-  explicit ScanCursor(ChainingHashTable& table)
-      : table_(&table), scratch_(*table.ctx_.memory, 0) {}
+BucketScanCursor::BucketScanCursor(const TableContext& ctx,
+                                   extmem::CachedBlockIo io, BlockId extent,
+                                   std::uint64_t bucket_count)
+    : io_(io),
+      hash_(ctx.hash),
+      extent_(extent),
+      bucket_count_(bucket_count),
+      scratch_(*ctx.memory, 0) {}
 
-  std::optional<Record> next() override {
-    while (pos_ >= buffer_.size()) {
-      if (bucket_ >= table_->config_.bucket_count) return std::nullopt;
-      loadBucket(bucket_++);
-    }
-    return buffer_[pos_++];
-  }
-
- private:
-  void loadBucket(std::uint64_t j) {
-    buffer_.clear();
-    pos_ = 0;
-    BlockId current = table_->primaryBlock(j);
-    auto device = table_->io();
+std::span<const HashedRecord> BucketScanCursor::nextChunk() {
+  sorted_.clear();
+  while (sorted_.empty() && bucket_ < bucket_count_) {
+    records_.clear();
+    BlockId current = extent_ + bucket_++;
     while (current != kInvalidBlock) {
-      current = device.withRead(current, [&](std::span<const Word> data) {
+      current = io_.withRead(current, [&](std::span<const Word> data) {
         ConstBucketPage page(data);
         const std::size_t n = page.count();
         for (std::size_t i = 0; i < n; ++i)
-          buffer_.push_back(page.recordAt(i));
+          records_.push_back(page.recordAt(i));
         return page.next();
       });
     }
-    const auto& h = *table_->ctx_.hash;
-    std::sort(buffer_.begin(), buffer_.end(),
-              [&](const Record& a, const Record& b) {
-                const std::uint64_t ha = h(a.key), hb = h(b.key);
-                if (ha != hb) return ha < hb;
-                return a.key < b.key;
-              });
-    if (buffer_.size() * kWordsPerRecord > scratch_.words()) {
-      scratch_.resize(buffer_.size() * kWordsPerRecord);
-    }
+    sorted_ = sortByHash(records_, *hash_);
   }
-
-  ChainingHashTable* table_;
-  extmem::MemoryCharge scratch_;
-  std::vector<Record> buffer_;
-  std::size_t pos_ = 0;
-  std::uint64_t bucket_ = 0;
-};
+  if (sorted_.size() * kWordsPerHashedRecord > scratch_.words()) {
+    scratch_.resize(sorted_.size() * kWordsPerHashedRecord);
+  }
+  return sorted_;
+}
 
 std::unique_ptr<RecordCursor> ChainingHashTable::scanInHashOrder() {
   EXTHASH_CHECK(!destroyed_);
   EXTHASH_CHECK_MSG(config_.indexer.monotone(),
                     "hash-ordered scan requires a monotone indexer");
-  return std::make_unique<ScanCursor>(*this);
+  return std::make_unique<BucketScanCursor>(ctx_, io(), extent_,
+                                            config_.bucket_count);
 }
 
 }  // namespace exthash::tables

@@ -33,6 +33,30 @@ struct ChainingConfig {
   BucketIndexer indexer = {};  // default: range indexing (monotone)
 };
 
+/// Counted, hash-ordered scan of a range-indexed bucket array whose bucket
+/// j's chain starts at block `extent + j`: reads each block once through
+/// `io` and hands out one nonempty bucket per chunk, each record hashed
+/// once and the bucket sorted by (h(key), key) in scratch charged to the
+/// budget at kWordsPerHashedRecord per record. Chaining tables and the
+/// Jensen–Pagh primary array are both scanned this way.
+class BucketScanCursor final : public RecordCursor {
+ public:
+  BucketScanCursor(const TableContext& ctx, extmem::CachedBlockIo io,
+                   extmem::BlockId extent, std::uint64_t bucket_count);
+
+  std::span<const HashedRecord> nextChunk() override;
+
+ private:
+  extmem::CachedBlockIo io_;
+  hashfn::HashPtr hash_;
+  extmem::BlockId extent_;
+  std::uint64_t bucket_count_;
+  std::uint64_t bucket_ = 0;
+  extmem::MemoryCharge scratch_;
+  std::vector<Record> records_;
+  std::vector<HashedRecord> sorted_;
+};
+
 class ChainingHashTable final : public ExternalHashTable {
  public:
   ChainingHashTable(TableContext ctx, ChainingConfig config);
@@ -40,7 +64,8 @@ class ChainingHashTable final : public ExternalHashTable {
 
   /// Stream-build a table from records in nondecreasing (h, key) order
   /// (any hash-ordered cursor; requires a monotone indexer). Costs one
-  /// write per nonempty block. Records are stored verbatim (including
+  /// write per nonempty block, and one hash call per record to check the
+  /// carried hash and the order. Records are stored verbatim (including
   /// tombstones — filter with KWayMerger beforehand if needed).
   static std::unique_ptr<ChainingHashTable> buildFromSorted(
       TableContext ctx, ChainingConfig config, RecordCursor& records);
@@ -76,8 +101,7 @@ class ChainingHashTable final : public ExternalHashTable {
   /// primary area.
   double loadFactor() const noexcept;
 
-  /// Counted, hash-ordered scan of all records (reads each block once;
-  /// sorts each bucket's records in scratch memory charged to the budget).
+  /// Counted, hash-ordered scan of all records (a BucketScanCursor).
   /// Requires a monotone indexer. The cursor must not outlive the table
   /// and the table must not be modified while a scan is live.
   std::unique_ptr<RecordCursor> scanInHashOrder();
@@ -117,7 +141,6 @@ class ChainingHashTable final : public ExternalHashTable {
   struct RestoreTag {};
   ChainingHashTable(RestoreTag, TableContext ctx, ChainingConfig config);
 
-  class ScanCursor;
   // Test-only corruption hook for the invariant auditor.
   friend struct AuditPeer;
 

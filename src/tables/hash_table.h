@@ -247,8 +247,6 @@ class ExternalHashTable {
     (void)probe;
     read_cache_ = cache;
   }
-  /// Historical name for attachCache (pre-write-back API).
-  void attachReadCache(extmem::BlockCache* cache) { attachCache(cache); }
   extmem::BlockCache* readCache() const noexcept { return read_cache_; }
 
   /// Flush barrier: write every dirty cached frame to the device

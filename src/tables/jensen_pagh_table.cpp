@@ -277,48 +277,15 @@ void JensenPaghTable::rebuild(std::size_t new_capacity) {
   // Stream every record in hash order (primary buckets are range-indexed,
   // so ascending buckets = ascending hash; the overflow table scans in
   // hash order natively) and redistribute into the doubled layout.
-  // The cursor snapshots the OLD extent geometry by value: initArrays()
-  // below re-points extent_/bucket_count_ at the new layout while this
-  // cursor is still draining the old one.
-  struct PrimaryCursor final : public RecordCursor {
-    extmem::BlockDevice* device;
-    const hashfn::HashFunction* h;
-    BlockId extent;
-    std::uint64_t bucket_count;
-    std::uint64_t bucket = 0;
-    std::vector<Record> buf;
-    std::size_t pos = 0;
-    PrimaryCursor(extmem::BlockDevice* d, const hashfn::HashFunction* hash,
-                  BlockId e, std::uint64_t buckets)
-        : device(d), h(hash), extent(e), bucket_count(buckets) {}
-    std::optional<Record> next() override {
-      while (pos >= buf.size()) {
-        if (bucket >= bucket_count) return std::nullopt;
-        buf.clear();
-        pos = 0;
-        device->withRead(extent + bucket, [&](std::span<const Word> data) {
-          ConstBucketPage page(data);
-          const std::size_t n = page.count();
-          for (std::size_t i = 0; i < n; ++i)
-            buf.push_back(page.recordAt(i));
-        });
-        std::sort(buf.begin(), buf.end(),
-                  [&](const Record& a, const Record& b) {
-                    const auto ha = (*h)(a.key), hb = (*h)(b.key);
-                    if (ha != hb) return ha < hb;
-                    return a.key < b.key;
-                  });
-        ++bucket;
-      }
-      return buf[pos++];
-    }
-  };
-
+  // The primary scan snapshots the OLD extent geometry: initArrays()
+  // below re-points extent_/bucket_count_ at the new layout while the
+  // scan is still draining the old one.
   std::vector<std::unique_ptr<RecordCursor>> sources;
-  sources.push_back(std::make_unique<PrimaryCursor>(
-      ctx_.device, ctx_.hash.get(), extent_, bucket_count_));
+  sources.push_back(std::make_unique<BucketScanCursor>(
+      ctx_, extmem::CachedBlockIo(*ctx_.device), extent_, bucket_count_));
   sources.push_back(overflow_->scanInHashOrder());
-  KWayMerger merged(std::move(sources), ctx_.hash, /*drop_tombstones=*/false);
+  KWayMerger merged(std::move(sources), /*drop_tombstones=*/false,
+                    *ctx_.memory);
 
   // Stash old layout for freeing after the stream completes.
   const BlockId old_extent = extent_;
@@ -351,14 +318,14 @@ void JensenPaghTable::rebuild(std::size_t new_capacity) {
     bucket_buf.clear();
   };
 
-  while (auto r = merged.next()) {
-    const std::uint64_t j = hashfn::rangeBucket(hash()(r->key), bucket_count_);
+  forEachRecord(merged, [&](const HashedRecord& r) {
+    const std::uint64_t j = hashfn::rangeBucket(r.hash, bucket_count_);
     if (j != current_bucket) {
       flushBucket();
       current_bucket = j;
     }
-    bucket_buf.push_back(*r);
-  }
+    bucket_buf.push_back(r.record);
+  });
   flushBucket();
   EXTHASH_CHECK_MSG(size_ == old_size,
                     "rebuild dropped records: " << size_ << " != " << old_size);

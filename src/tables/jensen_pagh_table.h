@@ -2,7 +2,7 @@
 // this paper answers. Maintains a high load factor 1 - Θ(1/√b) while
 // supporting lookups and updates in 1 + O(1/√b) I/Os.
 //
-// Construction (behaviorally equivalent simplification, see DESIGN.md §2):
+// Construction (behaviorally equivalent simplification):
 // a primary array of d buckets (one block each, no chains) driven at load
 // 1 - 1/√b, plus a shared overflow chaining table holding the items that
 // do not fit their primary bucket. A per-bucket header flag records
@@ -11,7 +11,8 @@
 // Θ(1/√b) fraction of items in overflow, giving the 1 + Θ(1/√b) averages.
 // The table rebuilds at twice the capacity when the target load is
 // exceeded (amortized O(1/b) per insert, the standard trick the paper
-// attributes to extendible/linear hashing).
+// attributes to extendible/linear hashing), in one hash-ordered streaming
+// pass (README, "Merges").
 #pragma once
 
 #include <memory>

@@ -68,14 +68,14 @@ bool LogMethodTable::insert(std::uint64_t key, std::uint64_t value) {
   return new_in_h0;
 }
 
-void LogMethodTable::flush() {
-  const auto hash_order = [this](std::uint64_t key) {
-    return (*ctx_.hash)(key);
-  };
-  mergeDown(h0_.drainSorted(hash_order));
+std::vector<HashedRecord> LogMethodTable::drainH0() {
+  const hashfn::HashFunction& h = *ctx_.hash;
+  return h0_.drainSorted([&h](std::uint64_t key) { return h(key); });
 }
 
-void LogMethodTable::mergeDown(std::vector<Record> newest) {
+void LogMethodTable::flush() { mergeDown(drainH0()); }
+
+void LogMethodTable::mergeDown(std::vector<HashedRecord> newest) {
   // Find the shallowest level k whose capacity can absorb the incoming
   // records plus every shallower level; merge them all into k with one
   // streaming pass.
@@ -114,8 +114,8 @@ void LogMethodTable::mergeDown(std::vector<Record> newest) {
     if (levels_[j - 1]) older_below = true;
   }
 
-  KWayMerger merged(std::move(sources), ctx_.hash,
-                    /*drop_tombstones=*/!older_below);
+  KWayMerger merged(std::move(sources), /*drop_tombstones=*/!older_below,
+                    *ctx_.memory);
   auto rebuilt = ChainingHashTable::buildFromSorted(
       ctx_, levelConfigForSize(incoming), merged);
 
@@ -240,14 +240,7 @@ void LogMethodTable::applyBatch(std::span<const Op> ops) {
   h0_.forEach([&](const Record& r) { newest.push_back(r); });
   h0_.clear();
   newest.insert(newest.end(), spill.begin(), spill.end());
-  const auto& h = *ctx_.hash;
-  std::sort(newest.begin(), newest.end(),
-            [&](const Record& a, const Record& b) {
-              const std::uint64_t ha = h(a.key), hb = h(b.key);
-              if (ha != hb) return ha < hb;
-              return a.key < b.key;
-            });
-  mergeDown(std::move(newest));
+  mergeDown(sortByHash(newest, *ctx_.hash));
 }
 
 std::vector<bool> LogMethodTable::levelsLiveBatch(
@@ -514,7 +507,9 @@ class DrainCursor final : public RecordCursor {
     for (auto& table : owned_) table->destroy();
   }
 
-  std::optional<Record> next() override { return merger_->next(); }
+  std::span<const HashedRecord> nextChunk() override {
+    return merger_->nextChunk();
+  }
 
  private:
   std::unique_ptr<KWayMerger> merger_;
@@ -524,12 +519,8 @@ class DrainCursor final : public RecordCursor {
 }  // namespace
 
 std::unique_ptr<RecordCursor> LogMethodTable::drainAll() {
-  const auto hash_order = [this](std::uint64_t key) {
-    return (*ctx_.hash)(key);
-  };
   std::vector<std::unique_ptr<RecordCursor>> sources;
-  sources.push_back(
-      std::make_unique<VectorCursor>(h0_.drainSorted(hash_order)));
+  sources.push_back(std::make_unique<VectorCursor>(drainH0()));
   std::vector<std::unique_ptr<ChainingHashTable>> owned;
   for (auto& level : levels_) {
     if (!level) continue;
@@ -538,8 +529,8 @@ std::unique_ptr<RecordCursor> LogMethodTable::drainAll() {
   }
   levels_.clear();
   live_size_ = 0;
-  auto merger = std::make_unique<KWayMerger>(std::move(sources), ctx_.hash,
-                                             /*drop_tombstones=*/false);
+  auto merger = std::make_unique<KWayMerger>(
+      std::move(sources), /*drop_tombstones=*/false, *ctx_.memory);
   return std::make_unique<DrainCursor>(std::move(merger), std::move(owned));
 }
 

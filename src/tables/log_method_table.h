@@ -7,7 +7,7 @@
 // exactly the paper's construction). When H0 fills, levels are migrated
 // downward; we use the classic optimization of merging H0 and levels
 // 1..k-1 into the first level k where the union fits, via one k-way
-// hash-ordered streaming merge (see DESIGN.md §2).
+// hash-ordered streaming merge (see README, "Merges").
 //
 // Costs (Lemma 5): insert amortized O((γ/b) · log_γ(n/m)) I/Os; lookup
 // O(log_γ(n/m)) reads — one per nonempty level, newest first.
@@ -87,6 +87,8 @@ class LogMethodTable final : public ExternalHashTable {
   // Test-only corruption hook for the invariant auditor.
   friend struct AuditPeer;
 
+  /// Empty H0 into a hash-ordered vector, hashing each record once.
+  std::vector<HashedRecord> drainH0();
   /// Migrate H0 (and any levels that must cascade) downward.
   void flush();
   /// Mixed insert/erase batch: grouped presence probes + serial replay
@@ -99,7 +101,7 @@ class LogMethodTable final : public ExternalHashTable {
   /// Merge `newest` (hash-ordered, deduplicated, newer than every level)
   /// plus any levels that must cascade into the shallowest level that
   /// fits. The single streaming pass behind both flush() and applyBatch().
-  void mergeDown(std::vector<Record> newest);
+  void mergeDown(std::vector<HashedRecord> newest);
   ChainingConfig levelConfig(std::size_t k) const;
   ChainingConfig levelConfigForSize(std::size_t items) const;
 

@@ -15,45 +15,40 @@ using extmem::Word;
 
 namespace {
 
-/// Hash stand-in that orders records by their key: lets KWayMerger (which
-/// merges by "hash order") drive key-ordered LSM compaction unchanged.
-class KeyOrder final : public hashfn::HashFunction {
- public:
-  std::uint64_t operator()(std::uint64_t key) const override { return key; }
-  std::string_view name() const override { return "identity"; }
-};
+/// Runs are key-ordered, so the key itself is the order value every LSM
+/// merge stream carries in place of a hash.
+constexpr auto kKeyOrder = [](std::uint64_t key) { return key; };
 
 }  // namespace
 
-/// Streams one run's records in key order (counted reads, one per block).
+/// Streams one run's records in key order (counted reads, one per block),
+/// one block per chunk.
 class LsmTable::RunCursor final : public RecordCursor {
  public:
   RunCursor(extmem::BlockDevice& device, const Run& run)
       : device_(&device), run_(&run) {}
 
-  std::optional<Record> next() override {
-    while (pos_ >= buffer_.size()) {
-      if (block_ >= run_->blocks) return std::nullopt;
-      buffer_.clear();
-      pos_ = 0;
-      device_->withRead(run_->extent + block_,
+  std::span<const HashedRecord> nextChunk() override {
+    buffer_.clear();
+    while (buffer_.empty() && block_ < run_->blocks) {
+      device_->withRead(run_->extent + block_++,
                         [&](std::span<const Word> data) {
                           ConstSortedRunPage page(data);
                           const std::size_t n = page.count();
-                          for (std::size_t i = 0; i < n; ++i)
-                            buffer_.push_back(page.recordAt(i));
+                          for (std::size_t i = 0; i < n; ++i) {
+                            const Record r = page.recordAt(i);
+                            buffer_.push_back(HashedRecord{r.key, r});
+                          }
                         });
-      ++block_;
     }
-    return buffer_[pos_++];
+    return buffer_;
   }
 
  private:
   extmem::BlockDevice* device_;
   const Run* run_;
   std::size_t block_ = 0;
-  std::vector<Record> buffer_;
-  std::size_t pos_ = 0;
+  std::vector<HashedRecord> buffer_;
 };
 
 LsmTable::LsmTable(TableContext ctx, LsmConfig config)
@@ -116,15 +111,16 @@ LsmTable::Run LsmTable::writeRun(RecordCursor& records,
     ++block;
   };
 
-  while (auto r = records.next()) {
+  forEachRecord(records, [&](const HashedRecord& hr) {
+    const Record& r = hr.record;
     if (first_record) {
-      run.min_key = r->key;
+      run.min_key = r.key;
       first_record = false;
     }
-    if (run.bloom) run.bloom->add(r->key);
-    page_buf.push_back(*r);
+    if (run.bloom) run.bloom->add(r.key);
+    page_buf.push_back(r);
     if (page_buf.size() == records_per_block_) flushPage();
-  }
+  });
   flushPage();
   run.blocks = block;
   // Return unused tail blocks of the (over)estimated extent (through
@@ -141,8 +137,7 @@ LsmTable::Run LsmTable::writeRun(RecordCursor& records,
 
 void LsmTable::flushMemtable() {
   if (memtable_.size() == 0) return;
-  auto drained = memtable_.drainSorted(
-      [](std::uint64_t key) { return key; });  // key order
+  auto drained = memtable_.drainSorted(kKeyOrder);
   const std::size_t estimate = drained.size();
   VectorCursor cursor(std::move(drained));
   Run run = writeRun(cursor, estimate);
@@ -168,8 +163,8 @@ void LsmTable::compactLevel(std::size_t level) {
     sources.push_back(std::make_unique<RunCursor>(*ctx_.device, run));
     estimate += run.records;
   }
-  KWayMerger merged(std::move(sources), std::make_shared<KeyOrder>(),
-                    /*drop_tombstones=*/!deeper_data);
+  KWayMerger merged(std::move(sources), /*drop_tombstones=*/!deeper_data,
+                    *ctx_.memory);
   Run big = writeRun(merged, estimate);
   for (auto& run : runs) freeRun(run);
   runs.clear();
@@ -329,16 +324,14 @@ void LsmTable::applyBatch(std::span<const Op> ops) {
   // Large spill: memtable + spill become ONE sorted run instead of
   // ceil(spill/memtable) runs with their compaction cascades. The
   // memtable empties here and refills from the next batch's fresh keys.
-  auto drained = memtable_.drainSorted([](std::uint64_t key) { return key; });
   std::vector<Record> records;
-  records.reserve(drained.size() + spill.size());
-  records.insert(records.end(), drained.begin(), drained.end());
+  records.reserve(memtable_.size() + spill.size());
+  memtable_.forEach([&](const Record& r) { records.push_back(r); });
+  memtable_.clear();
   records.insert(records.end(), spill.begin(), spill.end());
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) { return a.key < b.key; });
 
   const std::size_t estimate = records.size();
-  VectorCursor cursor(std::move(records));
+  VectorCursor cursor(sortByHash(records, kKeyOrder));
   Run run = writeRun(cursor, estimate);
   if (levels_.empty()) levels_.emplace_back();
   if (run.blocks > 0) levels_[0].insert(levels_[0].begin(), std::move(run));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/assert.h"
 
 namespace exthash::extmem {
@@ -83,6 +86,69 @@ TEST(BlockDevice, ExtentPoolingReusesExactSizes) {
   dev.freeExtent(a, 4);
   const BlockId b = dev.allocateExtent(4);
   EXPECT_EQ(a, b);
+}
+
+TEST(BlockDevice, FreedNeighboursCoalesceAndSplit) {
+  BlockDevice dev(8);
+  const BlockId a = dev.allocateExtent(4);
+  const BlockId b = dev.allocateExtent(4);
+  const BlockId c = dev.allocateExtent(4);
+  dev.freeExtent(b, 4);
+  dev.freeExtent(a, 4);  // coalesces with b's range
+  EXPECT_EQ(dev.allocateExtent(8), a);
+  dev.freeExtent(a, 8);
+  // Best fit splits the range; the tail stays free for the next request.
+  EXPECT_EQ(dev.allocateExtent(3), a);
+  EXPECT_EQ(dev.allocateExtent(5), a + 3);
+  EXPECT_EQ(dev.idSpaceSize(), c + 4);
+}
+
+// The rebuild pattern of every merge: a new, slightly larger extent is
+// built while the old one is live, then the old one is freed, with single
+// overflow blocks coming and going in between. Reusing freed ranges keeps
+// the id space within a small factor of the live blocks.
+TEST(BlockDevice, GrowingRebuildsReuseFreedRanges) {
+  BlockDevice dev(8);
+  std::size_t size = 16;
+  BlockId live = dev.allocateExtent(size);
+  std::vector<BlockId> singles;
+  std::size_t peak = dev.blocksInUse();
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t next_size = size + size / 8 + 1;
+    const BlockId next = dev.allocateExtent(next_size);
+    singles.push_back(dev.allocate());
+    peak = std::max(peak, dev.blocksInUse());
+    dev.freeExtent(live, size);
+    if (round % 3 == 0) {
+      dev.free(singles.front());
+      singles.erase(singles.begin());
+    }
+    live = next;
+    size = next_size;
+  }
+  EXPECT_LE(dev.idSpaceSize(), 3 * peak)
+      << "ids " << dev.idSpaceSize() << ", peak live " << peak;
+}
+
+TEST(BlockDevice, ImageRoundTripKeepsFreeRanges) {
+  BlockDevice dev(8);
+  const BlockId a = dev.allocateExtent(6);
+  dev.allocateExtent(2);
+  const BlockId c = dev.allocateExtent(5);
+  dev.allocateExtent(1);
+  dev.freeExtent(a, 6);
+  dev.freeExtent(c, 5);
+  const BlockDevice::Image image = dev.captureImage();
+  EXPECT_EQ(image.free_ranges.size(), 2u);
+
+  // Use up the free ranges, then rewind: the ranges come back, and
+  // allocation picks up exactly where the image left off.
+  dev.allocateExtent(6);
+  dev.allocateExtent(5);
+  dev.restoreImage(image);
+  EXPECT_EQ(dev.captureImage().free_ranges, image.free_ranges);
+  EXPECT_EQ(dev.allocateExtent(4), c);  // best fit: the 5-block range
+  EXPECT_EQ(dev.allocateExtent(6), a);
 }
 
 TEST(BlockDevice, AccessAfterFreeIsAnError) {

@@ -109,6 +109,35 @@ TEST(BufferBTree, SkewedBatchesSplitSafely) {
   }
 }
 
+// b = 8 gives fanout 2, so a memory-root split carves the root two
+// children at a time, and batched flushes give it odd child counts too.
+// The lone leftover child used to become an internal node without a
+// pivot; the audit after every batch must now come back clean.
+TEST(BufferBTree, MemoryRootSplitsLeaveNoPivotlessNode) {
+  for (const std::size_t batch : {16, 32, 64, 128}) {
+    TestRig rig(8);
+    BufferBTreeTable table(rig.context());
+    ASSERT_EQ(table.fanout(), 2u);
+    const auto keys = distinctKeys(512);
+    std::vector<Op> ops;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ops.push_back(Op::insertOp(keys[i], i + 1));
+    }
+    for (std::size_t off = 0; off < ops.size(); off += batch) {
+      table.applyBatch(std::span<const Op>(ops).subspan(off, batch));
+      AuditReport report;
+      table.validateLayout(report);
+      ASSERT_TRUE(report.ok())
+          << "batch " << batch << " after " << off + batch << " ops\n"
+          << report.summary();
+    }
+    EXPECT_GE(table.height(), 3u);  // the memory root did split
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(table.lookup(keys[i]), i + 1);
+    }
+  }
+}
+
 TEST(BufferBTree, VisitLayoutCoversAllKeys) {
   TestRig rig(8);
   BufferBTreeTable table(rig.context(), {3});

@@ -49,7 +49,7 @@ TEST_P(CacheWiringTest, RepeatedBatchLookupsHitTheCache) {
     ops.push_back(Op::insertOp(keys[i], i + 1));
   }
   table->applyBatch(ops);
-  table->attachReadCache(&cache);
+  table->attachCache(&cache);
 
   std::vector<std::optional<std::uint64_t>> out(keys.size());
   const extmem::IoStats before_warm = table->ioStats();
@@ -76,7 +76,7 @@ TEST_P(CacheWiringTest, WritesKeepCachedReadsCoherent) {
   extmem::BlockCache cache(*rig.device, *rig.memory, 128,
                            extmem::BlockCache::WritePolicy::kWriteThrough);
   auto table = make(rig, 128);
-  table->attachReadCache(&cache);
+  table->attachCache(&cache);
 
   const auto keys = distinctKeys(128);
   std::vector<Op> ops;
@@ -128,7 +128,7 @@ TEST(CacheWiringChains, ChainRewriteInvalidatesFreedBlocks) {
   ChainingConfig cfg;
   cfg.bucket_count = 2;  // heavy per-bucket load
   ChainingHashTable table(rig.context(), cfg);
-  table.attachReadCache(&cache);
+  table.attachCache(&cache);
 
   const auto keys = distinctKeys(64);
   std::vector<Op> ops;

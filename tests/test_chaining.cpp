@@ -132,13 +132,13 @@ TEST(Chaining, ScanInHashOrderIsSortedAndComplete) {
   std::uint64_t prev_hash = 0;
   std::size_t count = 0;
   std::unordered_map<std::uint64_t, std::uint64_t> seen;
-  while (auto r = cursor->next()) {
-    const std::uint64_t hv = (*rig.hash)(r->key);
-    EXPECT_GE(hv, prev_hash);
-    prev_hash = hv;
-    seen[r->key] = r->value;
+  forEachRecord(*cursor, [&](const HashedRecord& r) {
+    EXPECT_EQ(r.hash, (*rig.hash)(r.record.key));
+    EXPECT_GE(r.hash, prev_hash);
+    prev_hash = r.hash;
+    seen[r.record.key] = r.record.value;
     ++count;
-  }
+  });
   EXPECT_EQ(count, keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(seen.at(keys[i]), i);
@@ -181,10 +181,32 @@ TEST(Chaining, BuildFromSortedCostsOneWritePerNonemptyBlock) {
 TEST(Chaining, BuildRejectsNonMonotoneIndexer) {
   TestRig rig(8);
   auto ctx = rig.context();
-  std::vector<Record> empty;
-  VectorCursor cursor(std::move(empty));
+  VectorCursor cursor({});
   EXPECT_THROW(ChainingHashTable::buildFromSorted(
                    ctx, {4, BucketIndexer{IndexKind::kMod, 1.0}}, cursor),
+               CheckFailure);
+}
+
+// The two Release checks of the bulk build: every carried hash must be
+// h(key), and the stream must not go backwards.
+TEST(Chaining, BuildRejectsWrongCarriedHashOrOrder) {
+  TestRig rig(8);
+  auto ctx = rig.context();
+  const std::vector<Record> records{{1, 10}, {2, 20}, {3, 30}};
+  const auto sorted = sortByHash(records, *rig.hash);
+
+  auto wrong = sorted;
+  wrong[1].hash = wrong[0].hash;  // still ordered, but not h(key)
+  VectorCursor wrong_cursor(std::move(wrong));
+  EXPECT_THROW(ChainingHashTable::buildFromSorted(ctx, {4, BucketIndexer{}},
+                                                  wrong_cursor),
+               CheckFailure);
+
+  auto backwards = sorted;
+  std::swap(backwards[0], backwards[2]);
+  VectorCursor backwards_cursor(std::move(backwards));
+  EXPECT_THROW(ChainingHashTable::buildFromSorted(ctx, {4, BucketIndexer{}},
+                                                  backwards_cursor),
                CheckFailure);
 }
 

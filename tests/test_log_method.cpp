@@ -139,12 +139,12 @@ TEST(LogMethod, DrainAllEmptiesAndYieldsEverything) {
   auto cursor = table.drainAll();
   std::size_t count = 0;
   std::uint64_t prev_hash = 0;
-  while (auto r = cursor->next()) {
-    const std::uint64_t hv = (*rig.hash)(r->key);
-    EXPECT_GE(hv, prev_hash);  // hash-ordered
-    prev_hash = hv;
+  forEachRecord(*cursor, [&](const HashedRecord& r) {
+    EXPECT_EQ(r.hash, (*rig.hash)(r.record.key));
+    EXPECT_GE(r.hash, prev_hash);  // hash-ordered
+    prev_hash = r.hash;
     ++count;
-  }
+  });
   EXPECT_EQ(count, keys.size());
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.bufferedRecords(), 0u);

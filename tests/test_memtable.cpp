@@ -94,11 +94,12 @@ TEST(MemTable, DrainSortedReturnsAllAndEmpties) {
   EXPECT_EQ(drained.size(), keys.size());
   EXPECT_EQ(mt.size(), 0u);
   for (std::size_t i = 1; i < drained.size(); ++i) {
-    EXPECT_LT(drained[i - 1].key, drained[i].key);
+    EXPECT_LT(drained[i - 1].record.key, drained[i].record.key);
   }
   for (const auto& r : drained) {
-    EXPECT_TRUE(keys.contains(r.key));
-    EXPECT_EQ(r.value, r.key + 1);
+    EXPECT_EQ(r.hash, r.record.key);  // tagged with its order value
+    EXPECT_TRUE(keys.contains(r.record.key));
+    EXPECT_EQ(r.record.value, r.record.key + 1);
   }
 }
 
