@@ -14,6 +14,9 @@ namespace {
 // kObsSamplePeriod fetch-path accesses (and at every eviction, which is
 // when occupancy actually changes shape).
 [[maybe_unused]] constexpr std::uint64_t kObsSamplePeriod = 1024;
+
+// Slab chunks hold about this many bytes of frames (at least one frame).
+constexpr std::size_t kChunkBytes = 64 * 1024;
 }  // namespace
 
 // Gauge + trace-counter snapshot of the cache's occupancy shape. Compiles
@@ -21,11 +24,12 @@ namespace {
 // the sampling-clock increment, one untimed uint64 add).
 #ifdef EXTHASH_TELEMETRY_MODE
 void BlockCache::obsSampleGauges() const {
-  EXTHASH_OBS_GAUGE("exthash_cache_resident_frames", frames_.size());
+  EXTHASH_OBS_GAUGE("exthash_cache_resident_frames", residentBlocks());
   EXTHASH_OBS_GAUGE("exthash_cache_capacity_frames", capacity_blocks_);
   EXTHASH_OBS_GAUGE("exthash_cache_dirty_frames", dirty_blocks_);
   if (obs::enabled()) {
-    obs::traceCounter("cache resident", static_cast<double>(frames_.size()));
+    obs::traceCounter("cache resident",
+                      static_cast<double>(residentBlocks()));
     obs::traceCounter("cache dirty", static_cast<double>(dirty_blocks_));
   }
 }
@@ -35,12 +39,13 @@ BlockCache::BlockCache(BlockDevice& device, MemoryBudget& budget,
                        std::size_t capacity_blocks, WritePolicy policy,
                        ReplacementKind replacement)
     : device_(device),
-      charge_(budget, capacity_blocks * device.wordsPerBlock()),
+      words_per_block_(device.wordsPerBlock()),
+      charge_(budget, capacity_blocks * words_per_block_),
       capacity_blocks_(capacity_blocks),
       policy_(policy),
       replacement_kind_(replacement),
-      replacement_(makeReplacementPolicy(replacement, budget,
-                                         capacity_blocks)) {
+      dir_(capacity_blocks),  // the policy reserves its ghosts on top
+      replacement_(replacement, dir_, budget, capacity_blocks) {
   EXTHASH_CHECK(capacity_blocks >= 1);
 }
 
@@ -53,9 +58,9 @@ BlockCache::~BlockCache() {
   }
 }
 
-void BlockCache::markDirty(Frame& frame) {
-  if (!frame.dirty) {
-    frame.dirty = true;
+void BlockCache::markDirty(Entry& entry) {
+  if (!entry.dirty) {
+    entry.dirty = true;
     ++dirty_blocks_;
   }
 }
@@ -64,77 +69,127 @@ void BlockCache::rechargeForResidency() {
   // The paper's m-word model sees every resident frame: pinned frames can
   // push residency past capacity for a nesting's duration, and that
   // transient memory is charged too (and released as eviction drains it).
-  charge_.resize(std::max(capacity_blocks_, frames_.size()) *
-                 device_.wordsPerBlock());
+  charge_.resize(std::max(capacity_blocks_, residentBlocks()) *
+                 words_per_block_);
 }
 
-BlockCache::Frame& BlockCache::insertFrame(BlockId id, Frame frame) {
+void BlockCache::growSlab() {
+  // Enough chunks for capacity + 1 frames (the +1 is the miss's spare);
+  // past that, pins are holding frames over capacity, one slot per chunk.
+  const std::size_t total = frames_.size();
+  const std::size_t wanted =
+      capacity_blocks_ + 1 > total ? capacity_blocks_ + 1 - total : 1;
+  const std::size_t per_chunk = std::max<std::size_t>(
+      1, kChunkBytes / (words_per_block_ * sizeof(Word)));
+  const std::size_t count = std::min(wanted, per_chunk);
+  chunks_.push_back(
+      {std::make_unique_for_overwrite<Word[]>(count * words_per_block_),
+       static_cast<std::uint32_t>(total)});
+  Word* words = chunks_.back().words.get();
+  for (std::size_t i = 0; i < count; ++i) {
+    frames_.push_back(words + i * words_per_block_);
+    pins_.push_back(0);
+  }
+  // Lowest slot on top of the stack.
+  for (std::size_t i = count; i-- > 0;) {
+    free_slots_.push_back(static_cast<std::uint32_t>(total + i));
+  }
+}
+
+void BlockCache::trimSlab() {
+  const std::size_t keep = std::max(capacity_blocks_, residentBlocks()) + 1;
+  std::size_t kept_chunks = chunks_.size();
+  while (kept_chunks > 0 && chunks_[kept_chunks - 1].first_slot >= keep) {
+    --kept_chunks;
+  }
+  if (kept_chunks == chunks_.size()) return;
+  const std::uint32_t boundary = chunks_[kept_chunks].first_slot;
+  for (std::size_t slot = boundary; slot < pins_.size(); ++slot) {
+    if (pins_[slot] != 0) return;
+  }
+  // The kept chunks hold boundary >= keep > residency slots, so the free
+  // slots below the boundary can take every frame above it.
+  std::erase_if(free_slots_,
+                [boundary](std::uint32_t slot) { return slot >= boundary; });
+  for (Entry& e : dir_.cells()) {
+    if (!e.resident() || e.slot < boundary) continue;
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    std::copy_n(frames_[e.slot], words_per_block_, frames_[slot]);
+    e.slot = slot;
+  }
+  chunks_.resize(kept_chunks);
+  frames_.resize(boundary);
+  pins_.resize(boundary);
+}
+
+template <class Fill>
+std::uint32_t BlockCache::admit(BlockId id, Index ghost, bool dirty,
+                                Fill&& fill) {
+  replacement_.onMiss(id, ghost);  // ghost lookup / adaptation, pre-eviction
+  if (free_slots_.empty()) growSlab();
+  const std::uint32_t slot = free_slots_.back();
+  fill(frames_[slot]);  // may throw: the slot is taken only after it
+  free_slots_.pop_back();
   // Shrink to capacity first (this also drains any over-capacity frames
   // left behind while everything evictable was pinned).
-  while (frames_.size() >= capacity_blocks_ && evictOne()) {
+  while (residentBlocks() >= capacity_blocks_ && evictOne()) {
   }
-  auto [ins, ok] = frames_.emplace(id, std::move(frame));
-  // Per-miss touch path: debug-only (the partition audit catches a
-  // double-resident id at the next barrier in Release).
-  EXTHASH_DCHECK(ok);
-  (void)ok;
-  if (ins->second.dirty) ++dirty_blocks_;
-  replacement_->onInsert(id);
+  Entry& entry = dir_[replacement_.onInsert(id)];
+  entry.slot = slot;
+  if (dirty) markDirty(entry);
   rechargeForResidency();
-  return ins->second;
+  return slot;
 }
 
-BlockCache::Frame& BlockCache::fetch(BlockId id, bool mark_dirty) {
+std::uint32_t BlockCache::fetch(BlockId id, bool mark_dirty) {
 #ifdef EXTHASH_TELEMETRY_MODE
   if (++obs_accesses_ % kObsSamplePeriod == 0) obsSampleGauges();
 #endif
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
+  const Index i = dir_.find(id);
+  if (i != CacheDirectory::kNil && dir_[i].resident()) {
     ++hits_;
     EXTHASH_OBS_COUNT("exthash_cache_hits_total", 1);
-    replacement_->onHit(id);
-    if (mark_dirty) markDirty(it->second);
-    return it->second;
+    replacement_.onHit(i);
+    Entry& entry = dir_[i];
+    if (mark_dirty) markDirty(entry);
+    return entry.slot;
   }
 
   ++misses_;
   EXTHASH_OBS_COUNT("exthash_cache_misses_total", 1);
-  replacement_->onMiss(id);  // ghost lookup / adaptation, pre-eviction
-  Frame frame;
-  frame.data.resize(device_.wordsPerBlock());
-  device_.withRead(id, [&](std::span<const Word> data) {
-    std::copy(data.begin(), data.end(), frame.data.begin());
+  return admit(id, i, mark_dirty, [&](Word* frame) {
+    device_.withRead(id, [&](std::span<const Word> data) {
+      std::copy(data.begin(), data.end(), frame);
+    });
   });
-  frame.dirty = mark_dirty;
-  return insertFrame(id, std::move(frame));
 }
 
-BlockCache::Frame& BlockCache::installZeroed(BlockId id) {
+std::uint32_t BlockCache::installZeroed(BlockId id) {
   // Either branch costs zero device I/O (the caller overwrites
   // everything, so the device copy is never needed), which is what the
   // hit telemetry counts; the policy still sees a non-resident install as
   // a miss-admission so its queues mirror residency.
   ++hits_;
   EXTHASH_OBS_COUNT("exthash_cache_hits_total", 1);
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
-    replacement_->onHit(id);
-    std::fill(it->second.data.begin(), it->second.data.end(), Word{0});
-    markDirty(it->second);
-    return it->second;
+  const Index i = dir_.find(id);
+  if (i != CacheDirectory::kNil && dir_[i].resident()) {
+    replacement_.onHit(i);
+    Entry& entry = dir_[i];
+    std::fill_n(frames_[entry.slot], words_per_block_, Word{0});
+    markDirty(entry);
+    return entry.slot;
   }
-  replacement_->onMiss(id);
-  Frame frame;
-  frame.data.assign(device_.wordsPerBlock(), Word{0});
-  frame.dirty = true;
-  return insertFrame(id, std::move(frame));
+  return admit(id, i, /*dirty=*/true, [&](Word* frame) {
+    std::fill_n(frame, words_per_block_, Word{0});
+  });
 }
 
-void BlockCache::quarantine(BlockId id, Frame& frame) {
+void BlockCache::quarantine(Entry& entry) {
   ++writeback_failures_;
   EXTHASH_OBS_COUNT("exthash_cache_writeback_failures_total", 1);
-  if (!frame.quarantined) {
-    frame.quarantined = true;
+  if (!entry.quarantined) {
+    entry.quarantined = true;
     ++quarantined_frames_;
     EXTHASH_OBS_GAUGE("exthash_cache_quarantined_frames",
                       quarantined_frames_);
@@ -142,70 +197,72 @@ void BlockCache::quarantine(BlockId id, Frame& frame) {
   // Give-up endgame: N consecutive failures escalate the NEXT flush
   // barrier to a PermanentIoError (see the header). Counted once per
   // streak; a successful write-back resets both (writeBack()).
-  if (++frame.consecutive_failures >= give_up_threshold_ && !frame.gave_up) {
-    frame.gave_up = true;
+  if (++entry.failures >= give_up_threshold_ && !entry.gave_up) {
+    entry.gave_up = true;
     ++quarantine_gave_up_;
     EXTHASH_OBS_COUNT("exthash_cache_quarantine_gave_up_total", 1);
   }
-  (void)id;
 }
 
-void BlockCache::writeBack(BlockId id, Frame& frame) {
-  if (!frame.dirty) return;
-  if (!device_.isAllocated(id)) {
+void BlockCache::writeFrame(BlockId id, std::uint32_t slot) {
+  const Word* frame = frames_[slot];
+  device_.withOverwrite(id, [&](std::span<Word> data) {
+    std::copy_n(frame, words_per_block_, data.begin());
+  });
+  ++writebacks_;
+  EXTHASH_OBS_COUNT("exthash_cache_writebacks_total", 1);
+}
+
+void BlockCache::writeBack(Entry& entry) {
+  if (!entry.dirty) return;
+  if (!device_.isAllocated(entry.id)) {
     // Owner freed the block; drop silently.
-    frame.dirty = false;
+    entry.dirty = false;
     --dirty_blocks_;
     return;
   }
   // Device write FIRST, bookkeeping after: if the write faults, the frame
   // must still read as dirty (the cached copy is the only surviving one).
-  device_.withOverwrite(id, [&](std::span<Word> data) {
-    std::copy(frame.data.begin(), frame.data.end(), data.begin());
-  });
-  frame.dirty = false;
+  writeFrame(entry.id, entry.slot);
+  entry.dirty = false;
   --dirty_blocks_;
-  if (frame.quarantined) {
-    frame.quarantined = false;
+  if (entry.quarantined) {
+    entry.quarantined = false;
     --quarantined_frames_;
   }
-  frame.consecutive_failures = 0;
-  frame.gave_up = false;
-  ++writebacks_;
-  EXTHASH_OBS_COUNT("exthash_cache_writebacks_total", 1);
+  entry.failures = 0;
+  entry.gave_up = false;
 }
 
 bool BlockCache::evictOne() {
-  // Per-eviction policy-contract checks are debug-only: a policy that
-  // proposes a non-resident victim is caught by the partition audit at
-  // the next barrier, and Release eviction stays two map probes.
-  const auto evictable = [this](BlockId id) {
-    auto it = frames_.find(id);
-    EXTHASH_DCHECK_MSG(it != frames_.end(),
-                       "policy proposed a non-resident victim " << id);
-    return it != frames_.end() && it->second.pins == 0 &&
-           !it->second.quarantined;
+  const auto evictable = [this](const Entry& entry) {
+    return !entry.quarantined && pins_[entry.slot] == 0;
   };
-  const std::optional<BlockId> victim = replacement_->chooseEvict(evictable);
+  const std::optional<Entry> victim = replacement_.chooseEvict(evictable);
   if (!victim) return false;
-  auto it = frames_.find(*victim);
-  EXTHASH_CHECK(it != frames_.end());
-  EXTHASH_DCHECK(it->second.pins == 0);
-  try {
-    writeBack(*victim, it->second);
-  } catch (const IoError&) {
-    // Degraded mode: the dirty data survives in the frame. chooseEvict
-    // already retired the victim (possibly into a ghost list), so
-    // re-enter it as resident — onRemove scrubs any ghost entry first,
-    // keeping the policy/cache partition audit-exact — and quarantine it
-    // so the next chooseEvict cannot propose it again. That makes a
-    // faulted eviction still count as progress for the caller's loop.
-    replacement_->onRemove(*victim);
-    replacement_->onInsert(*victim);
-    quarantine(*victim, it->second);
-    return true;
+  if (victim->dirty && device_.isAllocated(victim->id)) {
+    try {
+      writeFrame(victim->id, victim->slot);
+    } catch (const IoError&) {
+      // Degraded mode: the dirty data survives in the frame. chooseEvict
+      // already retired the victim (possibly into a ghost list), so
+      // re-enter it as resident — scrubbing any ghost entry first,
+      // keeping the directory's one-entry-per-id rule — and quarantine it
+      // so the next chooseEvict cannot propose it again. That makes a
+      // faulted eviction still count as progress for the caller's loop.
+      // (An evictable frame is never quarantined, so it carries no
+      // failure streak to restore.)
+      const Index ghost = dir_.find(victim->id);
+      if (ghost != CacheDirectory::kNil) dir_.erase(ghost);
+      Entry& entry = dir_[replacement_.onInsert(victim->id)];
+      entry.slot = victim->slot;
+      entry.dirty = true;
+      quarantine(entry);
+      return true;
+    }
   }
-  frames_.erase(it);
+  if (victim->dirty) --dirty_blocks_;
+  free_slots_.push_back(victim->slot);
   rechargeForResidency();
   EXTHASH_OBS_COUNT("exthash_cache_evictions_total", 1);
   return true;
@@ -217,13 +274,23 @@ void BlockCache::flush() {
   // re-attempted here (this is their road back after the fault clears).
   std::exception_ptr first_error;
   BlockId gave_up_block = kInvalidBlock;
-  for (auto& [id, frame] : frames_) {
+  // Land the frames in ascending block order — sequential writes on a
+  // file-backed device, whatever cells the directory hashed them to.
+  const auto cells = dir_.cells();
+  flush_order_.clear();
+  for (Index i = 0; i < cells.size(); ++i) {
+    if (cells[i].resident() && cells[i].dirty) flush_order_.push_back(i);
+  }
+  std::sort(flush_order_.begin(), flush_order_.end(),
+            [&](Index a, Index b) { return cells[a].id < cells[b].id; });
+  for (const Index i : flush_order_) {
+    Entry& entry = cells[i];
     try {
-      writeBack(id, frame);
+      writeBack(entry);
     } catch (const IoError&) {
-      quarantine(id, frame);
-      if (frame.gave_up && gave_up_block == kInvalidBlock) {
-        gave_up_block = id;
+      quarantine(entry);
+      if (entry.gave_up && gave_up_block == kInvalidBlock) {
+        gave_up_block = entry.id;
       }
       if (!first_error) first_error = std::current_exception();
     }
@@ -241,15 +308,19 @@ void BlockCache::flush() {
 }
 
 void BlockCache::discardAll() {
-  std::vector<BlockId> ghost_ids;
-  replacement_->visitGhosts([&](BlockId id) { ghost_ids.push_back(id); });
-  for (const BlockId id : ghost_ids) replacement_->onRemove(id);
-  for (auto& [id, frame] : frames_) {
-    EXTHASH_CHECK_MSG(frame.pins == 0,
-                      "discardAll while a callback holds block " << id);
-    replacement_->onRemove(id);
+  // Reject a pinned frame BEFORE touching any state (as invalidate does):
+  // the CheckFailure is catchable, and a half-dropped cache would leave
+  // the policy's queues disagreeing with the frames.
+  for (const Entry& entry : dir_.cells()) {
+    EXTHASH_CHECK_MSG(!entry.resident() || pins_[entry.slot] == 0,
+                      "discardAll while a callback holds block "
+                          << entry.id);
   }
-  frames_.clear();
+  dir_.clear();
+  free_slots_.clear();
+  for (std::size_t slot = frames_.size(); slot-- > 0;) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slot));
+  }
   dirty_blocks_ = 0;
   quarantined_frames_ = 0;
   rechargeForResidency();
@@ -262,59 +333,64 @@ void BlockCache::resize(std::size_t capacity_blocks) {
     // up front. Either charge may throw BudgetExceeded; the rollback
     // leaves capacity, charge, and policy quotas at their old values.
     const std::size_t old_capacity = capacity_blocks_;
-    replacement_->resizeCapacity(capacity_blocks);
+    replacement_.resizeCapacity(capacity_blocks);
     capacity_blocks_ = capacity_blocks;
     try {
       rechargeForResidency();
     } catch (...) {
       capacity_blocks_ = old_capacity;
-      replacement_->resizeCapacity(old_capacity);
+      replacement_.resizeCapacity(old_capacity);
       throw;
     }
     return;
   }
   // Shrink: flush-and-evict the policy's coldest tail down to the new
   // capacity (skipping pinned frames — see the header), then let the
-  // policy trim ghosts and release its charge.
+  // policy trim ghosts and release its charge, and hand back the slab
+  // chunks the smaller cache no longer needs.
   capacity_blocks_ = capacity_blocks;
-  while (frames_.size() > capacity_blocks_ && evictOne()) {
+  while (residentBlocks() > capacity_blocks_ && evictOne()) {
   }
   rechargeForResidency();
-  replacement_->resizeCapacity(capacity_blocks);
+  replacement_.resizeCapacity(capacity_blocks);
+  trimSlab();
 }
 
 void BlockCache::invalidate(BlockId id) {
-  auto it = frames_.find(id);
+  const Index i = dir_.find(id);
+  if (i == CacheDirectory::kNil) return;
+  const Entry entry = dir_[i];
   // Reject pinned frames BEFORE touching any state: the CheckFailure is
   // documented as catchable, and a partial invalidation would leave the
   // policy desynced from the resident set.
-  EXTHASH_CHECK_MSG(it == frames_.end() || it->second.pins == 0,
+  EXTHASH_CHECK_MSG(!entry.resident() || pins_[entry.slot] == 0,
                     "invalidating block " << id
                         << " while a callback holds its span");
-  // Drop policy state even for a non-resident id — it may have a ghost
-  // entry, and the owner is about to recycle the id.
-  replacement_->onRemove(id);
-  if (it == frames_.end()) return;
-  if (it->second.dirty) --dirty_blocks_;
-  if (it->second.quarantined) --quarantined_frames_;
-  frames_.erase(it);
+  // Drop the entry even for a non-resident id — it may be a ghost, and
+  // the owner is about to recycle the id.
+  dir_.erase(i);
+  if (!entry.resident()) return;
+  if (entry.dirty) --dirty_blocks_;
+  if (entry.quarantined) --quarantined_frames_;
+  free_slots_.push_back(entry.slot);
   rechargeForResidency();
 }
 
 void BlockCache::refreshFromDevice(BlockId id) {
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
+  const Index i = dir_.find(id);
+  if (i != CacheDirectory::kNil && dir_[i].resident()) {
     ++hits_;
     EXTHASH_OBS_COUNT("exthash_cache_hits_total", 1);
+    Entry& entry = dir_[i];
     const auto data = device_.inspect(id);
-    std::copy(data.begin(), data.end(), it->second.data.begin());
-    if (it->second.dirty) {
-      it->second.dirty = false;
+    std::copy(data.begin(), data.end(), frames_[entry.slot]);
+    if (entry.dirty) {
+      entry.dirty = false;
       --dirty_blocks_;
     }
     // The write is a use of the block: promote it so a hot written page
     // cannot be evicted ahead of a cold read page.
-    replacement_->onHit(id);
+    replacement_.onHit(i);
     return;
   }
   // Write-allocate: the device write that triggered this refresh was a
@@ -326,74 +402,120 @@ void BlockCache::refreshFromDevice(BlockId id) {
   // write path fetches and admits the same way.
   ++misses_;
   EXTHASH_OBS_COUNT("exthash_cache_misses_total", 1);
-  replacement_->onMiss(id);
-  Frame frame;
-  frame.data.resize(device_.wordsPerBlock());
-  const auto data = device_.inspect(id);
-  std::copy(data.begin(), data.end(), frame.data.begin());
-  insertFrame(id, std::move(frame));
+  admit(id, i, /*dirty=*/false, [&](Word* frame) {
+    const auto data = device_.inspect(id);
+    std::copy(data.begin(), data.end(), frame);
+  });
 }
 
 void BlockCache::audit(AuditReport& report) const {
   const char* kComponent = "block-cache";
+  const std::size_t queues_used = replacement_.queuesUsed();
 
-  // Partition agreement, direction 1: every id the policy believes
-  // resident must have a frame, exactly once.
-  std::size_t policy_resident = 0;
-  replacement_->visitResident([&](BlockId id) {
-    ++policy_resident;
-    EXTHASH_AUDIT_EXPECT(report, kComponent, frames_.count(id) == 1,
-                         "policy-resident id " << id << " has no frame");
-  });
-  // Direction 2: equal cardinality makes the subset relation an equality
-  // (no frame the policy forgot).
-  EXTHASH_AUDIT_EXPECT(report, kComponent,
-                       policy_resident == frames_.size(),
-                       "policy tracks " << policy_resident
-                           << " resident ids, cache holds "
-                           << frames_.size() << " frames");
+  // Slot ownership: every slot is free or owned by exactly one resident.
+  enum : std::uint8_t { kUnseen, kFree, kOwned };
+  std::vector<std::uint8_t> slot_state(frames_.size(), kUnseen);
+  for (const std::uint32_t slot : free_slots_) {
+    const bool fresh = slot < slot_state.size() && slot_state[slot] == kUnseen;
+    EXTHASH_AUDIT_EXPECT(report, kComponent, fresh,
+                         "free slot " << slot
+                                      << " is out of range or listed twice");
+    if (fresh) slot_state[slot] = kFree;
+  }
 
-  // Ghosts are evicted-id memory: a ghost that is also resident would let
-  // id reuse fake a reuse signal.
-  std::size_t ghosts = 0;
-  replacement_->visitGhosts([&](BlockId id) {
-    ++ghosts;
-    EXTHASH_AUDIT_EXPECT(report, kComponent, frames_.count(id) == 0,
-                         "ghost id " << id << " is still resident");
-  });
-  EXTHASH_AUDIT_EXPECT(report, kComponent,
-                       ghosts == replacement_->ghostEntries(),
-                       "ghost lists hold " << ghosts
-                           << " ids, ghostEntries() reports "
-                           << replacement_->ghostEntries());
-
-  // Flag accounting: the dirty counter mirrors the dirty bits; a
-  // write-through cache never holds a dirty frame; at a quiescent barrier
-  // no frame is pinned, and every resident id is still allocated (frees
-  // go through invalidate()).
+  // One walk of the directory.
+  std::size_t per_queue[CacheDirectory::kQueues] = {};
+  std::size_t live = 0;
   std::size_t dirty = 0;
   std::size_t quarantined = 0;
-  for (const auto& [id, frame] : frames_) {
-    if (frame.dirty) ++dirty;
-    if (frame.quarantined) {
+  const auto cells = dir_.cells();
+  for (Index i = 0; i < cells.size(); ++i) {
+    const Entry& e = cells[i];
+    if (e.id == kInvalidBlock) continue;
+    ++live;
+    EXTHASH_AUDIT_EXPECT(report, kComponent, dir_.find(e.id) == i,
+                         "entry " << e.id << " at cell " << i
+                                  << " is out of reach of its probe run");
+    EXTHASH_AUDIT_EXPECT(report, kComponent, e.queue < queues_used,
+                         "entry " << e.id << " on queue " << int{e.queue}
+                                  << ", policy " << replacement_.name()
+                                  << " uses " << queues_used);
+    if (e.queue < CacheDirectory::kQueues) ++per_queue[e.queue];
+    const bool ghost_queue = CacheDirectory::isGhostQueue(e.queue);
+    if (!e.resident()) {
+      // Ghosts are evicted-id memory: a ghost on a resident queue is a
+      // frame the policy believes resident but the cache does not hold.
+      EXTHASH_AUDIT_EXPECT(report, kComponent, ghost_queue,
+                           "entry " << e.id << " sits on resident queue "
+                                    << int{e.queue} << " without a frame");
+      EXTHASH_AUDIT_EXPECT(report, kComponent,
+                           !e.dirty && !e.quarantined && e.failures == 0,
+                           "ghost " << e.id << " carries frame state");
+      continue;
+    }
+    EXTHASH_AUDIT_EXPECT(report, kComponent, !ghost_queue,
+                         "resident frame " << e.id << " sits on ghost queue "
+                                           << int{e.queue});
+    const bool slot_ok =
+        e.slot < slot_state.size() && slot_state[e.slot] == kUnseen;
+    EXTHASH_AUDIT_EXPECT(report, kComponent, slot_ok,
+                         "frame " << e.id << " slot " << e.slot
+                                  << " is out of range, free, or shared");
+    if (!slot_ok) continue;
+    slot_state[e.slot] = kOwned;
+    // Flag accounting: at a quiescent barrier no frame is pinned, and
+    // every resident id is still allocated (frees go through
+    // invalidate()).
+    if (e.dirty) ++dirty;
+    if (e.quarantined) {
       ++quarantined;
-      EXTHASH_AUDIT_EXPECT(report, kComponent, frame.dirty,
-                           "quarantined frame " << id
+      EXTHASH_AUDIT_EXPECT(report, kComponent, e.dirty,
+                           "quarantined frame " << e.id
                                << " is clean — quarantine exists only to "
                                   "protect unlanded dirty data");
     }
-    EXTHASH_AUDIT_EXPECT(report, kComponent, frame.pins == 0,
-                         "frame " << id << " pinned (" << frame.pins
+    EXTHASH_AUDIT_EXPECT(report, kComponent, pins_[e.slot] == 0,
+                         "frame " << e.id << " pinned (" << pins_[e.slot]
                                   << ") at a quiescent audit");
-    EXTHASH_AUDIT_EXPECT(report, kComponent, device_.isAllocated(id),
-                         "resident frame " << id
-                                           << " maps a freed block");
-    EXTHASH_AUDIT_EXPECT(report, kComponent,
-                         frame.data.size() == device_.wordsPerBlock(),
-                         "frame " << id << " holds " << frame.data.size()
-                                  << " words, device block is "
-                                  << device_.wordsPerBlock());
+    EXTHASH_AUDIT_EXPECT(report, kComponent, device_.isAllocated(e.id),
+                         "resident frame " << e.id << " maps a freed block");
   }
+  EXTHASH_AUDIT_EXPECT(report, kComponent, live == dir_.size(),
+                       "directory holds " << live << " entries, size() says "
+                                          << dir_.size());
+  const std::size_t leaked = static_cast<std::size_t>(
+      std::count(slot_state.begin(), slot_state.end(), kUnseen));
+  EXTHASH_AUDIT_EXPECT(report, kComponent, leaked == 0,
+                       leaked << " frame slots are neither free nor owned");
+
+  // Queue structure: each list walks front to back over entries tagged
+  // with it, its back links mirror the forward ones, and its length
+  // matches both its counter and the directory walk above.
+  for (std::uint8_t q = 0; q < CacheDirectory::kQueues; ++q) {
+    std::size_t walked = 0;
+    Index prev = CacheDirectory::kNil;
+    bool linked = true;
+    for (Index i = dir_.front(q); i != CacheDirectory::kNil;
+         i = cells[i].next) {
+      if (i >= cells.size() || walked > dir_.size() || cells[i].queue != q ||
+          cells[i].prev != prev) {
+        linked = false;  // out of range, a cycle, or a foreign entry
+        break;
+      }
+      prev = i;
+      ++walked;
+    }
+    EXTHASH_AUDIT_EXPECT(report, kComponent,
+                         linked && prev == dir_.back(q),
+                         "queue " << int{q} << " links are broken");
+    EXTHASH_AUDIT_EXPECT(report, kComponent,
+                         walked == dir_.queueSize(q) &&
+                             walked == per_queue[q],
+                         "queue " << int{q} << " walks " << walked
+                                  << " entries, counts " << dir_.queueSize(q)
+                                  << ", directory tags " << per_queue[q]);
+  }
+
   EXTHASH_AUDIT_EXPECT(report, kComponent, dirty == dirty_blocks_,
                        dirty << " dirty frames, counter says "
                              << dirty_blocks_);
@@ -409,16 +531,17 @@ void BlockCache::audit(AuditReport& report) const {
   // max(capacity, residency) — transient pin-driven over-residency is
   // charged like any memory (rechargeForResidency's contract) — and the
   // policy's ghost charge covers its live ghost entries.
+  const std::size_t ghosts = ghostEntries();
   const std::size_t expected_words =
-      std::max(capacity_blocks_, frames_.size()) * device_.wordsPerBlock();
+      std::max(capacity_blocks_, residentBlocks()) * words_per_block_;
   EXTHASH_AUDIT_EXPECT(report, kComponent,
                        charge_.words() == expected_words,
                        "frame charge " << charge_.words()
                            << " words, expected " << expected_words);
   EXTHASH_AUDIT_EXPECT(
       report, kComponent,
-      replacement_->chargedWords() >= ghosts * kGhostEntryWords,
-      "policy charges " << replacement_->chargedWords()
+      replacement_.chargedWords() >= ghosts * kGhostEntryWords,
+      "policy charges " << replacement_.chargedWords()
                         << " words for " << ghosts << " ghosts (>= "
                         << ghosts * kGhostEntryWords << " required)");
 }

@@ -48,9 +48,17 @@
 // charges the memory budget for its frames, and the policy charges its
 // ghost-list metadata on top.
 //
+// Layout: one CacheDirectory (cache_directory.h) indexes resident frames
+// and the policy's ghosts alike — a hit is one probe and a queue relink —
+// and frames are fixed wordsPerBlock() slots in chunk-stable slabs with a
+// free list, so spans handed to callbacks stay valid while nested
+// accesses admit and evict other frames, and steady-state misses
+// allocate nothing. A miss reads into a spare slot before it evicts, so
+// the device sees the read ahead of the victim's write-back.
+//
 // Threading: the cache is thread-COMPATIBLE, not thread-safe — it holds
-// no mutex by design (the hot path is a hash-map probe and a splice, and
-// every deployment already serializes it externally: each instance is
+// no mutex by design (the hot path is one directory probe and a relink,
+// and every deployment already serializes it externally: each instance is
 // touched only by its owning shard thread inside a batch, or by the one
 // pipeline worker; resizes happen at quiescent points only, see
 // resize()). There is deliberately nothing to annotate for
@@ -61,9 +69,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -116,10 +124,10 @@ class BlockCache {
   /// the next unpinned access shrinks it back.
   template <class F>
   decltype(auto) withRead(BlockId id, F&& fn) {
-    Frame& frame = fetch(id, /*mark_dirty=*/false);
-    const PinGuard pin(frame);
+    const std::uint32_t slot = fetch(id, /*mark_dirty=*/false);
+    const PinGuard pin(pins_, slot);
     return std::forward<F>(fn)(
-        std::span<const Word>(frame.data.data(), frame.data.size()));
+        std::span<const Word>(frames_[slot], words_per_block_));
   }
 
   /// Counted read-modify-write via the cache (policy-dependent, see the
@@ -136,10 +144,10 @@ class BlockCache {
           },
           [&] { refreshFromDevice(id); });
     }
-    Frame& frame = fetch(id, /*mark_dirty=*/true);
-    const PinGuard pin(frame);
+    const std::uint32_t slot = fetch(id, /*mark_dirty=*/true);
+    const PinGuard pin(pins_, slot);
     return std::forward<F>(fn)(
-        std::span<Word>(frame.data.data(), frame.data.size()));
+        std::span<Word>(frames_[slot], words_per_block_));
   }
 
   /// Counted blind write via the cache. Write-through: one counted device
@@ -156,17 +164,17 @@ class BlockCache {
           },
           [&] { refreshFromDevice(id); });
     }
-    Frame& frame = installZeroed(id);
-    const PinGuard pin(frame);
+    const std::uint32_t slot = installZeroed(id);
+    const PinGuard pin(pins_, slot);
     return std::forward<F>(fn)(
-        std::span<Word>(frame.data.data(), frame.data.size()));
+        std::span<Word>(frames_[slot], words_per_block_));
   }
 
-  /// Flush all dirty frames (write-back mode) to the device, re-attempting
-  /// quarantined ones. After a successful flush the device is
-  /// authoritative for every resident block. If a write-back faults, the
-  /// frame is quarantined (data retained) and the first IoError is
-  /// rethrown after every frame was attempted.
+  /// Flush all dirty frames (write-back mode) to the device in ascending
+  /// block order, re-attempting quarantined ones. After a successful
+  /// flush the device is authoritative for every resident block. If a
+  /// write-back faults, the frame is quarantined (data retained) and the
+  /// first IoError is rethrown after every frame was attempted.
   void flush();
 
   /// Re-target the cache to `capacity_blocks` frames at runtime — the
@@ -191,7 +199,7 @@ class BlockCache {
   /// a squeezed cache keeps producing ghost hits — the evidence that
   /// growing it back would pay. No-op for ghostless policies (LRU).
   void setGhostHorizon(std::size_t frames) {
-    replacement_->setGhostHorizon(frames);
+    replacement_.setGhostHorizon(frames);
   }
 
   /// Drop a block from the cache (e.g. after the owner frees it). Dirty
@@ -204,8 +212,9 @@ class BlockCache {
   /// recovery primitive: after a crash the device image has been rewound
   /// underneath the cache, so every cached byte (dirty or clean) is a
   /// stale view of a world that no longer exists. Requires a quiescent
-  /// point (no pinned frames). Counters (hits/misses/writebacks) survive;
-  /// dirty/quarantine accounting resets with the frames.
+  /// point: with any frame pinned it throws CheckFailure and changes
+  /// nothing. Counters (hits/misses/writebacks) survive; dirty/quarantine
+  /// accounting resets with the frames.
   void discardAll();
 
   /// Refresh the cached copy of `id` from the device (uncounted). Used by
@@ -219,7 +228,7 @@ class BlockCache {
   WritePolicy policy() const noexcept { return policy_; }
   ReplacementKind replacementKind() const noexcept { return replacement_kind_; }
   std::string_view replacementName() const noexcept {
-    return replacement_->name();
+    return replacement_.name();
   }
   BlockDevice& device() const noexcept { return device_; }
 
@@ -256,75 +265,92 @@ class BlockCache {
   }
   /// Misses that hit the policy's ghost directory (see
   /// replacement_policy.h; always 0 for LRU).
-  std::uint64_t ghostHits() const noexcept { return replacement_->ghostHits(); }
+  std::uint64_t ghostHits() const noexcept { return replacement_.ghostHits(); }
   /// The policy's adaptive balance target (ARC's p, in blocks; 0 for
   /// non-adaptive policies).
   double adaptiveTarget() const noexcept {
-    return replacement_->adaptiveTarget();
+    return replacement_.adaptiveTarget();
   }
   double hitRate() const noexcept {
     const double total = static_cast<double>(hits_ + misses_);
     return total > 0 ? static_cast<double>(hits_) / total : 0.0;
   }
   std::size_t capacityBlocks() const noexcept { return capacity_blocks_; }
-  std::size_t residentBlocks() const noexcept { return frames_.size(); }
+  std::size_t residentBlocks() const noexcept {
+    return dir_.queueSize(CacheDirectory::kRecent) +
+           dir_.queueSize(CacheDirectory::kFrequent);
+  }
   std::size_t dirtyBlocks() const noexcept { return dirty_blocks_; }
   std::size_t ghostEntries() const noexcept {
-    return replacement_->ghostEntries();
+    return replacement_.ghostEntries();
   }
   /// Words this cache charges to the budget for its frames (the policy's
   /// ghost metadata charge is separate — see policyChargedWords).
   std::size_t chargedWords() const noexcept { return charge_.words(); }
   /// Words the replacement policy charges for its ghost directories.
   std::size_t policyChargedWords() const noexcept {
-    return replacement_->chargedWords();
+    return replacement_.chargedWords();
   }
 
-  /// Cross-subsystem audit (see util/audit.h): cache-vs-policy partition
-  /// agreement (the policy's resident set must equal the frame map, its
-  /// ghosts must be disjoint from it), dirty/pin flag accounting, and the
-  /// budget charge reconciliation charge == max(capacity, residency) ·
-  /// wordsPerBlock. Must run at a quiescent point — no access in flight,
-  /// no frame pinned (pinned frames are reported as findings).
+  /// Cross-subsystem audit (see util/audit.h), one walk of the directory:
+  /// the index reaches every entry; residents own distinct frame slots
+  /// and sit on resident queues, ghosts on ghost queues; the queue links
+  /// and sizes add up; no slot leaks; dirty/quarantine/pin accounting;
+  /// and the budget charge reconciliation charge == max(capacity,
+  /// residency) · wordsPerBlock. Must run at a quiescent point — no
+  /// access in flight, no frame pinned (pinned frames are reported as
+  /// findings).
   void audit(AuditReport& report) const;
 
  private:
-  // Frames live in unordered_map nodes, so references stay valid while
-  // OTHER frames come and go — only erasing the frame itself invalidates
-  // them, which is exactly what pinning forbids.
-  struct Frame {
-    std::vector<Word> data;
-    bool dirty = false;
-    // Write-back to the device faulted: keep the data, skip eviction
-    // until a flush barrier lands it (see the file comment).
-    bool quarantined = false;
-    int pins = 0;  // > 0: a caller holds a span into `data`; not evictable
-    // Consecutive failed write-back attempts; crossing the give-up
-    // threshold sets gave_up (sticky until a write-back succeeds) and
-    // escalates the flush barrier to PermanentIoError.
-    std::uint32_t consecutive_failures = 0;
-    bool gave_up = false;
-  };
+  using Entry = CacheDirectory::Entry;
+  using Index = CacheDirectory::Index;
 
-  /// RAII pin for the duration of a callback (exception-safe).
-  struct PinGuard {
-    explicit PinGuard(Frame& frame) : frame(frame) { ++frame.pins; }
-    ~PinGuard() { --frame.pins; }
+  /// RAII pin for the duration of a callback (exception-safe). It holds
+  /// the frame SLOT, not the directory entry: nested accesses may shift
+  /// or rehash entries, but a pinned frame's slot never moves.
+  class PinGuard {
+   public:
+    PinGuard(std::vector<std::uint32_t>& pins, std::uint32_t slot)
+        : pins_(pins), slot_(slot) {
+      ++pins_[slot_];
+    }
+    ~PinGuard() { --pins_[slot_]; }
     PinGuard(const PinGuard&) = delete;
     PinGuard& operator=(const PinGuard&) = delete;
-    Frame& frame;
+
+   private:
+    std::vector<std::uint32_t>& pins_;
+    std::uint32_t slot_;
   };
 
-  Frame& fetch(BlockId id, bool mark_dirty);
+  /// One slab allocation: frames for slots [first_slot, next chunk's).
+  struct Chunk {
+    std::unique_ptr<Word[]> words;
+    std::uint32_t first_slot;
+  };
+
+  /// The frame slot holding `id`, fetched on a miss (one counted read).
+  std::uint32_t fetch(BlockId id, bool mark_dirty);
   /// Resident-or-new zeroed frame for a blind write (write-back only):
   /// never reads the device, always leaves the frame dirty.
-  Frame& installZeroed(BlockId id);
-  Frame& insertFrame(BlockId id, Frame frame);
+  std::uint32_t installZeroed(BlockId id);
+  /// Admit non-resident `id` (`ghost` is its ghost entry, or kNil): the
+  /// policy sees the miss, `fill(frame)` fills a spare slot — before any
+  /// eviction, so a fill's device read precedes the victim's write-back —
+  /// then the cache evicts down to capacity and the policy queues the
+  /// new entry. Returns the frame slot.
+  template <class Fill>
+  std::uint32_t admit(BlockId id, Index ghost, bool dirty, Fill&& fill);
+  void growSlab();
+  /// After a shrink: move unpinned frames out of the slab's trailing
+  /// chunks and free those chunks (skipped while any of them is pinned).
+  void trimSlab();
   /// Keep the budget charge in step with max(capacity, residency) so
   /// transient pin-driven over-capacity is accounted like any memory.
   void rechargeForResidency();
-  void markDirty(Frame& frame);
-  void quarantine(BlockId id, Frame& frame);
+  void markDirty(Entry& entry);
+  void quarantine(Entry& entry);
   /// Ask the policy for an unpinned, unquarantined victim and evict it;
   /// false if every resident frame is rejected (the cache then runs over
   /// capacity until pins unwind / a flush clears the quarantine). A
@@ -332,22 +358,33 @@ class BlockCache {
   /// into the policy's resident set) and counts as progress: the next
   /// call cannot choose it again.
   bool evictOne();
-  /// Write a dirty frame to the device (one counted write). Throws the
-  /// device's IoError with the frame still dirty — fault-before-effect
-  /// (fault.h) means a failed write-back loses nothing.
-  void writeBack(BlockId id, Frame& frame);
+  /// Flush path: land one dirty resident frame and clear its fault
+  /// state. Throws the device's IoError with the frame still dirty —
+  /// fault-before-effect (fault.h) means a failed write-back loses nothing.
+  void writeBack(Entry& entry);
+  /// The counted device write of frame `slot` to block `id`.
+  void writeFrame(BlockId id, std::uint32_t slot);
 
   // Corruption-seeding hook for the audit mutation tests (defined in
   // tests/test_audit.cpp); production code never touches it.
   friend struct AuditPeer;
 
   BlockDevice& device_;
+  std::size_t words_per_block_;
   MemoryCharge charge_;
   std::size_t capacity_blocks_;
   WritePolicy policy_;
   ReplacementKind replacement_kind_;
-  std::unique_ptr<ReplacementPolicy> replacement_;
-  std::unordered_map<BlockId, Frame> frames_;
+  CacheDirectory dir_;
+  ReplacementPolicy replacement_;
+  // The frame slab: slot -> frame words and pin depth, plus the free slots
+  // (a stack). A frame keeps its slot while resident, except that
+  // trimSlab() moves unpinned frames down before it frees chunks.
+  std::vector<Chunk> chunks_;
+  std::vector<Word*> frames_;
+  std::vector<std::uint32_t> pins_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Index> flush_order_;  // flush()'s scratch, kept for reuse
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t writebacks_ = 0;

@@ -13,8 +13,9 @@
 // read for every revisit of a hot block. Tables now route their counted
 // accesses through this view: with no cache attached it forwards verbatim
 // (zero overhead beyond a null check); with a cache attached, reads hit
-// the cache (hit = 0 counted I/O) and every mutation keeps the cache
-// coherent. What a mutation costs depends on the cache's write policy:
+// the cache (hit = 0 counted I/O, one directory probe and no allocation,
+// see block_cache.h) and every mutation keeps the cache coherent. What a
+// mutation costs depends on the cache's write policy:
 //
 //   write-through  withWrite / withOverwrite hit the device (counted),
 //                  then refresh the resident frame. The device stays
@@ -22,14 +23,15 @@
 //   write-back     withWrite dirties the cached frame (a miss pays one
 //                  read to load it); withOverwrite installs a zeroed
 //                  dirty frame with no device I/O. Dirty frames reach
-//                  the device as one counted write each on LRU eviction
-//                  or flush().
+//                  the device as one counted write each when the
+//                  replacement policy evicts them, or at flush().
 //
 //   free / freeExtent  device free + invalidate in BOTH policies. The
-//                  invalidation discards dirty data, which is exactly
-//                  right: block ids are pooled for reuse, and a stale
-//                  dirty frame flushed over a reused id would corrupt
-//                  the new owner.
+//                  invalidation discards dirty data and any ghost entry,
+//                  which is exactly right: block ids are pooled for
+//                  reuse, and a stale dirty frame flushed over a reused
+//                  id would corrupt the new owner (a stale ghost would
+//                  fake a reuse signal to the policy).
 //
 // Flush-barrier contract (write-back only): between flushes the cache,
 // not the device, is authoritative for dirty blocks. Every path that

@@ -84,9 +84,11 @@ class MemoryCharge {
     return *this;
   }
 
-  /// Adjust the charged amount up or down.
+  /// Adjust the charged amount up or down. An unchanged amount touches
+  /// nothing: the per-shard caches recharge on every admission and
+  /// eviction, and a no-op must not CAS the budget the shards share.
   void resize(std::size_t words) {
-    if (!budget_) return;
+    if (!budget_ || words == words_) return;
     if (words > words_) budget_->charge(words - words_);
     else budget_->release(words_ - words);
     words_ = words;

@@ -1,450 +1,24 @@
 #include "extmem/replacement_policy.h"
 
 #include <algorithm>
-#include <cmath>
-#include <list>
-#include <unordered_map>
 
 #include "util/assert.h"
 
 namespace exthash::extmem {
 
+// Queue roles per policy (cache_directory.h):
+//   LRU  kRecent = the list
+//   2Q   kRecent = A1in (FIFO of newcomers), kFrequent = Am (LRU of
+//        proven-hot blocks), kRecentGhost = A1out (ghost FIFO of ids
+//        evicted from A1in)
+//   ARC  kRecent = T1, kFrequent = T2 (resident, seen once / twice+),
+//        kRecentGhost = B1, kFrequentGhost = B2 (ghosts of their evictions)
 namespace {
 
-/// Shared queue machinery: every policy is a set of std::list<BlockId>
-/// queues plus an id -> (queue, node) index. All movements between queues
-/// are splice() — O(1), no allocation — and nodes retired from any queue
-/// are parked on a spare list and recycled by the next admission, so after
-/// warm-up even the miss path stops allocating list nodes. The index map
-/// only ever mutates on the miss path (admission of a never-seen id /
-/// ghost expiry); hits are a find + splice.
-class QueuedPolicyBase : public ReplacementPolicy {
- protected:
-  using List = std::list<BlockId>;
-  struct Slot {
-    std::uint8_t where;
-    List::iterator pos;
-  };
-
-  /// Put `id` at the front of `dst`, recycling a retired node if one is
-  /// parked. Returns the node's iterator.
-  List::iterator emplaceFront(List& dst, BlockId id) {
-    if (spare_.empty()) {
-      dst.push_front(id);
-    } else {
-      spare_.front() = id;
-      dst.splice(dst.begin(), spare_, spare_.begin());
-    }
-    return dst.begin();
-  }
-
-  /// Splice `slot`'s node from `from` to the front of `to`.
-  void moveToFront(List& from, List& to, Slot& slot, std::uint8_t where) {
-    to.splice(to.begin(), from, slot.pos);
-    slot.pos = to.begin();
-    slot.where = where;
-  }
-
-  /// Park a node for reuse (the Slot must be erased by the caller).
-  void retire(List& from, List::iterator pos) {
-    spare_.splice(spare_.begin(), from, pos);
-  }
-
-  /// Oldest (back-most) id in `lst` passing `evictable`, or nullopt.
-  static std::optional<BlockId> oldestEvictable(
-      const List& lst, const EvictableQuery& evictable) {
-    for (auto it = lst.rbegin(); it != lst.rend(); ++it) {
-      if (evictable(*it)) return *it;
-    }
-    return std::nullopt;
-  }
-
-  /// Drop the oldest entry of ghost list `lst` (index entry included).
-  void expireGhostBack(List& lst) {
-    EXTHASH_CHECK(!lst.empty());
-    const BlockId id = lst.back();
-    retire(lst, std::prev(lst.end()));
-    index_.erase(id);
-  }
-
-  static void visitList(const List& lst,
-                        const std::function<void(BlockId)>& fn) {
-    for (const BlockId id : lst) fn(id);
-  }
-
-  std::unordered_map<BlockId, Slot> index_;
-  List spare_;
-};
-
-// ---------------------------------------------------------------------------
-// LRU — the policy BlockCache hard-coded before it grew this interface.
-
-class LruPolicy final : public QueuedPolicyBase {
- public:
-  void onInsert(BlockId id) override {
-    const auto [it, ok] = index_.emplace(id, Slot{0, {}});
-    EXTHASH_CHECK(ok);
-    it->second.pos = emplaceFront(lru_, id);
-  }
-
-  void onHit(BlockId id) override {
-    auto it = index_.find(id);
-    EXTHASH_CHECK(it != index_.end());
-    moveToFront(lru_, lru_, it->second, 0);
-  }
-
-  void onRemove(BlockId id) override {
-    auto it = index_.find(id);
-    if (it == index_.end()) return;
-    retire(lru_, it->second.pos);
-    index_.erase(it);
-  }
-
-  std::optional<BlockId> chooseEvict(
-      const EvictableQuery& evictable) override {
-    const auto victim = oldestEvictable(lru_, evictable);
-    if (!victim) return std::nullopt;
-    auto it = index_.find(*victim);
-    retire(lru_, it->second.pos);
-    index_.erase(it);
-    return victim;
-  }
-
-  std::string_view name() const override { return "lru"; }
-
-  void visitResident(const std::function<void(BlockId)>& fn) const override {
-    visitList(lru_, fn);
-  }
-
- private:
-  List lru_;  // front = most recent
-};
-
-// ---------------------------------------------------------------------------
-// 2Q (Johnson–Shasha, "2Q: A Low Overhead High Performance Buffer
-// Management Replacement Algorithm"). Newcomers queue through the A1in
-// FIFO; only an id re-referenced after leaving A1in — remembered by the
-// A1out ghost queue — earns a slot in the main LRU Am. A cyclic sweep of
-// cold blocks therefore churns A1in and the ghosts but never evicts Am.
-
-class TwoQPolicy final : public QueuedPolicyBase {
- public:
-  TwoQPolicy(MemoryBudget& budget, std::size_t capacity)
-      :  // Classic tuning: A1in ~ 25% of the frames, A1out remembers ~ 50%
-         // of capacity in ghosts.
-        capacity_(capacity),
-        kin_(std::max<std::size_t>(1, capacity / 4)),
-        kout_(std::max<std::size_t>(1, capacity / 2)),
-        ghost_charge_(budget, kout_ * kGhostEntryWords) {}
-
-  void onMiss(BlockId id) override {
-    pending_am_ = false;
-    auto it = index_.find(id);
-    if (it != index_.end() && it->second.where == kA1out) {
-      ++ghost_hits_;
-      // Reclaim the ghost NOW: the admission decision is made here, and
-      // the eviction running between this and onInsert must not be able
-      // to expire the entry out from under the promotion.
-      retire(a1out_, it->second.pos);
-      index_.erase(it);
-      pending_am_ = true;
-      pending_id_ = id;
-    }
-  }
-
-  void onInsert(BlockId id) override {
-    // A reuse after leaving A1in proves the block hot: it skips the FIFO
-    // and enters the protected LRU.
-    const bool to_am = pending_am_ && pending_id_ == id;
-    pending_am_ = false;
-    const auto [ins, ok] = index_.emplace(id, Slot{to_am ? kAm : kA1in, {}});
-    EXTHASH_CHECK(ok);
-    ins->second.pos = emplaceFront(to_am ? am_ : a1in_, id);
-  }
-
-  void onHit(BlockId id) override {
-    auto it = index_.find(id);
-    EXTHASH_CHECK(it != index_.end());
-    // A1in hits are deliberately ignored (correlated references — the
-    // 2Q paper's point); only Am maintains recency order.
-    if (it->second.where == kAm) moveToFront(am_, am_, it->second, kAm);
-  }
-
-  void onRemove(BlockId id) override {
-    auto it = index_.find(id);
-    if (it == index_.end()) return;
-    List& lst = it->second.where == kA1in ? a1in_
-                : it->second.where == kAm ? am_
-                                          : a1out_;
-    retire(lst, it->second.pos);
-    index_.erase(it);
-  }
-
-  std::optional<BlockId> chooseEvict(
-      const EvictableQuery& evictable) override {
-    // Evict from A1in once it outgrows its quota (or when there is no Am
-    // to fall back on); otherwise from Am. Either choice degrades to the
-    // other list when pins block every candidate on the preferred one.
-    const bool prefer_a1in = a1in_.size() > kin_ || am_.empty();
-    if (prefer_a1in) {
-      if (const auto v = evictFromA1in(evictable)) return v;
-      return evictFromAm(evictable);
-    }
-    if (const auto v = evictFromAm(evictable)) return v;
-    return evictFromA1in(evictable);
-  }
-
-  void resizeCapacity(std::size_t capacity) override {
-    retune(capacity, horizon_);
-  }
-
-  void setGhostHorizon(std::size_t frames) override {
-    retune(capacity_, frames);
-  }
-
-  std::string_view name() const override { return "2q"; }
-  std::size_t ghostEntries() const noexcept override { return a1out_.size(); }
-
-  void visitResident(const std::function<void(BlockId)>& fn) const override {
-    visitList(a1in_, fn);
-    visitList(am_, fn);
-  }
-  void visitGhosts(const std::function<void(BlockId)>& fn) const override {
-    visitList(a1out_, fn);
-  }
-  std::size_t chargedWords() const noexcept override {
-    return ghost_charge_.words();
-  }
-
- private:
-  enum Where : std::uint8_t { kA1in, kAm, kA1out };
-
-  /// Recompute the capacity/horizon-derived quotas. A1out remembers half
-  /// of max(capacity, horizon) — with a horizon set, the ghost queue
-  /// keeps scouting at the arbitrated total even when the resident
-  /// quota is squeezed. Charge before adopting quotas so a
-  /// BudgetExceeded leaves the old state intact; a shrink releases only
-  /// after the ghosts are expired.
-  void retune(std::size_t capacity, std::size_t horizon) {
-    const std::size_t new_kin = std::max<std::size_t>(1, capacity / 4);
-    const std::size_t new_kout =
-        std::max<std::size_t>(1, std::max(capacity, horizon) / 2);
-    const std::size_t new_words = new_kout * kGhostEntryWords;
-    if (new_words > ghost_charge_.words()) ghost_charge_.resize(new_words);
-    capacity_ = capacity;
-    horizon_ = horizon;
-    kin_ = new_kin;
-    kout_ = new_kout;
-    while (a1out_.size() > kout_) expireGhostBack(a1out_);
-    if (new_words < ghost_charge_.words()) ghost_charge_.resize(new_words);
-  }
-
-  std::optional<BlockId> evictFromA1in(const EvictableQuery& evictable) {
-    const auto victim = oldestEvictable(a1in_, evictable);
-    if (!victim) return std::nullopt;
-    // The FIFO's victim leaves a ghost: if it comes back soon, that
-    // return is the admission ticket to Am.
-    auto it = index_.find(*victim);
-    moveToFront(a1in_, a1out_, it->second, kA1out);
-    if (a1out_.size() > kout_) expireGhostBack(a1out_);
-    return victim;
-  }
-
-  std::optional<BlockId> evictFromAm(const EvictableQuery& evictable) {
-    const auto victim = oldestEvictable(am_, evictable);
-    if (!victim) return std::nullopt;
-    auto it = index_.find(*victim);
-    retire(am_, it->second.pos);
-    index_.erase(it);
-    return victim;
-  }
-
-  List a1in_;   // FIFO of newcomers (front = newest)
-  List am_;     // LRU of proven-hot blocks (front = MRU)
-  List a1out_;  // ghost FIFO of ids evicted from A1in
-  std::size_t capacity_;
-  std::size_t horizon_ = 0;  // 0 = ghosts track capacity
-  std::size_t kin_;
-  std::size_t kout_;
-  MemoryCharge ghost_charge_;
-  bool pending_am_ = false;  // the in-flight miss was an A1out ghost hit
-  BlockId pending_id_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// ARC (Megiddo–Modha, "ARC: A Self-Tuning, Low Overhead Replacement
-// Cache"). T1 holds blocks seen once, T2 blocks seen at least twice; B1/B2
-// shadow them with ghosts of recently evicted ids. The target p says how
-// many of the c frames T1 deserves: a B1 ghost hit ("you evicted a
-// once-seen block too early") grows p, a B2 ghost hit shrinks it, so the
-// recency/frequency balance follows the workload.
-
-class ArcPolicy final : public QueuedPolicyBase {
- public:
-  ArcPolicy(MemoryBudget& budget, std::size_t capacity)
-      : c_(capacity), ghost_charge_(budget, capacity * kGhostEntryWords) {}
-
-  void onMiss(BlockId id) override {
-    pending_ = Pending::kFresh;
-    pending_id_ = id;
-    auto it = index_.find(id);
-    if (it != index_.end() && it->second.where == kB1) {
-      ++ghost_hits_;
-      const double delta = std::max(
-          1.0, static_cast<double>(b2_.size()) /
-                   static_cast<double>(std::max<std::size_t>(1, b1_.size())));
-      p_ = std::min(static_cast<double>(c_), p_ + delta);
-      // Reclaim the ghost now — the eviction between this and onInsert
-      // must not be able to expire the entry mid-promotion.
-      retire(b1_, it->second.pos);
-      index_.erase(it);
-      pending_ = Pending::kFromB1;
-    } else if (it != index_.end() && it->second.where == kB2) {
-      ++ghost_hits_;
-      const double delta = std::max(
-          1.0, static_cast<double>(b1_.size()) /
-                   static_cast<double>(std::max<std::size_t>(1, b2_.size())));
-      p_ = std::max(0.0, p_ - delta);
-      retire(b2_, it->second.pos);
-      index_.erase(it);
-      pending_ = Pending::kFromB2;
-    } else {
-      // Complete miss: trim the ghost directories so |T1|+|B1| stays
-      // within the ghost span and the four lists together stay <= c +
-      // span (the paper's Case IV, with span == c when no arbitration
-      // horizon widens it).
-      const std::size_t span = ghostSpan();
-      if (t1_.size() + b1_.size() >= span && !b1_.empty()) {
-        expireGhostBack(b1_);
-      } else if (t1_.size() + t2_.size() + b1_.size() + b2_.size() >=
-                     c_ + span &&
-                 !b2_.empty()) {
-        expireGhostBack(b2_);
-      }
-    }
-  }
-
-  void onInsert(BlockId id) override {
-    // A ghost hit proved the block reusable: admit it to the frequency
-    // side directly; everything else starts on the recency side.
-    const bool from_ghost = pending_ != Pending::kFresh && pending_id_ == id;
-    pending_ = Pending::kFresh;
-    const auto [ins, ok] =
-        index_.emplace(id, Slot{from_ghost ? kT2 : kT1, {}});
-    EXTHASH_CHECK(ok);
-    ins->second.pos = emplaceFront(from_ghost ? t2_ : t1_, id);
-  }
-
-  void onHit(BlockId id) override {
-    auto it = index_.find(id);
-    EXTHASH_CHECK(it != index_.end());
-    // Any resident re-reference moves the block to the frequency side.
-    moveToFront(it->second.where == kT1 ? t1_ : t2_, t2_, it->second, kT2);
-  }
-
-  void onRemove(BlockId id) override {
-    auto it = index_.find(id);
-    if (it == index_.end()) return;
-    List& lst = it->second.where == kT1   ? t1_
-                : it->second.where == kT2 ? t2_
-                : it->second.where == kB1 ? b1_
-                                          : b2_;
-    retire(lst, it->second.pos);
-    index_.erase(it);
-  }
-
-  std::optional<BlockId> chooseEvict(
-      const EvictableQuery& evictable) override {
-    // REPLACE(p): evict T1's LRU when T1 exceeds its target (or exactly
-    // meets it and the pending access is a B2 ghost hit — T2 is about to
-    // grow, so recency yields); otherwise evict T2's LRU. Pins degrade
-    // each choice to the other list.
-    const double t1_size = static_cast<double>(t1_.size());
-    const bool b2_pending =
-        pending_ == Pending::kFromB2 && t1_size >= p_ && !t1_.empty();
-    const bool prefer_t1 =
-        !t1_.empty() && (t1_size > p_ || b2_pending || t2_.empty());
-    if (prefer_t1) {
-      if (const auto v = evictFrom(t1_, kB1, b1_, evictable)) return v;
-      return evictFrom(t2_, kB2, b2_, evictable);
-    }
-    if (const auto v = evictFrom(t2_, kB2, b2_, evictable)) return v;
-    return evictFrom(t1_, kB1, b1_, evictable);
-  }
-
-  void resizeCapacity(std::size_t capacity) override {
-    retune(capacity, horizon_);
-  }
-
-  void setGhostHorizon(std::size_t frames) override { retune(c_, frames); }
-
-  std::string_view name() const override { return "arc"; }
-  std::size_t ghostEntries() const noexcept override {
-    return b1_.size() + b2_.size();
-  }
-  double adaptiveTarget() const noexcept override { return p_; }
-
-  void visitResident(const std::function<void(BlockId)>& fn) const override {
-    visitList(t1_, fn);
-    visitList(t2_, fn);
-  }
-  void visitGhosts(const std::function<void(BlockId)>& fn) const override {
-    visitList(b1_, fn);
-    visitList(b2_, fn);
-  }
-  std::size_t chargedWords() const noexcept override {
-    return ghost_charge_.words();
-  }
-
- private:
-  enum Where : std::uint8_t { kT1, kT2, kB1, kB2 };
-  enum class Pending : std::uint8_t { kFresh, kFromB1, kFromB2 };
-
-  /// Ghost directory span: the capacity, or the arbitration horizon when
-  /// one is set — ghosts then keep answering "would a cache of up to the
-  /// arbitrated total have hit?" even while the resident set is squeezed.
-  std::size_t ghostSpan() const noexcept { return std::max(c_, horizon_); }
-
-  /// Recompute capacity/horizon state; charge-before-adopt as in 2Q.
-  void retune(std::size_t capacity, std::size_t horizon) {
-    const std::size_t new_span = std::max(capacity, horizon);
-    const std::size_t new_words = new_span * kGhostEntryWords;
-    if (new_words > ghost_charge_.words()) ghost_charge_.resize(new_words);
-    c_ = capacity;
-    horizon_ = horizon;
-    p_ = std::min(p_, static_cast<double>(c_));
-    while (b1_.size() + b2_.size() > new_span) {
-      expireGhostBack(b1_.size() >= b2_.size() ? b1_ : b2_);
-    }
-    if (new_words < ghost_charge_.words()) ghost_charge_.resize(new_words);
-  }
-
-  std::optional<BlockId> evictFrom(List& from, std::uint8_t ghost_where,
-                                   List& ghost, const EvictableQuery& evictable) {
-    const auto victim = oldestEvictable(from, evictable);
-    if (!victim) return std::nullopt;
-    auto it = index_.find(*victim);
-    moveToFront(from, ghost, it->second, ghost_where);
-    // Defensive bound matching the up-front budget charge: pins can defer
-    // evictions past the textbook schedule, so clamp the ghost total at
-    // the span by expiring the longer directory.
-    while (b1_.size() + b2_.size() > ghostSpan()) {
-      expireGhostBack(b1_.size() >= b2_.size() ? b1_ : b2_);
-    }
-    return victim;
-  }
-
-  List t1_;  // resident, seen once (front = MRU)
-  List t2_;  // resident, seen twice+ (front = MRU)
-  List b1_;  // ghosts of T1 evictions
-  List b2_;  // ghosts of T2 evictions
-  std::size_t c_;
-  std::size_t horizon_ = 0;  // 0 = ghosts track capacity
-  double p_ = 0.0;  // adaptive target size of T1, in [0, c]
-  MemoryCharge ghost_charge_;
-  Pending pending_ = Pending::kFresh;
-  BlockId pending_id_ = 0;
-};
+constexpr std::uint8_t kRecent = CacheDirectory::kRecent;
+constexpr std::uint8_t kFrequent = CacheDirectory::kFrequent;
+constexpr std::uint8_t kRecentGhost = CacheDirectory::kRecentGhost;
+constexpr std::uint8_t kFrequentGhost = CacheDirectory::kFrequentGhost;
 
 }  // namespace
 
@@ -465,18 +39,185 @@ std::string_view replacementKindName(ReplacementKind kind) {
   return "?";
 }
 
-std::unique_ptr<ReplacementPolicy> makeReplacementPolicy(
-    ReplacementKind kind, MemoryBudget& budget, std::size_t capacity_blocks) {
-  switch (kind) {
-    case ReplacementKind::kLru:
-      return std::make_unique<LruPolicy>();
-    case ReplacementKind::kTwoQ:
-      return std::make_unique<TwoQPolicy>(budget, capacity_blocks);
-    case ReplacementKind::kArc:
-      return std::make_unique<ArcPolicy>(budget, capacity_blocks);
+ReplacementPolicy::ReplacementPolicy(ReplacementKind kind,
+                                     CacheDirectory& directory,
+                                     MemoryBudget& budget,
+                                     std::size_t capacity_blocks)
+    : kind_(kind),
+      dir_(directory),
+      capacity_(capacity_blocks),
+      // Classic 2Q tuning: A1in ~ 25% of the frames.
+      kin_(std::max<std::size_t>(1, capacity_blocks / 4)),
+      ghost_quota_(ghostQuota(capacity_blocks, 0)),
+      ghost_charge_(budget, ghost_quota_ * kGhostEntryWords) {
+  dir_.reserve(capacity_blocks + ghost_quota_);
+}
+
+std::size_t ReplacementPolicy::queuesUsed() const noexcept {
+  switch (kind_) {
+    case ReplacementKind::kLru: return 1;
+    case ReplacementKind::kTwoQ: return 3;
+    case ReplacementKind::kArc: return 4;
   }
-  EXTHASH_CHECK_MSG(false, "unknown ReplacementKind");
-  return nullptr;
+  return 0;
+}
+
+std::size_t ReplacementPolicy::ghostQuota(std::size_t capacity,
+                                          std::size_t horizon) const {
+  // With a horizon set, the ghosts keep scouting at the arbitrated total
+  // even while the resident quota is squeezed.
+  const std::size_t span = std::max(capacity, horizon);
+  switch (kind_) {
+    case ReplacementKind::kLru: return 0;
+    case ReplacementKind::kTwoQ: return std::max<std::size_t>(1, span / 2);
+    case ReplacementKind::kArc: return span;
+  }
+  return 0;
+}
+
+void ReplacementPolicy::retune(std::size_t capacity, std::size_t horizon) {
+  const std::size_t quota = ghostQuota(capacity, horizon);
+  const std::size_t words = quota * kGhostEntryWords;
+  if (words > ghost_charge_.words()) ghost_charge_.resize(words);
+  capacity_ = capacity;
+  horizon_ = horizon;
+  kin_ = std::max<std::size_t>(1, capacity / 4);
+  ghost_quota_ = quota;
+  p_ = std::min(p_, static_cast<double>(capacity));
+  trimGhosts();
+  if (words < ghost_charge_.words()) ghost_charge_.resize(words);
+  // Size the table now, so admissions up to the new quotas never rehash.
+  dir_.reserve(capacity + quota);
+}
+
+void ReplacementPolicy::expireOldest(std::uint8_t q) {
+  const Index oldest = dir_.back(q);
+  EXTHASH_CHECK(oldest != CacheDirectory::kNil);
+  dir_.erase(oldest);
+}
+
+void ReplacementPolicy::trimGhosts() {
+  // 2Q only ever fills kRecentGhost, so this expires A1out's tail; ARC
+  // expires from the longer of B1 and B2.
+  while (ghostEntries() > ghost_quota_) {
+    expireOldest(queueSize(kRecentGhost) >= queueSize(kFrequentGhost)
+                     ? kRecentGhost
+                     : kFrequentGhost);
+  }
+}
+
+void ReplacementPolicy::onMiss(BlockId id, Index ghost) {
+  if (kind_ == ReplacementKind::kLru) return;
+  pending_ = Pending::kNone;
+  pending_id_ = id;
+  if (ghost != CacheDirectory::kNil) {
+    // A ghost hit. Reclaim the ghost NOW: the admission decision is made
+    // here, and the eviction running between this and onInsert must not
+    // be able to expire the entry out from under the promotion.
+    ++ghost_hits_;
+    const bool recent = dir_[ghost].queue == kRecentGhost;
+    if (kind_ == ReplacementKind::kArc) {
+      // B1 hit ("a once-seen block was evicted too early") grows p; B2
+      // hit shrinks it, each by the other list's relative size.
+      const double b1 = static_cast<double>(queueSize(kRecentGhost));
+      const double b2 = static_cast<double>(queueSize(kFrequentGhost));
+      if (recent) {
+        p_ = std::min(static_cast<double>(capacity_),
+                      p_ + std::max(1.0, b2 / std::max(1.0, b1)));
+      } else {
+        p_ = std::max(0.0, p_ - std::max(1.0, b1 / std::max(1.0, b2)));
+      }
+    }
+    dir_.erase(ghost);
+    pending_ = recent ? Pending::kRecentGhost : Pending::kFrequentGhost;
+    return;
+  }
+  if (kind_ != ReplacementKind::kArc) return;
+  // ARC complete miss: trim the ghost directories so |T1|+|B1| stays
+  // within the ghost span and the four lists together stay <= c + span
+  // (the paper's Case IV, with span == c when no arbitration horizon
+  // widens it).
+  const std::size_t t1 = queueSize(kRecent);
+  const std::size_t b1 = queueSize(kRecentGhost);
+  const std::size_t b2 = queueSize(kFrequentGhost);
+  if (t1 + b1 >= ghost_quota_ && b1 > 0) {
+    expireOldest(kRecentGhost);
+  } else if (t1 + queueSize(kFrequent) + b1 + b2 >=
+                 capacity_ + ghost_quota_ &&
+             b2 > 0) {
+    expireOldest(kFrequentGhost);
+  }
+}
+
+ReplacementPolicy::Index ReplacementPolicy::onInsert(BlockId id) {
+  // A ghost hit proved the block reusable: it skips 2Q's FIFO / ARC's
+  // recency side and enters the protected queue.
+  const bool from_ghost = pending_ != Pending::kNone && pending_id_ == id;
+  pending_ = Pending::kNone;
+  return dir_.insertFront(id, from_ghost ? kFrequent : kRecent);
+}
+
+std::optional<ReplacementPolicy::Entry> ReplacementPolicy::evictFrom(
+    std::uint8_t from, std::uint8_t ghost, const EvictableQuery& evictable) {
+  Index victim = dir_.back(from);
+  while (victim != CacheDirectory::kNil && !evictable(dir_[victim])) {
+    victim = dir_[victim].prev;
+  }
+  if (victim == CacheDirectory::kNil) return std::nullopt;
+  const Entry state = dir_[victim];
+  if (ghost == kNoGhost) {
+    dir_.erase(victim);
+    return state;
+  }
+  // The victim leaves a ghost: if it comes back soon, that return is its
+  // admission ticket to the protected queue. Pins can defer evictions
+  // past the textbook schedule, so clamp the ghosts at the quota the
+  // budget was charged for. (Victims are never quarantined, so the slot
+  // and the dirty bit are all the frame state there is to drop.)
+  dir_[victim].slot = CacheDirectory::kNoSlot;
+  dir_[victim].dirty = false;
+  dir_.moveToFront(victim, ghost);
+  trimGhosts();
+  return state;
+}
+
+std::optional<ReplacementPolicy::Entry> ReplacementPolicy::chooseEvict(
+    const EvictableQuery& evictable) {
+  // Each policy names a preferred queue; pins degrade every choice to the
+  // other resident queue.
+  bool prefer_recent = true;
+  std::uint8_t recent_ghost = kNoGhost;
+  std::uint8_t frequent_ghost = kNoGhost;
+  switch (kind_) {
+    case ReplacementKind::kLru:
+      break;
+    case ReplacementKind::kTwoQ:
+      // Evict from A1in once it outgrows its quota (or when there is no
+      // Am to fall back on); otherwise from Am, which leaves no ghost.
+      prefer_recent = queueSize(kRecent) > kin_ || queueSize(kFrequent) == 0;
+      recent_ghost = kRecentGhost;
+      break;
+    case ReplacementKind::kArc: {
+      // REPLACE(p): evict T1's LRU when T1 exceeds its target (or exactly
+      // meets it and the pending access is a B2 ghost hit — T2 is about
+      // to grow, so recency yields); otherwise evict T2's LRU.
+      const std::size_t t1_blocks = queueSize(kRecent);
+      const double t1 = static_cast<double>(t1_blocks);
+      const bool b2_pending = pending_ == Pending::kFrequentGhost &&
+                              t1 >= p_ && t1_blocks > 0;
+      prefer_recent = t1_blocks > 0 &&
+                      (t1 > p_ || b2_pending || queueSize(kFrequent) == 0);
+      recent_ghost = kRecentGhost;
+      frequent_ghost = kFrequentGhost;
+      break;
+    }
+  }
+  if (prefer_recent) {
+    if (auto v = evictFrom(kRecent, recent_ghost, evictable)) return v;
+    return evictFrom(kFrequent, frequent_ghost, evictable);
+  }
+  if (auto v = evictFrom(kFrequent, frequent_ghost, evictable)) return v;
+  return evictFrom(kRecent, recent_ghost, evictable);
 }
 
 }  // namespace exthash::extmem

@@ -72,12 +72,18 @@ namespace exthash::extmem {
 struct AuditPeer {
   static std::size_t& dirtyBlocks(BlockCache& c) { return c.dirty_blocks_; }
   static MemoryCharge& charge(BlockCache& c) { return c.charge_; }
-  /// Desync the cache-vs-policy partition: the frame vanishes while the
-  /// policy still lists the id as resident. The cache must not be used
-  /// again afterwards (only audited and destroyed; flush() tolerates it).
+  /// Desync the cache-vs-policy partition: one entry loses its frame
+  /// while it stays on a resident queue. The cache must not be used again
+  /// afterwards (only audited and destroyed; flush() skips frameless
+  /// entries).
   static void dropOneFrame(BlockCache& c) {
-    ASSERT_FALSE(c.frames_.empty());
-    c.frames_.erase(c.frames_.begin());
+    for (auto& entry : c.dir_.cells()) {
+      if (entry.resident()) {
+        entry.slot = CacheDirectory::kNoSlot;
+        return;
+      }
+    }
+    ADD_FAILURE() << "no resident frame to drop";
   }
 };
 

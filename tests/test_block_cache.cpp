@@ -99,5 +99,36 @@ TEST(BlockCache, InvalidateDropsFrame) {
   EXPECT_EQ(dev.inspect(id)[0], 0u);  // dropped write never landed
 }
 
+// discardAll() under a pin must reject the call before touching anything:
+// a half-torn cache would leave the policy and the frames disagreeing.
+TEST(BlockCache, DiscardAllWithAPinnedFrameChangesNothing) {
+  for (std::size_t pinned = 0; pinned < 4; ++pinned) {
+    BlockDevice dev(8);
+    MemoryBudget budget(0);
+    BlockCache cache(dev, budget, 4, BlockCache::WritePolicy::kWriteBack,
+                     ReplacementKind::kLru);
+    std::vector<BlockId> ids;
+    for (int i = 0; i < 4; ++i) {
+      ids.push_back(dev.allocate());
+      cache.withWrite(ids.back(), [&](std::span<Word> d) { d[0] = 10 + i; });
+    }
+    cache.withRead(ids[pinned], [&](std::span<const Word>) {
+      EXPECT_THROW(cache.discardAll(), CheckFailure) << "pinned " << pinned;
+    });
+    AuditReport report;
+    cache.audit(report);
+    EXPECT_TRUE(report.ok()) << "pinned " << pinned << ": "
+                             << report.summary();
+    EXPECT_EQ(cache.residentBlocks(), 4u);
+    EXPECT_EQ(cache.dirtyBlocks(), 4u);
+    for (int i = 0; i < 4; ++i) {
+      cache.withRead(ids[i], [&](std::span<const Word> d) {
+        EXPECT_EQ(d[0], static_cast<Word>(10 + i));
+      });
+    }
+    EXPECT_EQ(cache.misses(), 4u);
+  }
+}
+
 }  // namespace
 }  // namespace exthash::extmem

@@ -105,6 +105,64 @@ TEST(CacheResize, ShrinkBelowPinnedAndDirtyCount) {
   EXPECT_EQ(rig.device->inspect(ids[0])[0], 77u);
 }
 
+// With 64 KiB blocks each slab chunk holds one frame, so a shrink frees
+// the chunks above the new capacity and first moves the frames living
+// there. Contents, dirtiness and residency survive the move; a frame
+// pinned above the cut keeps the chunks until a later shrink.
+TEST(CacheResize, ShrinkMovesFramesOutOfReleasedChunks) {
+  BlockDevice dev(8192);
+  MemoryBudget budget(0);
+  BlockCache cache(dev, budget, 12, BlockCache::WritePolicy::kWriteBack,
+                   ReplacementKind::kLru);
+  std::vector<BlockId> ids;
+  for (std::size_t i = 0; i < 12; ++i) {
+    ids.push_back(dev.allocate());
+    cache.withOverwrite(ids.back(), [&](std::span<Word> d) {
+      d[0] = 1000 + i;
+      d[8191] = i;
+    });
+  }
+  const auto expectFrame = [&](std::size_t i) {
+    cache.withRead(ids[i], [&](std::span<const Word> d) {
+      EXPECT_EQ(d[0], 1000 + i);
+      EXPECT_EQ(d[8191], i);
+    });
+  };
+  const auto expectAuditClean = [&] {
+    AuditReport report;
+    cache.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+  };
+
+  // Block i sits in slot i. LRU keeps the three newest frames; the pin on
+  // the newest (slot 11) blocks the release but not the shrink.
+  cache.withRead(ids[11], [&](std::span<const Word> d) {
+    cache.resize(3);
+    EXPECT_EQ(d[0], 1011u);
+  });
+  expectAuditClean();
+  const auto misses = cache.misses();
+  for (std::size_t i = 9; i < 12; ++i) expectFrame(i);
+  EXPECT_EQ(cache.misses(), misses);
+
+  // Unpinned, the next shrink moves both survivors (slots 10 and 11)
+  // below the cut and frees the chunks above it.
+  cache.resize(2);
+  expectAuditClean();
+  for (std::size_t i = 10; i < 12; ++i) expectFrame(i);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(cache.dirtyBlocks(), 2u);
+
+  // The slab grows back on demand.
+  cache.resize(12);
+  for (std::size_t i = 0; i < 12; ++i) expectFrame(i);
+  expectAuditClean();
+  cache.flush();
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(dev.inspect(ids[i])[0], 1000 + i);
+  }
+}
+
 TEST(CacheResize, ShrinkToZeroWithGhostChargesOutstanding) {
   TestRig rig(8, /*memory_words=*/1 << 16);
   const auto ids = allocBlocks(rig, 12);
