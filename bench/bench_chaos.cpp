@@ -3,7 +3,7 @@
 // Runs every table kind (plus the sharded façade) through the full
 // pipelined + cached + arbitrated stack twice per seed: once fault-free,
 // once under a seeded transient-fault schedule (FaultPolicy p per access,
-// absorbed by the device's bounded-retry gate — see extmem/fault.h and
+// absorbed by the device's bounded retry ladder — see extmem/fault.h and
 // extmem/retry.h). Because the device consults the policy BEFORE an
 // access takes effect, an absorbed fault must be invisible to contents:
 // the two arms have to agree bit-exactly.

@@ -12,7 +12,8 @@
 //
 // The simulated device is RAM-speed, which would hide any overlap, so a
 // per-access latency (sched-yield quanta, modeling a DMA device whose
-// transfers free the CPU) emulates a real device; counted I/O is
+// transfers free the CPU; a FaultPolicy latency spike that fires on every
+// access and never faults) emulates a real device; counted I/O is
 // unaffected. Note the synchronous fan-out already overlaps latency
 // *across shards*; what the pipeline adds is (a) inter-phase overlap —
 // accumulation against apply, needing spare CPU, so most visible on
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "extmem/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pipeline/ingest_pipeline.h"
@@ -75,10 +77,15 @@ struct RunResult {
   double apply_p99_us = 0.0;
 };
 
+/// Latency policies, one per device; declared before the table they slow
+/// down, so they outlive it.
+using LatencyPolicies = std::vector<std::unique_ptr<extmem::FaultPolicy>>;
+
 std::unique_ptr<tables::ExternalHashTable> makeTableFor(
     const bench::Rig& rig, const std::string& kind_name, std::size_t n,
-    std::uint32_t latency_spins, const CacheSpec& cache,
-    std::size_t cache_frames, const extmem::StorageOptions& storage) {
+    std::uint32_t latency_spins, LatencyPolicies& latency,
+    const CacheSpec& cache, std::size_t cache_frames,
+    const extmem::StorageOptions& storage) {
   tables::GeneralConfig cfg;
   cfg.expected_n = n;
   cfg.target_load = 0.5;
@@ -104,11 +111,19 @@ std::unique_ptr<tables::ExternalHashTable> makeTableFor(
     kind = tables::parseTableKind(kind_name);
   }
   auto table = makeTable(kind, rig.context(), cfg);
-  // Per-access latency on every device the table counts on.
-  rig.device->setAccessLatency(latency_spins);
+  // Per-access latency on every device the table counts on: a policy that
+  // never faults and reports `latency_spins` yield quanta on every access.
+  const auto slowDown = [&](extmem::BlockDevice& device) {
+    if (latency_spins == 0) return;
+    auto policy = std::make_unique<extmem::FaultPolicy>(/*seed=*/0);
+    policy->setLatencySpike(1.0, latency_spins);
+    device.setFaultPolicy(policy.get());
+    latency.push_back(std::move(policy));
+  };
+  slowDown(*rig.device);
   if (auto* sharded = dynamic_cast<tables::ShardedTable*>(table.get())) {
     for (std::size_t s = 0; s < sharded->shardCount(); ++s) {
-      sharded->shardDevice(s).setAccessLatency(latency_spins);
+      slowDown(sharded->shardDevice(s));
     }
   }
   return table;
@@ -123,8 +138,9 @@ RunResult runProtocol(Protocol protocol, const CacheSpec& cache,
                       std::uint64_t seed,
                       const extmem::StorageOptions& storage) {
   bench::Rig rig(b, /*memory_words=*/0, deriveSeed(seed, 11), storage);
+  LatencyPolicies latency;
   auto table = makeTableFor(rig, kind_name, keys.size(), latency_spins,
-                            cache, cache_frames, storage);
+                            latency, cache, cache_frames, storage);
 
   RunResult r;
   // Direct (non-macro) span so --trace output is non-empty in every build.

@@ -22,26 +22,36 @@ BlockDevice::BlockDevice(std::size_t words_per_block,
                                                   << " vs "
                                                   << words_per_block_);
   storage_persistent_ = storage_->persistent();
+  laddered_ = storage_persistent_;
 }
 
-// ---- Backend access with the transient-retry ladder -----------------------
+namespace {
+
+void yieldQuanta(std::uint32_t quanta) {
+  for (std::uint32_t i = 0; i < quanta; ++i) std::this_thread::yield();
+}
+
+}  // namespace
+
+// ---- The retry ladder ------------------------------------------------------
 //
-// Mirrors runFaultGate's accounting (retry.cpp) for REAL faults surfacing
-// from a persistent backend: transient outcomes (EINTR storms, EAGAIN) are
-// re-attempted within the same RetryPolicy budget — safe because store()
-// is an idempotent full-block pwrite — and escapes are re-attributed with
-// the device-level op kind and final attempt count while preserving the
-// backend's errno detail. Backend faults are NOT tallied in
-// stats_.faults_injected: that counter belongs to the injectors
-// (FaultPolicy / FaultyFileOps keep their own).
+// Every backend call of a counted access runs here. The load (or frame)
+// call's attempts each run the FaultPolicy gate first (gatedCall); the
+// store's do not, so the policy sees each attempt of an access once.
+// Transient outcomes, injected or real (EINTR storms, EAGAIN), are
+// re-attempted within the RetryPolicy budget — safe because a faulted
+// gate changes nothing and store() is an idempotent full-block pwrite.
+// Escapes are re-attributed with the device-level op kind and the final
+// attempt count, keeping the cause (the policy's, or the errno detail) as
+// the detail.
 template <class Fn>
 auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
-    -> decltype(fn()) {
+    -> decltype(fn(1u)) {
   const std::uint32_t budget =
       std::max<std::uint32_t>(1, retry_policy_.max_attempts);
   for (std::uint32_t attempt = 1;; ++attempt) {
     try {
-      return fn();
+      return fn(attempt);
     } catch (const DeviceCrashed&) {
       // Power cut at the syscall layer: freeze, so every later access
       // throws — exactly like a FaultPolicy crash trigger.
@@ -51,10 +61,7 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
       if (attempt < budget) {
         ++stats_.io_retries;
         EXTHASH_OBS_COUNT("exthash_io_retries_total", 1);
-        for (std::uint32_t q = retry_policy_.backoffQuantaFor(attempt, id);
-             q > 0; --q) {
-          std::this_thread::yield();
-        }
+        yieldQuanta(retry_policy_.backoffQuantaFor(attempt, id));
         continue;
       }
       ++stats_.io_gave_up;
@@ -72,26 +79,88 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
   }
 }
 
-const Word* BlockDevice::backendLoad(IoOpKind op, BlockId id) {
-  if (!storage_persistent_) return storage_->load(id);
-  return retryBackend(op, id,
-                      [&]() -> const Word* { return storage_->load(id); });
+// One attempt's consultation of the installed policy: a fault throws (and
+// is the only thing stats_.faults_injected counts), a latency spike
+// yields, and a crash point throws CrashRequested — no IoError, so it
+// passes through the ladder to gatedCall.
+void BlockDevice::gate(IoOpKind op, BlockId id, std::uint32_t attempt) {
+  if (fault_policy_ == nullptr) return;
+  std::uint32_t quanta = 0;
+  try {
+    quanta = fault_policy_->onAccess(op, id, attempt);
+  } catch (const IoError&) {
+    ++stats_.faults_injected;
+    EXTHASH_OBS_COUNT("exthash_io_faults_injected_total", 1);
+    throw;
+  }
+  yieldQuanta(quanta);
 }
 
-Word* BlockDevice::backendLoadMutable(IoOpKind op, BlockId id) {
-  if (!storage_persistent_) return storage_->loadMutable(id);
-  return retryBackend(
-      op, id, [&]() -> Word* { return storage_->loadMutable(id); });
+template <class Call>
+auto BlockDevice::gatedCall(IoOpKind op, BlockId id, Call&& call)
+    -> decltype(call()) {
+  try {
+    return retryBackend(op, id, [&](std::uint32_t attempt) {
+      gate(op, id, attempt);
+      return call();
+    });
+  } catch (const CrashRequested& crash) {
+    return crashPoint(op, id, crash.torn_words);
+  }
+}
+
+// A read crash freezes the device before the backend is touched. A write
+// kind hands the accessor a shadow frame — the old contents for an rmw;
+// an overwrite zero-fills it anyway — whose tear backendStore lands.
+Word* BlockDevice::crashPoint(IoOpKind op, BlockId id,
+                              std::size_t torn_words) {
+  if (op == IoOpKind::kRead) {
+    frozen_ = true;
+    throw DeviceCrashed(op, id, "crash point fired");
+  }
+  shadow_.resize(words_per_block_);
+  if (op == IoOpKind::kRmw) {
+    const Word* old = storage_->load(id);
+    std::copy(old, old + words_per_block_, shadow_.begin());
+  }
+  tear_block_ = id;
+  tear_words_ = std::min(torn_words, words_per_block_);
+  return shadow_.data();
+}
+
+const Word* BlockDevice::backendLoad(BlockId id) {
+  if (!laddered_) return storage_->load(id);
+  return gatedCall(IoOpKind::kRead, id,
+                   [&]() -> const Word* { return storage_->load(id); });
+}
+
+Word* BlockDevice::backendLoadMutable(BlockId id) {
+  if (!laddered_) return storage_->loadMutable(id);
+  return gatedCall(IoOpKind::kRmw, id,
+                   [&] { return storage_->loadMutable(id); });
 }
 
 Word* BlockDevice::backendFrame(BlockId id) {
-  // Frames live in memory on every backend — no syscall, no ladder.
-  return storage_->frame(id);
+  // Frames live in memory on every backend: only a policy's gate can fail.
+  if (fault_policy_ == nullptr) return storage_->frame(id);
+  return gatedCall(IoOpKind::kWrite, id, [&] { return storage_->frame(id); });
 }
 
 void BlockDevice::backendStore(IoOpKind op, BlockId id) {
+  if (!laddered_) return;
+  if (id == tear_block_) {
+    // The crashed write lands torn. Bare backend calls: the machine is
+    // dying, and a failure of the tear itself just loses more.
+    tear_block_ = kInvalidBlock;
+    if (tear_words_ > 0) {
+      std::copy_n(shadow_.begin(), tear_words_, storage_->loadMutable(id));
+      storage_->store(id);
+    }
+    frozen_ = true;
+    throw DeviceCrashed(op, id, "crash point fired (torn write)");
+  }
   if (!storage_persistent_) return;
-  retryBackend(op, id, [&] { storage_->store(id); });
+  retryBackend(op, id, [&](std::uint32_t) { storage_->store(id); });
 }
 
 void BlockDevice::sync() {

@@ -23,22 +23,21 @@
 // the analysis/introspection layer (zone accounting, tests); library code
 // on the query/update path must never use it.
 //
-// Fault injection: setFaultPolicy() installs a seeded FaultPolicy (see
-// extmem/fault.h) consulted BEFORE every counted access takes effect —
-// a faulted attempt changes neither the statistics nor the block, so the
-// built-in retry loop (setRetryPolicy, extmem/retry.h) can safely
-// re-attempt transient faults. An access that exhausts the budget (or
-// hits a permanent fault) throws Transient-/PermanentIoError without
-// invoking the caller's callback. inspect(), allocation, and free are
-// metadata paths and never fault under an installed policy (a file
-// backend can still surface real syscall errors there).
-//
-// On persistent backends the SAME retry ladder wraps the backend calls
-// themselves: a TransientIoError from a real syscall (EINTR storm,
-// EAGAIN) is re-attempted within RetryPolicy's budget — safe because
-// store() is an idempotent full-block pwrite — while PermanentIoError
-// (EIO, ENOSPC) escapes immediately and a DeviceCrashed (injected power
-// cut) freezes the device, exactly like a FaultPolicy crash trigger.
+// Fault injection and retry share one seam: every attempt of a counted
+// access runs the installed FaultPolicy's gate (extmem/fault.h), then the
+// backend call, inside the device's one retry ladder (setRetryPolicy,
+// extmem/retry.h). A faulted gate changes neither the statistics nor the
+// block, and store() is an idempotent full-block pwrite, so transient
+// faults — injected, or real syscall outcomes (EINTR storms, EAGAIN) on
+// persistent backends — are safely re-attempted. An access that exhausts
+// the budget, or hits a permanent fault (EIO, ENOSPC), throws
+// Transient-/PermanentIoError; an injected one does so before the
+// caller's callback runs. A DeviceCrashed (injected power cut) freezes the
+// device, exactly like a FaultPolicy crash trigger. inspect(), allocation,
+// free and the image calls are metadata paths and never consult the
+// policy (a file backend can still surface real syscall errors there).
+// The ladder engages only with a policy installed or a persistent
+// backend; otherwise an access is one branch plus the backend call.
 #pragma once
 
 #include <algorithm>
@@ -48,7 +47,6 @@
 #include <set>
 #include <span>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -98,15 +96,9 @@ class BlockDevice {
     EXTHASH_OBS_TIMED("exthash_device_read_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kRead, id);
-    try {
-      faultGate(IoOpKind::kRead, id);
-    } catch (const CrashRequested&) {
-      crashNow(IoOpKind::kRead, id);
-    }
-    const Word* p = backendLoad(IoOpKind::kRead, id);
+    const Word* p = backendLoad(id);
     ++stats_.reads;
     if (bypass_depth_ > 0) ++stats_.cache_bypass_reads;
-    simulateLatency();
     return std::forward<F>(fn)(std::span<const Word>(p, words_per_block_));
   }
 
@@ -117,15 +109,8 @@ class BlockDevice {
     EXTHASH_OBS_TIMED("exthash_device_rmw_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kRmw, id);
-    try {
-      faultGate(IoOpKind::kRmw, id);
-    } catch (const CrashRequested& crash) {
-      crashTornWrite(IoOpKind::kRmw, id, crash.torn_words,
-                     /*zero_first=*/false, fn);
-    }
-    Word* p = backendLoadMutable(IoOpKind::kRmw, id);
+    Word* p = backendLoadMutable(id);
     ++stats_.rmws;
-    simulateLatency();
     const std::span<Word> block(p, words_per_block_);
     if constexpr (std::is_void_v<std::invoke_result_t<F&, std::span<Word>>>) {
       std::forward<F>(fn)(block);
@@ -144,15 +129,8 @@ class BlockDevice {
     EXTHASH_OBS_TIMED("exthash_device_write_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kWrite, id);
-    try {
-      faultGate(IoOpKind::kWrite, id);
-    } catch (const CrashRequested& crash) {
-      crashTornWrite(IoOpKind::kWrite, id, crash.torn_words,
-                     /*zero_first=*/true, fn);
-    }
     Word* p = backendFrame(id);
     ++stats_.writes;
-    simulateLatency();
     std::fill(p, p + words_per_block_, Word{0});
     const std::span<Word> block(p, words_per_block_);
     if constexpr (std::is_void_v<std::invoke_result_t<F&, std::span<Word>>>) {
@@ -175,26 +153,14 @@ class BlockDevice {
   /// device like any other crash point.
   void sync();
 
-  /// Emulate per-access device latency: every counted access yields the
-  /// CPU `quanta` times (~0.1–1 µs each when nothing else is runnable).
-  /// Zero (default) disables. Yielding — rather than busy-spinning —
-  /// models a DMA-style device: while the "transfer" waits, other threads
-  /// (shard workers, the ingest pipeline's producer) can use the core, so
-  /// wall-clock benchmarks can measure overlap even on small machines.
-  /// Counted I/O statistics are never affected.
-  void setAccessLatency(std::uint32_t quanta) noexcept {
-    latency_spins_ = quanta;
-  }
-  std::uint32_t accessLatency() const noexcept { return latency_spins_; }
-
-  /// Install a fault scripter consulted before every counted access (see
-  /// the file comment; nullptr uninstalls — the default, zero-cost path).
-  /// Non-owning: the policy must outlive its installation. Thread
-  /// compatibility matches the device itself.
+  /// Install a fault scripter consulted on every attempt of a counted
+  /// access (see the file comment; nullptr uninstalls — the default,
+  /// zero-cost path). Non-owning: the policy must outlive its
+  /// installation. Thread compatibility matches the device itself.
   void setFaultPolicy(FaultPolicy* policy) noexcept {
     fault_policy_ = policy;
+    laddered_ = storage_persistent_ || policy != nullptr;
   }
-  FaultPolicy* faultPolicy() const noexcept { return fault_policy_; }
 
   /// Retry budget for transient faults — injected ones (FaultPolicy) and,
   /// on persistent backends, real transient syscall outcomes (EINTR,
@@ -232,25 +198,30 @@ class BlockDevice {
   // ---- Crash simulation seam (durability/ + crash tests) ----------------
   //
   // A crash trigger (FaultPolicy::crashOpNumber) freezes the device at a
-  // deterministic access: for write kinds the first `torn_words` words of
-  // the in-flight write persist and the rest keep their old contents (a
-  // torn sector), then every further counted access throws DeviceCrashed
-  // until thaw() — the "machine rebooted" seam recovery runs behind.
-  // Metadata paths stay teardown-safe: free()/freeExtent() on a frozen
-  // device are silent no-ops (destructors of the doomed stack unwind
-  // through them), while allocation throws.
+  // deterministic access. A read freezes before the backend is touched. A
+  // write kind runs its callback on a shadow frame, and its store lands
+  // only the first `torn_words` words (a torn sector; the rest keep their
+  // old contents) before freezing. Every further counted access then
+  // throws DeviceCrashed until thaw() — the "machine rebooted" seam
+  // recovery runs behind. Metadata paths stay teardown-safe:
+  // free()/freeExtent() on a frozen device are silent no-ops (destructors
+  // of the doomed stack unwind through them), while allocation throws.
 
   /// Freeze the device by hand (the crash harness freezes every durable
   /// device the moment any one of them crashes).
   void freeze() noexcept { frozen_ = true; }
   /// Lift a crash freeze — the reboot. Contents stay exactly as the crash
-  /// left them (torn sector included).
-  void thaw() noexcept { frozen_ = false; }
+  /// left them (torn sector included); a tear whose store never ran is
+  /// dropped.
+  void thaw() noexcept {
+    frozen_ = false;
+    tear_block_ = kInvalidBlock;
+  }
   bool frozen() const noexcept { return frozen_; }
 
   /// Full value snapshot of the device's durable state: block contents,
-  /// allocation map, free ranges, id-space watermark. Statistics, latency
-  /// and fault policies are deliberately excluded. Uncounted — this is
+  /// allocation map, free ranges, id-space watermark. Statistics and fault
+  /// policies are deliberately excluded. Uncounted — this is
   /// the checkpoint primitive, the in-memory stand-in for "the bytes that
   /// were on the platter when the checkpoint completed".
   struct Image {
@@ -267,68 +238,27 @@ class BlockDevice {
   void restoreImage(const Image& image);
 
  private:
-  void simulateLatency() const noexcept {
-    for (std::uint32_t i = 0; i < latency_spins_; ++i) {
-      std::this_thread::yield();
-    }
-  }
-
-  /// One branch on the no-policy fast path; with a policy installed,
-  /// defers to runFaultGate (retry loop + fault accounting, retry.h).
-  void faultGate(IoOpKind op, BlockId id) {
-    if (fault_policy_ != nullptr) {
-      runFaultGate(*fault_policy_, retry_policy_, op, id, stats_);
-    }
-  }
-
   void throwIfFrozen(IoOpKind op, BlockId id) const {
     if (frozen_) {
       throw DeviceCrashed(op, id, "device frozen by simulated crash");
     }
   }
 
-  [[noreturn]] void crashNow(IoOpKind op, BlockId id) {
-    frozen_ = true;
-    throw DeviceCrashed(op, id, "crash point fired");
-  }
-
-  /// Torn-write protocol: run the caller's fill on a scratch copy (so we
-  /// know what the write WOULD have produced), persist only the first
-  /// `torn_words` words of it, freeze, throw. torn_words = 0 models a
-  /// write lost whole; anything between 0 and wordsPerBlock() models a
-  /// sector torn mid-transfer. Backend calls here are deliberately bare —
-  /// the machine is dying; a failure of the tear itself just loses more.
-  template <class F>
-  [[noreturn]] void crashTornWrite(IoOpKind op, BlockId id,
-                                   std::size_t torn_words, bool zero_first,
-                                   F& fn) {
-    std::vector<Word> scratch(words_per_block_, Word{0});
-    if (!zero_first) {
-      const Word* live = storage_->load(id);
-      std::copy(live, live + words_per_block_, scratch.begin());
-    }
-    fn(std::span<Word>(scratch.data(), words_per_block_));
-    const std::size_t keep = std::min(torn_words, words_per_block_);
-    if (keep > 0) {
-      Word* live = storage_->loadMutable(id);
-      std::copy(scratch.begin(),
-                scratch.begin() + static_cast<std::ptrdiff_t>(keep), live);
-      storage_->store(id);
-    }
-    frozen_ = true;
-    throw DeviceCrashed(op, id, "crash point fired (torn write)");
-  }
-
-  // Backend access, wrapped in the transient-retry ladder on persistent
-  // backends (no-overhead pass-through for MemStorage). Declared here,
-  // defined in the .cpp — the templates above are their only callers'
-  // public face, and they are not templates themselves.
-  const Word* backendLoad(IoOpKind op, BlockId id);
-  Word* backendLoadMutable(IoOpKind op, BlockId id);
+  // Backend access for the accessors above. With a FaultPolicy installed
+  // or a persistent backend, every attempt runs the policy gate and then
+  // the backend call inside the one retry ladder; otherwise it is a single
+  // backend call. Defined in the .cpp, so none of it is instantiated per
+  // callback type.
+  const Word* backendLoad(BlockId id);
+  Word* backendLoadMutable(BlockId id);
   Word* backendFrame(BlockId id);
   void backendStore(IoOpKind op, BlockId id);
+  template <class Call>
+  auto gatedCall(IoOpKind op, BlockId id, Call&& call) -> decltype(call());
   template <class Fn>
-  auto retryBackend(IoOpKind op, BlockId id, Fn&& fn) -> decltype(fn());
+  auto retryBackend(IoOpKind op, BlockId id, Fn&& fn) -> decltype(fn(1u));
+  void gate(IoOpKind op, BlockId id, std::uint32_t attempt);
+  Word* crashPoint(IoOpKind op, BlockId id, std::size_t torn_words);
 
   void checkLive(BlockId id) const;
   void ensureBacking(BlockId last_id);
@@ -339,6 +269,7 @@ class BlockDevice {
   std::size_t words_per_block_;
   std::unique_ptr<StorageBackend> storage_;  // chunk-stable frames inside
   bool storage_persistent_ = false;
+  bool laddered_ = false;  // persistent backend or a policy installed
   std::vector<std::uint8_t> allocated_;  // per-block liveness
   // Freed ids as maximal ranges (neighbours coalesce on free), in address
   // order, plus a (length, first) index for O(log n) best fit.
@@ -346,12 +277,17 @@ class BlockDevice {
   std::set<std::pair<std::size_t, BlockId>> free_by_size_;
   BlockId next_id_ = 0;
   std::size_t blocks_in_use_ = 0;
-  std::uint32_t latency_spins_ = 0;
   std::uint32_t bypass_depth_ = 0;  // see CacheBypassScope
   bool frozen_ = false;             // crash freeze, see freeze()/thaw()
   FaultPolicy* fault_policy_ = nullptr;  // non-owning, see setFaultPolicy
   RetryPolicy retry_policy_;
   IoStats stats_;
+  // A write-kind crash point in flight (see crashPoint): the accessor
+  // fills shadow_, and the store of tear_block_ lands its first
+  // tear_words_ words.
+  BlockId tear_block_ = kInvalidBlock;
+  std::size_t tear_words_ = 0;
+  std::vector<Word> shadow_;
 
   friend class CacheBypassScope;
 };

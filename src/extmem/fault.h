@@ -26,9 +26,10 @@
 // what makes a retry trivially safe (no partial write to undo) and is why
 // the chaos harness can demand bit-exact digests vs a fault-free run.
 //
-// Attempt counting: the device's retry loop re-invokes onAccess for each
-// attempt, and every invocation advances the per-kind op counter and the
-// probability stream. A one-shot trigger therefore fires on exactly one
+// Attempt counting: the device's one retry ladder calls onAccess at the
+// start of every attempt, before that attempt's backend call, and every
+// invocation advances the per-kind op counter and the probability
+// stream. A one-shot trigger therefore fires on exactly one
 // attempt and the retry sails through; a sticky trigger fires on every
 // attempt until clear(), exhausting the retry budget.
 //
@@ -117,11 +118,12 @@ class DeviceCrashed : public PermanentIoError {
 
 /// Crash-point signal thrown by FaultPolicy::onAccess when an armed crash
 /// trigger fires. Deliberately NOT an IoError (not even an exception
-/// type): the retry gate catches `const IoError&` only, so this sails
-/// through it untouched and is caught by the device guard itself, which
-/// applies the torn-write protocol and freezes the device. `torn_words`
-/// is how many words of the in-flight write persist (0 = the write is
-/// lost whole; meaningless for reads).
+/// type): the device's retry ladder catches IoErrors only, so this passes
+/// through it untouched to the device's crash handling — a read freezes
+/// at once; a write kind runs on a shadow frame whose store lands the
+/// torn prefix, then freezes. `torn_words` is how many words of the
+/// in-flight write persist (0 = the write is lost whole; meaningless for
+/// reads).
 struct CrashRequested {
   std::size_t torn_words = 0;
 };
@@ -145,6 +147,8 @@ class FaultPolicy {
 
   /// With `probability`, an access reports `extra_quanta` additional
   /// latency yields (a slow-path model: the op succeeds, late).
+  /// Probability 1 models a uniformly slow device (bench_pipeline's
+  /// --latency).
   void setLatencySpike(double probability, std::uint32_t extra_quanta);
 
   /// Fault the `nth` access of kind `op` (1-based, counted over this

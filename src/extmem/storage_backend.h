@@ -1,7 +1,8 @@
 // Storage seam under BlockDevice: where block contents actually live.
 //
-// BlockDevice owns the MODEL — counted I/O, allocation, fault injection,
-// retry, crash freezing. A StorageBackend owns the BYTES. Two backends:
+// BlockDevice owns the MODEL — counted I/O, allocation, and one fault
+// seam: the FaultPolicy gate, the retry ladder around every backend call,
+// crash freezing. A StorageBackend owns the BYTES. Two backends:
 //
 //   MemStorage  — the original in-memory chunk array. load/store are
 //                 pointer math; sync is a no-op. Byte-identical to the
@@ -9,8 +10,8 @@
 //   FileStorage — a preallocated file driven by pread/pwrite/fdatasync
 //                 (extmem/file_storage.h). Real errno outcomes map onto
 //                 the same IoError taxonomy the FaultPolicy uses, so the
-//                 retry/quarantine/fail-stop ladder above the device
-//                 carries over unchanged.
+//                 device's retry ladder and the quarantine/fail-stop
+//                 layers above it treat both alike.
 //
 // Contract (what BlockDevice relies on):
 //   - load(id) returns a pointer to the block's current contents that
@@ -105,7 +106,8 @@ class StorageBackend {
   virtual void sync() = 0;
 
   /// True when store()/sync() hit a medium that can actually fail — the
-  /// device wraps accesses in its transient-retry ladder only then.
+  /// device wraps accesses in its retry ladder then (and whenever a
+  /// FaultPolicy is installed).
   virtual bool persistent() const noexcept = 0;
   virtual std::string_view name() const noexcept = 0;
 };

@@ -13,7 +13,7 @@
 //   - a CheckFailure: arm() installs a trampoline into
 //     exthash::detail::checkFailureHook(), so EXTHASH_CHECK failures dump
 //     before they throw;
-//   - an IoError escaping the device's retry gate (extmem/retry.h calls
+//   - an IoError escaping the device's retry ladder (BlockDevice calls
 //     flightRecorderNoteFatal on give-up — permanent faults and exhausted
 //     retry budgets).
 //
@@ -62,7 +62,7 @@ class FlightRecorder {
 };
 
 /// Fatal-path notification: dump if armed, never throw. This is what the
-/// CheckFailure trampoline and the retry gate's give-up path call.
+/// CheckFailure trampoline and the retry ladder's give-up path call.
 void flightRecorderNoteFatal(const char* reason) noexcept;
 
 }  // namespace exthash::obs

@@ -2,7 +2,9 @@
 //
 // Layer by layer: FaultPolicy determinism and the typed IoError taxonomy;
 // the device-level retry loop (transient absorbed, budgets exhausted,
-// permanent escaping immediately) with its IoStats counters; BlockCache
+// permanent escaping immediately) with its IoStats counters; the device's
+// fault seam on the mem and file backends (metadata paths never consult
+// the policy; what read and torn-write crash points leave); BlockCache
 // write-back quarantine (dirty data survives a failed eviction and lands
 // after the fault clears); IngestPipeline fail-stop + reset(); ShardedTable
 // per-shard fault isolation; the flight recorder; and the capstone chaos
@@ -52,6 +54,7 @@ using extmem::IoOpKind;
 using extmem::MemoryArbiter;
 using extmem::PermanentIoError;
 using extmem::RetryPolicy;
+using extmem::StorageOptions;
 using extmem::TransientIoError;
 using extmem::Word;
 using pipeline::IngestPipeline;
@@ -130,7 +133,7 @@ TEST(FaultPolicy, ErrorCarriesOpBlockAndAttempt) {
 // ---------------------------------------------------------------------------
 
 TEST(DeviceRetry, OneShotTransientFaultIsAbsorbedAndCounted) {
-  BlockDevice dev(8);
+  BlockDevice dev(8, testing::testStorageOptions());
   const BlockId id = dev.allocate();
   FaultPolicy policy(3);
   policy.failOpNumber(IoOpKind::kRead, 1);  // first read faults once
@@ -148,7 +151,7 @@ TEST(DeviceRetry, OneShotTransientFaultIsAbsorbedAndCounted) {
 }
 
 TEST(DeviceRetry, StickyTransientFaultExhaustsTheBudget) {
-  BlockDevice dev(8);
+  BlockDevice dev(8, testing::testStorageOptions());
   const BlockId id = dev.allocate();
   FaultPolicy policy(3);
   policy.failBlock(id);  // transient + sticky: every attempt faults
@@ -171,7 +174,7 @@ TEST(DeviceRetry, StickyTransientFaultExhaustsTheBudget) {
 }
 
 TEST(DeviceRetry, PermanentFaultEscapesWithoutRetry) {
-  BlockDevice dev(8);
+  BlockDevice dev(8, testing::testStorageOptions());
   const BlockId id = dev.allocate();
   FaultPolicy policy(3);
   policy.failBlock(id, FaultPolicy::Severity::kPermanent,
@@ -186,7 +189,7 @@ TEST(DeviceRetry, PermanentFaultEscapesWithoutRetry) {
 }
 
 TEST(DeviceRetry, ProbabilisticFaultsAreAbsorbedUnderHeavyTraffic) {
-  BlockDevice dev(8);
+  BlockDevice dev(8, testing::testStorageOptions());
   FaultPolicy policy(11);
   policy.setFailureProbability(0.1);
   dev.setFaultPolicy(&policy);
@@ -226,7 +229,7 @@ TEST(DeviceRetry, BackoffQuantaAreCappedAndDeterministic) {
 }
 
 TEST(DeviceRetry, LatencySpikesDelayButNeverCorrupt) {
-  BlockDevice dev(8);
+  BlockDevice dev(8, testing::testStorageOptions());
   const BlockId id = dev.allocate();
   FaultPolicy policy(5);
   policy.setLatencySpike(1.0, 2);  // every access reports extra quanta
@@ -239,11 +242,232 @@ TEST(DeviceRetry, LatencySpikesDelayButNeverCorrupt) {
 }
 
 // ---------------------------------------------------------------------------
+// The fault seam, on both backends: which device paths consult the policy,
+// what a crash point leaves behind, and how the counters add up.
+// ---------------------------------------------------------------------------
+
+class FaultPolicySeamTest
+    : public ::testing::TestWithParam<StorageOptions::Backend> {
+ protected:
+  static constexpr std::size_t kWords = 8;
+
+  std::unique_ptr<BlockDevice> makeDevice() const {
+    StorageOptions options = testing::testStorageOptions();
+    options.backend = GetParam();
+    return std::make_unique<BlockDevice>(kWords, options);
+  }
+
+  /// Overwrite `id` with base + i in word i.
+  static void fillBlock(BlockDevice& dev, BlockId id, Word base) {
+    dev.withOverwrite(id, [&](std::span<Word> data) {
+      for (std::size_t i = 0; i < data.size(); ++i) data[i] = base + i;
+    });
+  }
+};
+
+TEST_P(FaultPolicySeamTest, MetadataPathsNeverConsultThePolicy) {
+  auto dev = makeDevice();
+  const BlockId first = dev->allocateExtent(4);
+  for (BlockId id = first; id < first + 4; ++id) fillBlock(*dev, id, 10 * id);
+  dev->freeExtent(first, 2);  // ids first, first + 1 become reusable
+
+  // Everything armed at once: any consultation would fault, crash, or at
+  // least advance an op counter.
+  FaultPolicy policy(41);
+  for (BlockId id = 0; id < 16; ++id) {
+    policy.failBlock(id, FaultPolicy::Severity::kPermanent,
+                     FaultPolicy::Durability::kSticky);
+  }
+  policy.setFailureProbability(1.0);
+  policy.crashOpNumber(IoOpKind::kRead, 1);
+  policy.crashOpNumber(IoOpKind::kWrite, 1, /*torn_words=*/3);
+  policy.crashOpNumber(IoOpKind::kRmw, 1, /*torn_words=*/3);
+  dev->setFaultPolicy(&policy);
+  const extmem::IoStats before = dev->stats();
+
+  EXPECT_EQ(dev->allocateExtent(2), first);  // reused ids
+  const BlockId fresh = dev->allocate();     // a fresh id
+  EXPECT_EQ(fresh, first + 4);
+  EXPECT_EQ(dev->inspect(first + 2)[0], 10 * (first + 2));
+  const BlockDevice::Image image = dev->captureImage();
+  dev->freeExtent(first, 2);
+  dev->free(fresh);
+  dev->restoreImage(image);
+  EXPECT_TRUE(dev->isAllocated(fresh));
+  EXPECT_EQ(dev->inspect(first + 3)[1], 10 * (first + 3) + 1);
+
+  EXPECT_EQ(policy.opCount(IoOpKind::kRead), 0u);
+  EXPECT_EQ(policy.opCount(IoOpKind::kWrite), 0u);
+  EXPECT_EQ(policy.opCount(IoOpKind::kRmw), 0u);
+  EXPECT_EQ(policy.faultsInjected(), 0u);
+  EXPECT_EQ(policy.crashesFired(), 0u);
+  EXPECT_FALSE(dev->frozen());
+  const extmem::IoStats delta = dev->stats() - before;
+  EXPECT_EQ(delta.cost(), 0u);
+  EXPECT_EQ(delta.faults_injected, 0u);
+  EXPECT_EQ(delta.io_retries, 0u);
+  EXPECT_EQ(delta.io_gave_up, 0u);
+}
+
+TEST_P(FaultPolicySeamTest, OverwriteCrashTearsTheNewPrefix) {
+  for (const std::size_t torn : {std::size_t{0}, std::size_t{3}, kWords}) {
+    auto dev = makeDevice();
+    const BlockId id = dev->allocate();
+    fillBlock(*dev, id, 100);
+    FaultPolicy policy(43);
+    policy.crashOpNumber(IoOpKind::kWrite, 1, torn);
+    dev->setFaultPolicy(&policy);
+
+    int calls = 0;
+    bool zeroed = false;
+    EXPECT_THROW(dev->withOverwrite(id,
+                                    [&](std::span<Word> data) {
+                                      ++calls;
+                                      zeroed = std::all_of(
+                                          data.begin(), data.end(),
+                                          [](Word w) { return w == 0; });
+                                      for (std::size_t i = 0; i < data.size();
+                                           ++i) {
+                                        data[i] = 200 + i;
+                                      }
+                                    }),
+                 extmem::DeviceCrashed)
+        << "torn_words=" << torn;
+    EXPECT_EQ(calls, 1);
+    EXPECT_TRUE(zeroed);
+    EXPECT_TRUE(dev->frozen());
+    EXPECT_THROW(dev->readCopy(id), extmem::DeviceCrashed);
+
+    dev->thaw();
+    const std::vector<Word> after = dev->readCopy(id);
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i], i < torn ? 200 + i : 100 + i)
+          << "torn_words=" << torn << " word " << i;
+    }
+  }
+}
+
+TEST_P(FaultPolicySeamTest, RmwCrashTearsTheNewPrefix) {
+  for (const std::size_t torn : {std::size_t{0}, std::size_t{3}, kWords}) {
+    auto dev = makeDevice();
+    const BlockId id = dev->allocate();
+    fillBlock(*dev, id, 100);
+    FaultPolicy policy(45);
+    policy.crashOpNumber(IoOpKind::kRmw, 1, torn);
+    dev->setFaultPolicy(&policy);
+
+    int calls = 0;
+    EXPECT_THROW(dev->withWrite(id,
+                                [&](std::span<Word> data) {
+                                  ++calls;
+                                  // Sees the old contents: 100 + i -> 200 + i.
+                                  for (Word& w : data) w += 100;
+                                }),
+                 extmem::DeviceCrashed)
+        << "torn_words=" << torn;
+    EXPECT_EQ(calls, 1);
+    EXPECT_TRUE(dev->frozen());
+    EXPECT_THROW(dev->readCopy(id), extmem::DeviceCrashed);
+
+    dev->thaw();
+    const std::vector<Word> after = dev->readCopy(id);
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i], i < torn ? 200 + i : 100 + i)
+          << "torn_words=" << torn << " word " << i;
+    }
+  }
+}
+
+TEST_P(FaultPolicySeamTest, CrashInsideACrashedWriteLeavesNoTearBehind) {
+  auto dev = makeDevice();
+  const BlockId a = dev->allocate();
+  const BlockId b = dev->allocate();
+  fillBlock(*dev, a, 100);
+  FaultPolicy policy(51);
+  policy.crashOpNumber(IoOpKind::kRmw, 1, /*torn_words=*/3);
+  policy.crashOpNumber(IoOpKind::kRead, 1);
+  dev->setFaultPolicy(&policy);
+
+  // The rmw on `a` crashes first; its callback's read of `b` crashes the
+  // device before the rmw's store, so nothing of `a` lands.
+  EXPECT_THROW(dev->withWrite(a,
+                              [&](std::span<Word> data) {
+                                data[0] = 1;
+                                (void)dev->readCopy(b);
+                              }),
+               extmem::DeviceCrashed);
+  EXPECT_EQ(policy.crashesFired(), 2u);
+  EXPECT_TRUE(dev->frozen());
+
+  dev->thaw();
+  EXPECT_EQ(dev->readCopy(a)[0], 100u);
+  fillBlock(*dev, a, 300);  // an ordinary write after the reboot
+  EXPECT_FALSE(dev->frozen());
+  EXPECT_EQ(dev->readCopy(a)[0], 300u);
+}
+
+TEST_P(FaultPolicySeamTest, ReadCrashRunsNoCallbackAndChangesNothing) {
+  auto dev = makeDevice();
+  const BlockId id = dev->allocate();
+  fillBlock(*dev, id, 100);
+  FaultPolicy policy(47);
+  policy.crashOpNumber(IoOpKind::kRead, 1);
+  dev->setFaultPolicy(&policy);
+  const extmem::IoStats before = dev->stats();
+
+  int calls = 0;
+  EXPECT_THROW(dev->withRead(id, [&](std::span<const Word>) { ++calls; }),
+               extmem::DeviceCrashed);
+  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(dev->frozen());
+  EXPECT_EQ((dev->stats() - before).cost(), 0u);
+
+  dev->thaw();
+  const std::vector<Word> after = dev->readCopy(id);
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i], 100 + i) << "word " << i;
+  }
+}
+
+TEST_P(FaultPolicySeamTest, OneShotTransientOnEachOpKindIsCountedOnce) {
+  auto dev = makeDevice();
+  const BlockId id = dev->allocate();
+  FaultPolicy policy(49);
+  policy.failOpNumber(IoOpKind::kRead, 1);
+  policy.failOpNumber(IoOpKind::kWrite, 1);
+  policy.failOpNumber(IoOpKind::kRmw, 1);
+  dev->setFaultPolicy(&policy);
+
+  fillBlock(*dev, id, 100);
+  dev->withWrite(id, [](std::span<Word> data) { data[0] = 7; });
+  Word seen = 0;
+  dev->withRead(id, [&](std::span<const Word> data) { seen = data[0]; });
+  EXPECT_EQ(seen, 7u);
+
+  const extmem::IoStats stats = dev->stats();
+  EXPECT_EQ(stats.faults_injected, 3u);
+  EXPECT_EQ(stats.io_retries, 3u);
+  EXPECT_EQ(stats.io_gave_up, 0u);
+  EXPECT_EQ(stats.cost(), 3u);
+  EXPECT_EQ(policy.faultsInjected(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, FaultPolicySeamTest,
+    ::testing::Values(StorageOptions::Backend::kMemory,
+                      StorageOptions::Backend::kFile),
+    [](const ::testing::TestParamInfo<StorageOptions::Backend>& info) {
+      return std::string(info.param == StorageOptions::Backend::kMemory
+                             ? "mem"
+                             : "file");
+    });
+
+// ---------------------------------------------------------------------------
 // BlockCache degraded mode: quarantine on write-back failure
 // ---------------------------------------------------------------------------
 
 TEST(CacheQuarantine, FailedWritebackQuarantinesAndLandsAfterClear) {
-  BlockDevice dev(8);
+  BlockDevice dev(8, testing::testStorageOptions());
   FaultPolicy policy(13);
   extmem::MemoryBudget budget(0);
   BlockCache cache(dev, budget, 2, BlockCache::WritePolicy::kWriteBack,
@@ -287,7 +511,7 @@ TEST(CacheQuarantine, FailedWritebackQuarantinesAndLandsAfterClear) {
 }
 
 TEST(CacheQuarantine, EvictionMakesProgressPastQuarantinedFrames) {
-  BlockDevice dev(8);
+  BlockDevice dev(8, testing::testStorageOptions());
   FaultPolicy policy(13);
   extmem::MemoryBudget budget(0);
   BlockCache cache(dev, budget, 2, BlockCache::WritePolicy::kWriteBack,
@@ -318,7 +542,7 @@ TEST(CacheQuarantine, EvictionMakesProgressPastQuarantinedFrames) {
 }
 
 TEST(CacheQuarantine, GiveUpEscalatesToPermanentAndCounts) {
-  BlockDevice dev(8);
+  BlockDevice dev(8, testing::testStorageOptions());
   FaultPolicy policy(13);
   extmem::MemoryBudget budget(0);
   BlockCache cache(dev, budget, 2, BlockCache::WritePolicy::kWriteBack,
@@ -552,7 +776,7 @@ TEST(FlightRecorder, PermanentIoErrorGiveUpDumps) {
   obs::FlightRecorder::arm(options);
   const auto dumps_before = obs::FlightRecorder::dumpCount();
 
-  BlockDevice dev(8);
+  BlockDevice dev(8, testing::testStorageOptions());
   const BlockId id = dev.allocate();
   FaultPolicy policy(29);
   policy.failBlock(id, FaultPolicy::Severity::kPermanent,
