@@ -5,8 +5,11 @@
 // detached (PipelineConfig.wal == nullptr, the pay-for-what-you-use
 // default) and once with every sealed window logged durably before it
 // applies. The off arm measures that durability-off throughput is the
-// pre-durability pipeline, byte for byte; the on/off ratio is the
-// group-commit overhead.
+// pre-durability pipeline, byte for byte; the on/off ratio is the cost
+// of the WAL itself (the pipeline is a single appender, so no group ever
+// forms). At depth >= 2 the pipeline's log stage writes and syncs the
+// next window while the current one applies, hiding part of that cost;
+// depth 1 cannot overlap and pays one extra thread hop per window.
 //
 // Part 2 (PASS gate, exit 1 on any miss — CI fails the build): a
 // crash-recovery oracle per seed. Ingest runs WAL-attached with periodic

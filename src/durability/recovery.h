@@ -83,9 +83,13 @@ class DurabilityManager {
 
   /// Checkpoint at a quiescent point (pipeline users run this from a
   /// submitMaintenance task): flush, serialize, image, commit. Returns the
-  /// manifest version. The WAL is NOT truncated here — records <= the
-  /// committed durable LSN are simply fenced off at replay; truncation
-  /// happens inside recover(), where the log has to be rebuilt anyway.
+  /// manifest version. The manifest is stamped with the WAL's
+  /// durableLsn(): a pipeline maintenance point sees every durable window
+  /// already applied (maintenance is a barrier in the pipeline's log
+  /// stage), so the stamp never covers a record the table lacks. The WAL
+  /// is NOT truncated here — records <= the committed durable LSN are
+  /// simply fenced off at replay; truncation happens inside recover(),
+  /// where the log has to be rebuilt anyway.
   std::uint64_t checkpoint(tables::ExternalHashTable& table);
 
   /// Rebuild `fresh` (a just-constructed table with the same construction

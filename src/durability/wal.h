@@ -28,9 +28,9 @@
 // the first appender to find no flush in flight becomes the LEADER,
 // writes every pending record in one tail pass with the mutex RELEASED,
 // then publishes durable_lsn and wakes the followers. Concurrently
-// sealed windows therefore share tail-block writes. The single-worker
-// pipeline appends serially (leader of a batch of one); the threaded
-// unit test drives real groups.
+// sealed windows therefore share tail-block writes. The pipeline's
+// single log stage appends serially (leader of a batch of one); the
+// threaded unit test drives real groups.
 //
 // Acknowledged = durable: an op is acknowledged once its record's LSN is
 // <= durableLsn(). The crash-recovery oracle snapshots durableLsn() at

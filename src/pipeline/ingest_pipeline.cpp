@@ -48,6 +48,7 @@ IngestPipeline::IngestPipeline(tables::ExternalHashTable& table,
                     "pipeline needs batch_capacity >= 1");
   EXTHASH_CHECK_MSG(config_.max_pending_batches >= 1,
                     "pipeline needs max_pending_batches >= 1");
+  if (wal_ != nullptr) log_.emplace(1);
   if (config_.budget != nullptr) {
     staging_charge_ = extmem::MemoryCharge(
         *config_.budget, stagingWords(config_, config_.batch_capacity));
@@ -61,7 +62,8 @@ IngestPipeline::~IngestPipeline() {
     drain();
   } catch (...) {
     // Errors already surfaced to drain() callers; a destructor cannot
-    // rethrow. The worker pool joins before members are destroyed.
+    // rethrow. The log stage joins first, then the worker, before the
+    // state their queued tasks reference is destroyed.
   }
 }
 
@@ -147,11 +149,12 @@ void IngestPipeline::sealBatchLocked(util::MutexLock& lock) {
                              static_cast<double>(inflight_.size()));
 
   const bool record_latency = config_.record_apply_latency;
-  worker_.submit([this, window, record_latency] {
+  auto apply = [this, window, record_latency] {
     // Fail-stop: after a prior background error the table may hold a
     // partially applied window — driving more batches into it could
-    // compound the damage, so queued windows complete WITHOUT touching
-    // the table and their ops are accounted as discarded.
+    // compound the damage — or the log refused this very window, so
+    // queued windows complete WITHOUT touching the table and their ops
+    // are accounted as discarded.
     bool skip;
     {
       util::MutexLock guard(mutex_);
@@ -165,11 +168,6 @@ void IngestPipeline::sealBatchLocked(util::MutexLock& lock) {
                              static_cast<double>(window->ops.size()));
         obs::ScopedLatencyTimer apply_timer(
             record_latency ? &apply_hist_ : nullptr);
-        // Ack-after-durable: the window is logged (and durable) before the
-        // table sees it. A crash here loses no acknowledged op — recovery
-        // replays the record; a crash inside the append means the record
-        // never became durable and fail-stop keeps it unacknowledged.
-        if (wal_ != nullptr) wal_->append(window->ops);
         table_.applyBatch(window->ops);
       } catch (...) {
         err = std::current_exception();
@@ -201,6 +199,36 @@ void IngestPipeline::sealBatchLocked(util::MutexLock& lock) {
     }
     room_cv_.notify_all();
     done_cv_.notify_all();
+  };
+  if (!log_) {
+    worker_.submit(std::move(apply));
+    return;
+  }
+  log_->submit([this, window, apply = std::move(apply)]() mutable {
+    // Ack-after-durable: the window is logged (and durable) before the
+    // worker sees it. A crash after the append loses no acknowledged op —
+    // recovery replays the record; a crash inside it means the record
+    // never became durable and fail-stop keeps it unacknowledged. After a
+    // latched error nothing more is logged, and a refused append latches
+    // the error itself, so the worker retires the window as discarded.
+    bool skip;
+    {
+      util::MutexLock guard(mutex_);
+      skip = error_ != nullptr;
+    }
+    if (!skip) {
+      try {
+        EXTHASH_OBS_SPAN(obs_wal_span, "wal-append", "pipeline");
+        wal_->append(window->ops);
+      } catch (...) {
+        util::MutexLock guard(mutex_);
+        if (!error_) error_ = std::current_exception();
+      }
+    }
+    // Every window reaches the worker, logged or not: only the worker
+    // retires windows, so drain() and the lookup progress guarantee see
+    // one completion path.
+    worker_.submit(std::move(apply));
   });
 }
 
@@ -297,7 +325,7 @@ void IngestPipeline::submitMaintenance(std::function<void()> fn) {
   util::MutexLock lock(mutex_);
   throwIfFailedLocked();
   ++pending_maintenance_;
-  worker_.submit([this, fn = std::move(fn)] {
+  auto task = [this, fn = std::move(fn)] {
     // Fail-stop covers maintenance too: after a background error the
     // table may hold a partially applied window, and a queued maintenance
     // task (a checkpoint, say) running against it would commit that torn
@@ -321,6 +349,16 @@ void IngestPipeline::submitMaintenance(std::function<void()> fn) {
       --pending_maintenance_;
     }
     done_cv_.notify_all();
+  };
+  if (!log_) {
+    worker_.submit(std::move(task));
+    return;
+  }
+  // A barrier in the log stage: nothing sealed later is logged until the
+  // worker has run `fn`, so a checkpoint sees every durable window applied
+  // and may stamp the WAL's durableLsn().
+  log_->submit([this, task = std::move(task)]() mutable {
+    worker_.submit(std::move(task)).wait();
   });
 }
 

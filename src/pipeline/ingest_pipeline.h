@@ -51,11 +51,25 @@
 // contents: it discards still-staged ops (counted, returned), fails any
 // unsealed lookups with the stored error, and clears the latch.
 //
+// Log stage: with a WAL attached (PipelineConfig::wal), sealed windows
+// pass through a FIFO log stage — a second background thread — that
+// appends each one to the log and waits for it to become durable before
+// handing it to the worker. The log stage touches only the WAL, never the
+// table. At max_pending_batches >= 2 it logs and syncs window k+1 while
+// the worker applies window k. It checks the fail-stop latch before each
+// append and latches a refused append itself, so nothing is logged after
+// an error and a window the log refused never reaches the table. A window
+// logged before an EARLIER window's apply failed is durable but counts as
+// discarded here: recovery replays it, the live pipeline never applies it
+// — the same "durable but not applied" state a failed mid-window apply
+// leaves behind.
+//
 // Threading: all public methods are safe to call from one producer thread
 // (the common case) or several (the internal mutex serializes them). The
 // wrapped table is touched ONLY by the single background worker between
-// construction and drain(), so tables need no internal locking. After
-// drain() returns the table is quiescent and may be inspected directly.
+// construction and drain(), so tables need no internal locking (the log
+// stage, when present, touches only the WAL). After drain() returns the
+// table is quiescent and may be inspected directly.
 // The locking discipline is compiler-verified (-Wthread-safety, see
 // util/thread_annotations.h): mutex_ guards every mutable member, the
 // *Locked helpers require it held, and the public surface is annotated
@@ -112,14 +126,21 @@ struct PipelineConfig {
   /// measurement runner reports p99 apply latency in every build; costs
   /// two steady_clock reads per applied window when on.
   bool record_apply_latency = false;
-  /// Ack-after-durable mode (see durability/): when set, every sealed
-  /// window is appended to this write-ahead log — blocking until the
-  /// record is durable — immediately before applyBatch drives it into the
-  /// table, so the WAL's LSN sequence IS the window seal sequence and a
-  /// crash between log-append and apply loses nothing that recovery
-  /// cannot replay. nullptr (the default) is the pay-for-what-you-use
-  /// path: zero overhead, pre-durability semantics. The writer must
-  /// outlive the pipeline. Non-owning.
+  /// Ack-after-durable mode (see durability/): when set, a log stage (one
+  /// more background thread) appends every sealed window to this
+  /// write-ahead log, in seal order and blocking until the record is
+  /// durable, before handing it to the worker for applyBatch. The WAL's
+  /// LSN sequence IS the window seal sequence, and a crash between
+  /// log-append and apply loses nothing that recovery cannot replay. At
+  /// max_pending_batches >= 2 the log stage appends and syncs window k+1
+  /// while the worker applies window k; at 1 nothing overlaps and each
+  /// window pays one extra thread hop. submitMaintenance tasks are a
+  /// barrier in the log stage: nothing sealed after one is logged until
+  /// the worker has run it, so at every maintenance point the WAL's
+  /// durableLsn() is the LSN of the last applied window. nullptr (the
+  /// default) is the pay-for-what-you-use path: no log thread, zero
+  /// overhead, pre-durability semantics. The writer must outlive the
+  /// pipeline. Non-owning.
   durability::WalWriter* wal = nullptr;
 };
 
@@ -190,8 +211,8 @@ class IngestPipeline {
 
   /// Recover from fail-stop after the underlying fault cleared: waits for
   /// the worker to go idle, discards the ops still staged (returning how
-  /// many — they were accepted but never applied, the price of no WAL
-  /// yet), resolves any unsealed lookups with the stored error, and
+  /// many — they were accepted but never sealed, so no WAL record holds
+  /// them either), resolves any unsealed lookups with the stored error, and
   /// clears the error latch so submissions flow again against the
   /// surviving table contents. Harmless on a healthy pipeline (nothing
   /// discarded, 0 returned). Producer-side call: do not invoke from a
@@ -199,7 +220,9 @@ class IngestPipeline {
   std::size_t reset() EXTHASH_EXCLUDES(mutex_);
 
   /// Run `fn` on the background worker, FIFO-ordered after every window
-  /// sealed so far and before any sealed later. This is the quiescent
+  /// sealed so far and before any sealed later (with a WAL attached, the
+  /// log stage also holds back every later window's append until `fn`
+  /// has run; see PipelineConfig::wal). This is the quiescent
   /// hook for memory arbitration: between worker tasks nothing else
   /// touches the wrapped table or its caches, so `fn` may resize caches
   /// and flush safely while producers keep submitting. Errors from `fn`
@@ -232,7 +255,9 @@ class IngestPipeline {
 
   /// Per-window applyBatch wall-latency distribution (nanoseconds);
   /// populated only when PipelineConfig::record_apply_latency is set.
-  /// Lock-free reads are safe any time; exact once the worker is idle.
+  /// Covers applyBatch alone: with a WAL attached, the append runs on the
+  /// log stage and is not included. Lock-free reads are safe any time;
+  /// exact once the worker is idle.
   const obs::LatencyHistogram& applyLatency() const noexcept {
     return apply_hist_;
   }
@@ -274,7 +299,7 @@ class IngestPipeline {
 
   tables::ExternalHashTable& table_;
   // Immutable after construction (unlike config_.batch_capacity), so the
-  // worker reads it without the lock.
+  // log stage reads it without the lock.
   durability::WalWriter* const wal_;
   PipelineConfig config_ EXTHASH_GUARDED_BY(mutex_);
 
@@ -310,10 +335,16 @@ class IngestPipeline {
   // mutex_ guard.
   obs::LatencyHistogram apply_hist_;
 
-  // Single-thread FIFO executor; declared last so it stops (and finishes
-  // queued tasks referencing the state above) before anything else is
-  // destroyed.
+  // Single-thread FIFO executor; declared after the state above so it
+  // stops (and finishes queued tasks referencing that state) before
+  // anything else is destroyed.
   ThreadPool worker_;
+
+  // The log stage: a single-thread FIFO executor that appends each sealed
+  // window to wal_ and then submits its apply to worker_. Present only
+  // when a WAL is attached. Declared after worker_ so it is joined first:
+  // its queued tasks still submit to the worker.
+  std::optional<ThreadPool> log_;
 };
 
 }  // namespace exthash::pipeline

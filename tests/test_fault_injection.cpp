@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "durability/wal.h"
 #include "extmem/block_cache.h"
 #include "extmem/block_device.h"
 #include "extmem/fault.h"
@@ -670,6 +671,38 @@ TEST(PipelineFailStop, PendingLookupFuturesAllResolveOnWorkerFault) {
     pipe.drain();
   });
   EXPECT_EQ(table->lookup(7777), std::optional<std::uint64_t>(8));
+}
+
+TEST(PipelineFailStop, WalAppendFailureNeverReachesTheTable) {
+  TestRig rig(8);
+  GeneralConfig cfg;
+  cfg.expected_n = 256;
+  cfg.target_load = 0.5;
+  auto table = makeTable(TableKind::kChaining, rig.context(), cfg);
+  // The log device refuses every write, so no record ever becomes durable.
+  FaultPolicy policy(23);
+  policy.failOpNumber(IoOpKind::kWrite, 1, FaultPolicy::Severity::kPermanent,
+                      FaultPolicy::Durability::kSticky);
+  BlockDevice wal_device(rig.device->wordsPerBlock(),
+                         testing::testStorageOptions());
+  wal_device.setFaultPolicy(&policy);
+  durability::WalWriter wal(wal_device);
+
+  IngestPipeline pipe(*table, {.batch_capacity = 4, .wal = &wal});
+  for (std::uint64_t k = 1; k <= 4; ++k) pipe.insert(k, k + 100);
+  EXPECT_THROW(pipe.drain(), PermanentIoError);
+
+  // Ack-after-durable: a window the log refused is discarded, never
+  // applied, and the ledger still balances.
+  const auto st = pipe.stats();
+  EXPECT_EQ(st.ops_applied, 0u);
+  EXPECT_EQ(st.batches_applied, 0u);
+  EXPECT_EQ(st.ops_discarded, 4u);
+  EXPECT_EQ(table->size(), 0u);
+  EXPECT_EQ(wal.durableLsn(), 0u);
+  AuditReport report;
+  pipe.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@
 //    future before returning.
 //  * Backpressure: submit blocks once max_pending_batches windows are
 //    sealed and unapplied, and resumes when the worker frees a slot.
+//  * Log stage: with a WAL attached, window k+1 is logged while window k
+//    is still applying, and the log holds every window in seal order.
 //  * Errors on the worker surface on drain().
 #include <gtest/gtest.h>
 
@@ -22,6 +24,8 @@
 #include <thread>
 #include <vector>
 
+#include "durability/ledger.h"
+#include "durability/wal.h"
 #include "pipeline/ingest_pipeline.h"
 #include "table_test_util.h"
 #include "tables/factory.h"
@@ -357,6 +361,64 @@ TEST(PipelineBackpressure, SubmitBlocksWhenWindowsAreFullAndResumes) {
   pipe.drain();
   EXPECT_EQ(gated->size(), 5u);
   EXPECT_GE(pipe.stats().submit_waits, 1u);
+}
+
+TEST(PipelineWal, NextWindowLogsWhileTheCurrentOneApplies) {
+  TestRig rig(8);
+  auto gated = makeGated(rig);
+  extmem::BlockDevice wal_device(rig.device->wordsPerBlock(),
+                                 exthash::testing::testStorageOptions());
+  durability::WalWriter wal(wal_device);
+
+  PipelineConfig pc;
+  pc.batch_capacity = 2;
+  pc.max_pending_batches = 2;
+  pc.wal = &wal;
+  durability::AckLedger ledger(pc.batch_capacity);
+  // Polls `done` for up to 3 s; the gate stays closed meanwhile, so a
+  // failed poll must not return early and leave drain() blocked.
+  const auto poll = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  {
+    IngestPipeline pipe(*gated, pc);
+    const auto insert = [&](std::uint64_t key) {
+      pipe.insert(key, 100 + key);
+      ledger.submit(Op::insertOp(key, 100 + key));
+    };
+    // Window 1 seals, is logged, and parks inside applyBatch.
+    insert(1);
+    insert(2);
+    EXPECT_TRUE(poll([&] { return gated->applyCalls() == 1; }));
+    // Window 2 seals while window 1 is still applying: the log stage logs
+    // and syncs it without waiting for the worker.
+    insert(3);
+    insert(4);
+    EXPECT_TRUE(poll([&] { return wal.durableLsn() == 2; }))
+        << "window 2 was not logged while window 1 applied";
+    EXPECT_EQ(gated->applyCalls(), 1u);
+
+    gated->open();
+    pipe.drain();
+  }
+  EXPECT_EQ(gated->size(), 4u);
+
+  // The log holds both windows, in seal order, exactly as the ledger
+  // windowed them.
+  ledger.seal();
+  ASSERT_EQ(ledger.sealedWindows(), 2u);
+  const durability::WalLog log = durability::WalReader(wal_device).readAll();
+  EXPECT_FALSE(log.torn_tail);
+  ASSERT_EQ(log.records.size(), 2u);
+  for (std::size_t k = 1; k <= 2; ++k) {
+    EXPECT_EQ(log.records[k - 1].lsn, ledger.lsnOfWindow(k));
+    EXPECT_EQ(log.records[k - 1].ops, ledger.window(k));
+  }
 }
 
 TEST(PipelineErrors, WorkerExceptionSurfacesOnDrain) {
