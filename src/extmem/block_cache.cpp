@@ -196,7 +196,7 @@ void BlockCache::quarantine(Entry& entry) {
   }
   // Give-up endgame: N consecutive failures escalate the NEXT flush
   // barrier to a PermanentIoError (see the header). Counted once per
-  // streak; a successful write-back resets both (writeBack()).
+  // streak; a successful write-back resets both (markClean()).
   if (++entry.failures >= give_up_threshold_ && !entry.gave_up) {
     entry.gave_up = true;
     ++quarantine_gave_up_;
@@ -213,17 +213,7 @@ void BlockCache::writeFrame(BlockId id, std::uint32_t slot) {
   EXTHASH_OBS_COUNT("exthash_cache_writebacks_total", 1);
 }
 
-void BlockCache::writeBack(Entry& entry) {
-  if (!entry.dirty) return;
-  if (!device_.isAllocated(entry.id)) {
-    // Owner freed the block; drop silently.
-    entry.dirty = false;
-    --dirty_blocks_;
-    return;
-  }
-  // Device write FIRST, bookkeeping after: if the write faults, the frame
-  // must still read as dirty (the cached copy is the only surviving one).
-  writeFrame(entry.id, entry.slot);
+void BlockCache::markClean(Entry& entry) {
   entry.dirty = false;
   --dirty_blocks_;
   if (entry.quarantined) {
@@ -274,8 +264,9 @@ void BlockCache::flush() {
   // re-attempted here (this is their road back after the fault clears).
   std::exception_ptr first_error;
   BlockId gave_up_block = kInvalidBlock;
-  // Land the frames in ascending block order — sequential writes on a
-  // file-backed device, whatever cells the directory hashed them to.
+  // Land the frames in ascending block order, whatever cells the
+  // directory hashed them to: each run of consecutive ids is one device
+  // run — one pwrite per arena chunk on a file-backed device.
   const auto cells = dir_.cells();
   flush_order_.clear();
   for (Index i = 0; i < cells.size(); ++i) {
@@ -283,17 +274,55 @@ void BlockCache::flush() {
   }
   std::sort(flush_order_.begin(), flush_order_.end(),
             [&](Index a, Index b) { return cells[a].id < cells[b].id; });
-  for (const Index i : flush_order_) {
-    Entry& entry = cells[i];
+  const auto entryAt = [&](std::size_t k) -> Entry& {
+    return cells[flush_order_[k]];
+  };
+  std::size_t begin = 0;
+  while (begin < flush_order_.size()) {
+    Entry& head = entryAt(begin);
+    if (!device_.isAllocated(head.id)) {
+      // Owner freed the block; drop silently.
+      head.dirty = false;
+      --dirty_blocks_;
+      ++begin;
+      continue;
+    }
+    // The run: consecutive, still-allocated ids from head.
+    const BlockId first = head.id;
+    std::size_t count = 1;
+    while (begin + count < flush_order_.size() &&
+           entryAt(begin + count).id == first + count &&
+           device_.isAllocated(first + count)) {
+      ++count;
+    }
+    // Device write FIRST, bookkeeping after: a frame the run did not land
+    // must still read as dirty (the cached copy is the only surviving one).
+    std::size_t landed = count;
     try {
-      writeBack(entry);
-    } catch (const IoError&) {
-      quarantine(entry);
-      if (entry.gave_up && gave_up_block == kInvalidBlock) {
-        gave_up_block = entry.id;
+      device_.withOverwriteRun(
+          first, count, [&](std::size_t i, std::span<Word> data) {
+            std::copy_n(frames_[entryAt(begin + i).slot], words_per_block_,
+                        data.begin());
+          });
+    } catch (const IoError& error) {
+      // Every block before the one the error names landed. That frame is
+      // quarantined; the rest of the run goes again as a new run.
+      const BlockId named = error.block();
+      EXTHASH_CHECK_MSG(named >= first && named - first < count,
+                        "run [" << first << ", " << first + count
+                                << ") failed naming block " << named);
+      landed = named - first;
+      Entry& failed = entryAt(begin + landed);
+      quarantine(failed);
+      if (failed.gave_up && gave_up_block == kInvalidBlock) {
+        gave_up_block = named;
       }
       if (!first_error) first_error = std::current_exception();
     }
+    for (std::size_t k = begin; k < begin + landed; ++k) markClean(entryAt(k));
+    writebacks_ += landed;
+    EXTHASH_OBS_COUNT("exthash_cache_writebacks_total", landed);
+    begin += std::min(landed + 1, count);  // past the run or the failure
   }
   // Escalation outranks the raw fault: a frame past the give-up threshold
   // makes the barrier permanent even if each individual fault was

@@ -30,7 +30,11 @@
 // ones included, un-quarantining those that finally reach the device; if
 // any still fail, flush() throws the first IoError after attempting all,
 // so the flush barrier reports the fault while the data stays safe for
-// the next barrier after the fault clears.
+// the next barrier after the fault clears. flush() writes runs of
+// consecutive blocks (BlockDevice::withOverwriteRun), and a failed run
+// quarantines only the frame its error names: the frames before it
+// landed, and the ones after it are re-attempted as a new run. Eviction
+// write-backs stay single-block.
 //
 // Telemetry contract: hits() and misses() count block USES through the
 // cache, not device reads. A hit found (or, on the write-through refresh
@@ -171,10 +175,15 @@ class BlockCache {
   }
 
   /// Flush all dirty frames (write-back mode) to the device in ascending
-  /// block order, re-attempting quarantined ones. After a successful
-  /// flush the device is authoritative for every resident block. If a
-  /// write-back faults, the frame is quarantined (data retained) and the
-  /// first IoError is rethrown after every frame was attempted.
+  /// block order, re-attempting quarantined ones. Each run of consecutive
+  /// dirty ids is one withOverwriteRun — one counted write per block, and
+  /// one pwrite per arena chunk on a file-backed device. A frame whose
+  /// block the owner freed is dropped. After a successful flush the device
+  /// is authoritative for every resident block. If a run faults, the
+  /// frames before the block the error names are clean, that frame is
+  /// quarantined (data retained), the rest of the run goes again as a new
+  /// run, and the first IoError is rethrown after every frame was
+  /// attempted. Allocates nothing beyond its reused scratch list.
   void flush();
 
   /// Re-target the cache to `capacity_blocks` frames at runtime — the
@@ -358,11 +367,9 @@ class BlockCache {
   /// into the policy's resident set) and counts as progress: the next
   /// call cannot choose it again.
   bool evictOne();
-  /// Flush path: land one dirty resident frame and clear its fault
-  /// state. Throws the device's IoError with the frame still dirty —
-  /// fault-before-effect (fault.h) means a failed write-back loses nothing.
-  void writeBack(Entry& entry);
-  /// The counted device write of frame `slot` to block `id`.
+  /// Flush path: a dirty frame landed — clear it and its fault state.
+  void markClean(Entry& entry);
+  /// Eviction's counted single-block write of frame `slot` to block `id`.
   void writeFrame(BlockId id, std::uint32_t slot);
 
   // Corruption-seeding hook for the audit mutation tests (defined in

@@ -40,7 +40,7 @@ void yieldQuanta(std::uint32_t quanta) {
 // store's do not, so the policy sees each attempt of an access once.
 // Transient outcomes, injected or real (EINTR storms, EAGAIN), are
 // re-attempted within the RetryPolicy budget — safe because a faulted
-// gate changes nothing and store() is an idempotent full-block pwrite.
+// gate changes nothing and re-issuing a storeRun is idempotent.
 // Escapes are re-attributed with the device-level op kind and the final
 // attempt count, keeping the cause (the policy's, or the errno detail) as
 // the detail.
@@ -154,13 +154,29 @@ void BlockDevice::backendStore(IoOpKind op, BlockId id) {
     tear_block_ = kInvalidBlock;
     if (tear_words_ > 0) {
       std::copy_n(shadow_.begin(), tear_words_, storage_->loadMutable(id));
-      storage_->store(id);
+      storage_->storeRun(id, 1);
     }
     frozen_ = true;
     throw DeviceCrashed(op, id, "crash point fired (torn write)");
   }
+  backendStoreRun(op, id, 1);
+}
+
+void BlockDevice::backendStoreRun(IoOpKind op, BlockId first,
+                                  std::size_t count) {
   if (!storage_persistent_) return;
-  retryBackend(op, id, [&](std::uint32_t) { storage_->store(id); });
+  retryBackend(op, first,
+               [&](std::uint32_t) { storage_->storeRun(first, count); });
+}
+
+void BlockDevice::countedStoreRun(BlockId first, std::size_t count) {
+  try {
+    backendStoreRun(IoOpKind::kWrite, first, count);
+  } catch (const IoError&) {
+    ++stats_.writes;  // the write of `first`, the block the error names
+    throw;
+  }
+  stats_.writes += count;
 }
 
 void BlockDevice::sync() {
@@ -332,8 +348,8 @@ void BlockDevice::restoreImage(const Image& image) {
         image.words.begin() + static_cast<std::ptrdiff_t>(id * words_per_block_);
     Word* p = storage_->frame(id);
     std::copy(src, src + static_cast<std::ptrdiff_t>(words_per_block_), p);
-    backendStore(IoOpKind::kWrite, id);
   }
+  if (next_id_ > 0) backendStoreRun(IoOpKind::kWrite, 0, next_id_);
   allocated_ = image.allocated;
   allocated_.resize(next_id_);
   free_ranges_ = image.free_ranges;

@@ -27,11 +27,15 @@
 // access runs the installed FaultPolicy's gate (extmem/fault.h), then the
 // backend call, inside the device's one retry ladder (setRetryPolicy,
 // extmem/retry.h). A faulted gate changes neither the statistics nor the
-// block, and store() is an idempotent full-block pwrite, so transient
-// faults — injected, or real syscall outcomes (EINTR storms, EAGAIN) on
-// persistent backends — are safely re-attempted. An access that exhausts
-// the budget, or hits a permanent fault (EIO, ENOSPC), throws
-// Transient-/PermanentIoError; an injected one does so before the
+// block, and a backend store (storeRun) re-issues full-block pwrites at
+// fixed offsets, so re-attempting one block or a whole run is idempotent
+// and transient faults — injected, or real syscall outcomes (EINTR
+// storms, EAGAIN) on persistent backends — are safely re-attempted.
+// withOverwriteRun stores consecutive blocks with one backend call when
+// no policy is installed; with one, it is a loop of withOverwrite, so
+// every policy schedule sees the same ops in the same order. An access
+// that exhausts the budget, or hits a permanent fault (EIO, ENOSPC),
+// throws Transient-/PermanentIoError; an injected one does so before the
 // caller's callback runs. A DeviceCrashed (injected power cut) freezes the
 // device, exactly like a FaultPolicy crash trigger. inspect(), allocation,
 // free and the image calls are metadata paths and never consult the
@@ -143,6 +147,42 @@ class BlockDevice {
     }
   }
 
+  /// Counted blind write of the consecutive blocks [first, first + count):
+  /// zeroes each block, then fill(i, std::span<Word>) fills block first + i
+  /// (fill must not throw). Counts one write per block, exactly like
+  /// `count` calls to withOverwrite. Without a FaultPolicy every block is
+  /// checked live, filled, and the run is stored with ONE backend call
+  /// inside the retry ladder (one pwrite per arena chunk on a file; a
+  /// retry re-issues the whole run). With a policy installed it is a loop
+  /// of withOverwrite, so the gate, the retry budget and crash points stay
+  /// per access.
+  ///
+  /// Failure contract: the thrown IoError's block() is the first block of
+  /// the run that did not land, and every block before it landed. When the
+  /// single backend call fails, the error names `first` and counts one
+  /// write — as withOverwrite counts a write whose store failed — even if
+  /// part of the run reached the medium (re-writing it is idempotent).
+  /// Telemetry times the whole run as one exthash_device_write_ns sample.
+  template <class Fill>
+  void withOverwriteRun(BlockId first, std::size_t count, Fill&& fill) {
+    if (fault_policy_ != nullptr) {
+      for (std::size_t i = 0; i < count; ++i) {
+        withOverwrite(first + i,
+                      [&](std::span<Word> block) { fill(i, block); });
+      }
+      return;
+    }
+    EXTHASH_OBS_TIMED("exthash_device_write_ns");
+    for (std::size_t i = 0; i < count; ++i) checkLive(first + i);
+    throwIfFrozen(IoOpKind::kWrite, first);
+    for (std::size_t i = 0; i < count; ++i) {
+      Word* p = storage_->frame(first + i);
+      std::fill(p, p + words_per_block_, Word{0});
+      fill(i, std::span<Word>(p, words_per_block_));
+    }
+    countedStoreRun(first, count);
+  }
+
   /// Durability barrier: everything stored so far reaches the platter
   /// before sync() returns (fdatasync on file backends; free but still
   /// counted on memory backends, so the WAL's barrier cadence is always
@@ -234,7 +274,9 @@ class BlockDevice {
   };
   Image captureImage() const;
   /// Overwrite the device's entire durable state with `image` (geometry
-  /// must match). Does not touch the frozen flag, statistics or policies.
+  /// must match): every frame is filled, then the whole image is stored
+  /// as one run through the retry ladder. Does not touch the frozen flag,
+  /// statistics or policies.
   void restoreImage(const Image& image);
 
  private:
@@ -253,6 +295,10 @@ class BlockDevice {
   Word* backendLoadMutable(BlockId id);
   Word* backendFrame(BlockId id);
   void backendStore(IoOpKind op, BlockId id);
+  /// Store [first, first + count) with one backend call in the ladder.
+  void backendStoreRun(IoOpKind op, BlockId first, std::size_t count);
+  /// withOverwriteRun's store: counts `count` writes, or one on failure.
+  void countedStoreRun(BlockId first, std::size_t count);
   template <class Call>
   auto gatedCall(IoOpKind op, BlockId id, Call&& call) -> decltype(call());
   template <class Fn>

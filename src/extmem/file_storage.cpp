@@ -186,45 +186,6 @@ void FileStorage::readSlot(BlockId id, Word* dst) const {
   if (direct_active_) std::memcpy(dst, bounce_, block_bytes);
 }
 
-void FileStorage::writeSlot(BlockId id, const Word* src) {
-  const std::size_t block_bytes = words_per_block_ * sizeof(Word);
-  const char* in;
-  std::size_t want;
-  if (direct_active_) {
-    std::memcpy(bounce_, src, block_bytes);
-    std::memset(static_cast<char*>(bounce_) + block_bytes, 0,
-                slot_bytes_ - block_bytes);
-    in = static_cast<char*>(bounce_);
-    want = slot_bytes_;
-  } else {
-    in = reinterpret_cast<const char*>(src);
-    want = block_bytes;
-  }
-  const off_t base = static_cast<off_t>(id * slot_bytes_);
-  std::size_t done = 0;
-  int eintr = 0;
-  try {
-    while (done < want) {
-      const ssize_t n =
-          ops_->pwrite(fd_, in + done, want - done, base + done);
-      if (n > 0) {
-        done += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n == 0) {
-        // A zero-byte pwrite for a nonzero count is a device wedge.
-        throwErrno(IoOpKind::kWrite, id, EIO, "pwrite");
-      }
-      if (errno == EINTR && ++eintr < kEintrBudget) continue;
-      throwErrno(IoOpKind::kWrite, id, errno, "pwrite");
-    }
-  } catch (const PowerLoss& cut) {
-    throw DeviceCrashed(IoOpKind::kWrite, id,
-                        "power lost during pwrite (syscall " +
-                            std::to_string(cut.syscall_index) + ")");
-  }
-}
-
 const Word* FileStorage::load(BlockId id) const {
   Word* frame = mirror_.ptr(id);
   readSlot(id, frame);
@@ -243,7 +204,55 @@ const Word* FileStorage::peek(BlockId id) const noexcept {
   return mirror_.ptr(id);
 }
 
-void FileStorage::store(BlockId id) { writeSlot(id, mirror_.ptr(id)); }
+void FileStorage::storeRun(BlockId first, std::size_t count) {
+  const std::size_t block_bytes = words_per_block_ * sizeof(Word);
+  // A pwrite of `want` bytes at `base`, resumed across EINTR and short
+  // transfers. Failures name the run's first block: the run fails as a
+  // whole (storage_backend.h).
+  const auto transfer = [&](const char* in, std::size_t want, off_t base) {
+    std::size_t done = 0;
+    int eintr = 0;
+    while (done < want) {
+      const ssize_t n =
+          ops_->pwrite(fd_, in + done, want - done, base + done);
+      if (n > 0) {
+        done += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n == 0) {
+        // A zero-byte pwrite for a nonzero count is a device wedge.
+        throwErrno(IoOpKind::kWrite, first, EIO, "pwrite");
+      }
+      if (errno == EINTR && ++eintr < kEintrBudget) continue;
+      throwErrno(IoOpKind::kWrite, first, errno, "pwrite");
+    }
+  };
+  try {
+    if (direct_active_) {
+      // O_DIRECT: slot by slot through the one aligned bounce buffer.
+      char* bounce = static_cast<char*>(bounce_);
+      for (BlockId id = first; id < first + count; ++id) {
+        std::memcpy(bounce, mirror_.ptr(id), block_bytes);
+        std::memset(bounce + block_bytes, 0, slot_bytes_ - block_bytes);
+        transfer(bounce, slot_bytes_, static_cast<off_t>(id * slot_bytes_));
+      }
+      return;
+    }
+    // Buffered slots are exactly the frames, so the part of the run inside
+    // one mirror chunk is one contiguous buffer: one pwrite per chunk.
+    for (BlockId id = first; id < first + count;) {
+      const std::size_t n = std::min<std::size_t>(first + count - id,
+                                                  mirror_.contiguousFrom(id));
+      transfer(reinterpret_cast<const char*>(mirror_.ptr(id)),
+               n * block_bytes, static_cast<off_t>(id * slot_bytes_));
+      id += n;
+    }
+  } catch (const PowerLoss& cut) {
+    throw DeviceCrashed(IoOpKind::kWrite, first,
+                        "power lost during pwrite (syscall " +
+                            std::to_string(cut.syscall_index) + ")");
+  }
+}
 
 void FileStorage::sync() {
   int eintr = 0;

@@ -7,6 +7,11 @@
 // through one posix_memalign'd bounce buffer.
 //
 // Syscall discipline:
+//   - load() is one pread of the block's slot. storeRun() is one pwrite
+//     per mirror-arena chunk the run touches (1,024 blocks; frames are
+//     contiguous only inside a chunk), so a checkpoint flush's sorted
+//     dirty runs cost a handful of syscalls, not one per block. With
+//     O_DIRECT active a run goes slot by slot through the bounce buffer.
 //   - every pread/pwrite runs in an EINTR + short-transfer resume loop
 //     (bounded, so a stuck shim cannot livelock); a pread past EOF
 //     zero-fills, matching fallocate's reserve-as-zeros semantics
@@ -63,7 +68,7 @@ class FileStorage final : public StorageBackend {
   Word* loadMutable(BlockId id) override;
   Word* frame(BlockId id) override;
   const Word* peek(BlockId id) const noexcept override;
-  void store(BlockId id) override;
+  void storeRun(BlockId first, std::size_t count) override;
   void sync() override;
   bool persistent() const noexcept override { return true; }
   std::string_view name() const noexcept override {
@@ -81,7 +86,6 @@ class FileStorage final : public StorageBackend {
 
  private:
   void readSlot(BlockId id, Word* dst) const;
-  void writeSlot(BlockId id, const Word* src);
 
   std::size_t words_per_block_;
   std::string path_;

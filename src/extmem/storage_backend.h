@@ -4,8 +4,8 @@
 // seam: the FaultPolicy gate, the retry ladder around every backend call,
 // crash freezing. A StorageBackend owns the BYTES. Two backends:
 //
-//   MemStorage  — the original in-memory chunk array. load/store are
-//                 pointer math; sync is a no-op. Byte-identical to the
+//   MemStorage  — the original in-memory chunk array. load is pointer
+//                 math; storeRun and sync are no-ops. Byte-identical to the
 //                 pre-seam device, and still the default.
 //   FileStorage — a preallocated file driven by pread/pwrite/fdatasync
 //                 (extmem/file_storage.h). Real errno outcomes map onto
@@ -21,10 +21,14 @@
 //     and its overflow page), so backends keep one stable frame per
 //     block (chunked arena), not a shared bounce buffer.
 //   - loadMutable(id) is load() with write intent: mutate the frame, then
-//     store(id) persists it. frame(id) skips the read (blind overwrite).
-//   - store(id) persists the block's whole frame. Re-issuing it with the
-//     same frame contents is idempotent (a full-block pwrite), which is
-//     what makes the device-level transient retry safe on real files.
+//     storeRun(id, 1) persists it. frame(id) skips the read (blind
+//     overwrite).
+//   - storeRun(first, count) persists the whole frames of the consecutive
+//     blocks [first, first + count). A failure reports the run as a whole
+//     and names `first`; any prefix of the run may have landed by then.
+//     Re-issuing a run with the same frame contents is idempotent (full-
+//     block pwrites at fixed offsets), which is what makes the
+//     device-level transient retry of a whole run safe on real files.
 //   - sync() is the durability barrier (fdatasync); throwing means dirty
 //     state may be lost and the caller must treat the data as unacked.
 //   - Backends throw TransientIoError / PermanentIoError (errno attached)
@@ -70,6 +74,12 @@ class ChunkArena {
            (id % kBlocksPerChunk) * words_per_block_;
   }
 
+  /// Frames [id, id + n) are contiguous in memory for any n up to this:
+  /// the blocks left in id's chunk.
+  std::size_t contiguousFrom(BlockId id) const noexcept {
+    return kBlocksPerChunk - id % kBlocksPerChunk;
+  }
+
  private:
   static constexpr std::size_t kBlocksPerChunk = 1024;
 
@@ -91,21 +101,23 @@ class StorageBackend {
   /// Fetch the block's current contents into its stable frame and return
   /// it (const: logically a read; file backends fill a mutable mirror).
   virtual const Word* load(BlockId id) const = 0;
-  /// load() with write intent: mutate the returned frame, then store(id).
+  /// load() with write intent: mutate the returned frame, then
+  /// storeRun(id, 1).
   virtual Word* loadMutable(BlockId id) = 0;
   /// The block's frame WITHOUT reading the device (blind overwrite path);
-  /// contents are whatever the frame last held. Pair with store(id).
+  /// contents are whatever the frame last held. Pair with storeRun.
   virtual Word* frame(BlockId id) = 0;
   /// Read-only view of the frame, also WITHOUT device I/O: the last-known
   /// contents (zeros if never loaded). Teardown paths on a frozen device
   /// use this — it can never throw.
   virtual const Word* peek(BlockId id) const noexcept = 0;
-  /// Persist the block's whole frame. No-op for memory backends.
-  virtual void store(BlockId id) = 0;
+  /// Persist the whole frames of blocks [first, first + count) (count >=
+  /// 1; see the contract above). No-op for memory backends.
+  virtual void storeRun(BlockId first, std::size_t count) = 0;
   /// Durability barrier (fdatasync for files; no-op in memory).
   virtual void sync() = 0;
 
-  /// True when store()/sync() hit a medium that can actually fail — the
+  /// True when storeRun()/sync() hit a medium that can actually fail — the
   /// device wraps accesses in its retry ladder then (and whenever a
   /// FaultPolicy is installed).
   virtual bool persistent() const noexcept = 0;
@@ -130,7 +142,7 @@ class MemStorage final : public StorageBackend {
   const Word* peek(BlockId id) const noexcept override {
     return arena_.ptr(id);
   }
-  void store(BlockId) override {}
+  void storeRun(BlockId, std::size_t) override {}
   void sync() override {}
   bool persistent() const noexcept override { return false; }
   std::string_view name() const noexcept override { return "mem"; }

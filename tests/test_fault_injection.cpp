@@ -6,7 +6,8 @@
 // fault seam on the mem and file backends (metadata paths never consult
 // the policy; what read and torn-write crash points leave); BlockCache
 // write-back quarantine (dirty data survives a failed eviction and lands
-// after the fault clears); IngestPipeline fail-stop + reset(); ShardedTable
+// after the fault clears; a failed flush run quarantines only the frame
+// its error names); IngestPipeline fail-stop + reset(); ShardedTable
 // per-shard fault isolation; the flight recorder; and the capstone chaos
 // sweep — every table kind plus the sharded façade, in
 // pipelined+cached+arbitrated mode, must produce bit-exact lookup digests
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -32,6 +34,7 @@
 #include "extmem/block_cache.h"
 #include "extmem/block_device.h"
 #include "extmem/fault.h"
+#include "extmem/faulty_file_ops.h"
 #include "extmem/memory_arbiter.h"
 #include "extmem/retry.h"
 #include "obs/flight_recorder.h"
@@ -581,6 +584,90 @@ TEST(CacheQuarantine, GiveUpEscalatesToPermanentAndCounts) {
   std::uint64_t on_disk = 0;
   dev.withRead(a, [&](std::span<const Word> data) { on_disk = data[0]; });
   EXPECT_EQ(on_disk, 111u);
+}
+
+// A flush writes each run of consecutive dirty blocks with one pwrite. The
+// run's failure must keep the per-block outcome: only the frame the error
+// names is quarantined, and the rest of the run lands.
+TEST(CacheQuarantine, FailedRunPwriteQuarantinesOnlyTheNamedFrame) {
+  extmem::FaultyFileOps shim(/*seed=*/17);  // outlives the device
+  StorageOptions options = testing::testStorageOptions();
+  options.backend = StorageOptions::Backend::kFile;
+  options.file_ops = &shim;
+  BlockDevice dev(8, options);
+  extmem::MemoryBudget budget(0);
+  BlockCache cache(dev, budget, 8, BlockCache::WritePolicy::kWriteBack,
+                   extmem::ReplacementKind::kLru);
+  ASSERT_EQ(dev.allocateExtent(6), 0u);
+  for (BlockId id = 0; id < 6; ++id) {
+    cache.withOverwrite(id, [&](std::span<Word> data) { data[0] = 100 + id; });
+  }
+
+  const std::uint64_t writes = dev.stats().writes;
+  shim.failNth(extmem::FileSyscall::kPwrite,
+               shim.count(extmem::FileSyscall::kPwrite) + 1, EIO);
+  try {
+    cache.flush();
+    FAIL() << "the failed pwrite did not surface";
+  } catch (const PermanentIoError& error) {
+    EXPECT_EQ(error.block(), 0u);
+    EXPECT_EQ(error.posixErrno(), EIO);
+  }
+  EXPECT_EQ(cache.quarantinedFrames(), 1u);
+  EXPECT_EQ(cache.dirtyBlocks(), 1u);
+  EXPECT_EQ(cache.writebacks(), 5u);
+  EXPECT_EQ(dev.stats().writes - writes, 6u);  // as six single-block writes
+  for (BlockId id = 1; id < 6; ++id) {
+    EXPECT_EQ(dev.readCopy(id)[0], 100 + id) << "block " << id;
+  }
+
+  // The next barrier lands block 0 and clears the quarantine.
+  EXPECT_NO_THROW(cache.flush());
+  EXPECT_EQ(cache.quarantinedFrames(), 0u);
+  EXPECT_EQ(cache.dirtyBlocks(), 0u);
+  EXPECT_EQ(dev.readCopy(0)[0], 100u);
+}
+
+// With a FaultPolicy installed a run is a loop of single-block writes, so
+// the policy sees the same accesses, in the same order, as block-by-block
+// write-backs would give it.
+TEST(CacheQuarantine, PolicyFaultInsideARunKeepsPerBlockOutcomes) {
+  BlockDevice dev(8, testing::testStorageOptions());
+  FaultPolicy policy(19);
+  extmem::MemoryBudget budget(0);
+  BlockCache cache(dev, budget, 8, BlockCache::WritePolicy::kWriteBack,
+                   extmem::ReplacementKind::kLru);
+  const BlockId first = dev.allocateExtent(5);
+  std::vector<BlockId> ids;
+  for (BlockId i = 0; i < 5; ++i) {
+    ids.push_back(first + i);
+    cache.withOverwrite(first + i,
+                        [&](std::span<Word> data) { data[0] = 500 + i; });
+  }
+  policy.failBlock(ids[2], FaultPolicy::Severity::kPermanent);
+  dev.setFaultPolicy(&policy);
+
+  const std::uint64_t writes = dev.stats().writes;
+  try {
+    cache.flush();
+    FAIL() << "the bad block did not surface";
+  } catch (const IoError& error) {
+    EXPECT_EQ(error.block(), ids[2]);
+  }
+  EXPECT_EQ(cache.quarantinedFrames(), 1u);
+  EXPECT_EQ(cache.writebacks(), 4u);
+  // Five write accesses, one of them faulted before it counted.
+  EXPECT_EQ(policy.opCount(IoOpKind::kWrite), 5u);
+  EXPECT_EQ(dev.stats().writes - writes, 4u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i == 2) continue;
+    EXPECT_EQ(dev.readCopy(ids[i])[0], 500 + i) << "block " << ids[i];
+  }
+
+  policy.clear();
+  EXPECT_NO_THROW(cache.flush());
+  EXPECT_EQ(cache.quarantinedFrames(), 0u);
+  EXPECT_EQ(dev.readCopy(ids[2])[0], 502u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // FileStorage behind the StorageBackend seam: byte-fidelity vs the memory
 // backend, errno→IoError mapping, EINTR/short-transfer resume loops, the
-// retry ladder on real(istic) syscall outcomes, fsync accounting, and the
-// syscall-level power cut. The shim (FaultyFileOps) scripts the kernel;
+// retry ladder on real(istic) syscall outcomes, fsync accounting, the
+// syscall-level power cut, and run stores (one pwrite per arena chunk of
+// a flushed or restored run). The shim (FaultyFileOps) scripts the kernel;
 // nothing above BlockDevice knows files are involved — which is the seam's
 // whole claim. The WalFileTornTail suite at the bottom is the satellite:
 // randomized partial-tail truncation (mid-word and mid-block cuts) on a
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "durability/wal.h"
+#include "extmem/block_cache.h"
 #include "extmem/block_device.h"
 #include "extmem/fault.h"
 #include "extmem/faulty_file_ops.h"
@@ -145,6 +147,18 @@ TEST(FileStorage, DirectIoRequestReportsWhatEngaged) {
   const BlockId id = device.allocate();
   fillBlock(device, id, 0xD1);
   EXPECT_EQ(device.readCopy(id), pattern(0xD1));
+
+  // A multi-block run store (the image restore) round-trips in either
+  // mode; under O_DIRECT it goes slot by slot through the bounce buffer.
+  const BlockId run = device.allocateExtent(3);
+  for (BlockId b = run; b < run + 3; ++b) fillBlock(device, b, 0xD2 + b);
+  const BlockDevice::Image image = device.captureImage();
+  for (BlockId b = id; b < run + 3; ++b) fillBlock(device, b, 0xEE);
+  device.restoreImage(image);
+  EXPECT_EQ(device.readCopy(id), pattern(0xD1));
+  for (BlockId b = run; b < run + 3; ++b) {
+    EXPECT_EQ(device.readCopy(b), pattern(0xD2 + b)) << "block " << b;
+  }
 }
 
 TEST(FileStorage, FreshAndReusedBlocksReadZero) {
@@ -348,6 +362,68 @@ TEST(FileStorage, PowerCutMidWriteKeepsOnlyTheTornPrefix) {
   // Word 2 is half new, half old — all we may assert is "torn".
   for (std::size_t i = 3; i < kWords; ++i) {
     EXPECT_EQ(got[i], old_p[i]) << "word " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Run stores: a cache flush and an image restore write each run of
+// consecutive blocks with one pwrite per 1,024-block arena chunk. The shim
+// has nothing armed — it is a syscall counter here.
+// ---------------------------------------------------------------------------
+
+// Enough blocks to cross the first arena chunk boundary (id 1024).
+constexpr std::size_t kRunBlocks = 1100;
+
+TEST(FileStorage, FlushWritesEachDirtyRunWithOnePwrite) {
+  FaultyFileOps shim(/*seed=*/10);
+  BlockDevice device(kWords, shimOptions(shim));
+  ASSERT_EQ(device.allocateExtent(kRunBlocks), 0u);
+  extmem::MemoryBudget budget(0);
+  extmem::BlockCache cache(device, budget, kRunBlocks,
+                           extmem::BlockCache::WritePolicy::kWriteBack,
+                           extmem::ReplacementKind::kLru);
+  const auto skipped = [](BlockId id) { return id == 10 || id == 500; };
+  for (BlockId id = 0; id < kRunBlocks; ++id) {
+    if (skipped(id)) continue;
+    cache.withOverwrite(id, [&](std::span<Word> block) {
+      const auto p = pattern(id + 1);
+      std::copy(p.begin(), p.end(), block.begin());
+    });
+  }
+
+  const std::uint64_t pwrites = shim.count(FileSyscall::kPwrite);
+  const std::uint64_t writes = device.stats().writes;
+  cache.flush();
+  // [0,10), [11,500), [501,1024) and [1024,1100): the third run stops at
+  // the chunk boundary, so the flush costs 4 syscalls, not 1,098.
+  EXPECT_EQ(shim.count(FileSyscall::kPwrite) - pwrites, 4u);
+  // The counted model is untouched: one write per dirty block.
+  EXPECT_EQ(device.stats().writes - writes, kRunBlocks - 2);
+  EXPECT_EQ(cache.writebacks(), kRunBlocks - 2);
+  EXPECT_EQ(cache.dirtyBlocks(), 0u);
+  for (BlockId id = 0; id < kRunBlocks; ++id) {
+    const std::vector<Word> want =
+        skipped(id) ? std::vector<Word>(kWords, 0) : pattern(id + 1);
+    ASSERT_EQ(device.readCopy(id), want) << "block " << id;
+  }
+}
+
+TEST(FileStorage, ImageRestoreStoresRunsAndRoundTrips) {
+  FaultyFileOps shim(/*seed=*/11);
+  BlockDevice device(kWords, shimOptions(shim));
+  ASSERT_EQ(device.allocateExtent(kRunBlocks), 0u);
+  for (BlockId id = 0; id < kRunBlocks; ++id) fillBlock(device, id, id + 1);
+  const BlockDevice::Image image = device.captureImage();
+  for (BlockId id = 0; id < kRunBlocks; ++id) {
+    fillBlock(device, id, id + 0x10000);
+  }
+
+  const std::uint64_t pwrites = shim.count(FileSyscall::kPwrite);
+  device.restoreImage(image);
+  // The whole image is one run: one pwrite per arena chunk it touches.
+  EXPECT_EQ(shim.count(FileSyscall::kPwrite) - pwrites, 2u);
+  for (BlockId id = 0; id < kRunBlocks; ++id) {
+    ASSERT_EQ(device.readCopy(id), pattern(id + 1)) << "block " << id;
   }
 }
 
