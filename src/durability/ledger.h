@@ -1,6 +1,8 @@
 // Deterministic acknowledged-operations ledger — the reference model the
-// crash-recovery oracle (tests/test_crash_recovery.cpp), bench_wal's
-// recovery gate and bench_chaos's crash arm all share.
+// crash-recovery sweep (tests/test_crash_recovery.cpp), the chaos
+// equivalence sweep (tests/test_fault_injection.cpp) and the pipeline's
+// log-stage tests (tests/test_pipeline.cpp) all share, through one check
+// (expectMatchesLedger in tests/table_test_util.h).
 //
 // The ledger replays the ingest pipeline's windowing rules on the side:
 // submitted ops accumulate into a staging window with the same

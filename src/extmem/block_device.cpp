@@ -80,20 +80,18 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
 }
 
 // One attempt's consultation of the installed policy: a fault throws (and
-// is the only thing stats_.faults_injected counts), a latency spike
-// yields, and a crash point throws CrashRequested — no IoError, so it
-// passes through the ladder to gatedCall.
+// is the only thing stats_.faults_injected counts), and a crash point
+// throws CrashRequested — no IoError, so it passes through the ladder to
+// gatedCall.
 void BlockDevice::gate(IoOpKind op, BlockId id, std::uint32_t attempt) {
   if (fault_policy_ == nullptr) return;
-  std::uint32_t quanta = 0;
   try {
-    quanta = fault_policy_->onAccess(op, id, attempt);
+    fault_policy_->onAccess(op, id, attempt);
   } catch (const IoError&) {
     ++stats_.faults_injected;
     EXTHASH_OBS_COUNT("exthash_io_faults_injected_total", 1);
     throw;
   }
-  yieldQuanta(quanta);
 }
 
 template <class Call>

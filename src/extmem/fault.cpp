@@ -53,12 +53,6 @@ void FaultPolicy::setFailureProbability(double p) {
   for (double& slot : probability_) slot = p;
 }
 
-void FaultPolicy::setLatencySpike(double probability,
-                                  std::uint32_t extra_quanta) {
-  spike_probability_ = probability;
-  spike_quanta_ = extra_quanta;
-}
-
 void FaultPolicy::failOpNumber(IoOpKind op, std::uint64_t nth,
                                Severity severity, Durability durability) {
   op_triggers_.push_back(OpTrigger{op, nth, Trigger{severity, durability}});
@@ -76,8 +70,6 @@ void FaultPolicy::crashOpNumber(IoOpKind op, std::uint64_t nth,
 
 void FaultPolicy::clear() {
   for (double& slot : probability_) slot = 0.0;
-  spike_probability_ = 0.0;
-  spike_quanta_ = 0;
   op_triggers_.clear();
   crash_triggers_.clear();
   block_triggers_.clear();
@@ -99,8 +91,8 @@ void FaultPolicy::inject(const Trigger& trigger, IoOpKind op, BlockId block,
   throw TransientIoError(op, block, attempt, cause);
 }
 
-std::uint32_t FaultPolicy::onAccess(IoOpKind op, BlockId block,
-                                    std::uint32_t attempt) {
+void FaultPolicy::onAccess(IoOpKind op, BlockId block,
+                           std::uint32_t attempt) {
   const std::uint64_t n = ++op_count_[index(op)];
 
   // Crash points outrank every fault: the machine dies before the access
@@ -143,11 +135,6 @@ std::uint32_t FaultPolicy::onAccess(IoOpKind op, BlockId block,
     ++faults_injected_;
     throw TransientIoError(op, block, attempt, "probabilistic fault");
   }
-
-  if (spike_probability_ > 0.0 && nextUniform() < spike_probability_) {
-    return spike_quanta_;
-  }
-  return 0;
 }
 
 }  // namespace exthash::extmem

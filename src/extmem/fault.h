@@ -16,9 +16,9 @@
 //   BlockDevice (BlockDevice::setFaultPolicy). Supports per-op-kind
 //   failure probabilities (each access draws from a seeded stream),
 //   targeted triggers (fail the n-th access of a kind, or every access to
-//   a specific block), latency spikes, and one-shot vs sticky durability.
-//   Tests and benches script exact fault schedules with it; the same seed
-//   replays the same schedule.
+//   a specific block), crash points, and one-shot vs sticky durability.
+//   Tests script exact fault schedules with it; the same seed replays the
+//   same schedule.
 //
 // Fault-before-effect contract: the device consults the policy BEFORE the
 // access counts or mutates anything, so a faulted attempt leaves both the
@@ -145,12 +145,6 @@ class FaultPolicy {
   /// Convenience: the same probability for all three op kinds.
   void setFailureProbability(double p);
 
-  /// With `probability`, an access reports `extra_quanta` additional
-  /// latency yields (a slow-path model: the op succeeds, late).
-  /// Probability 1 models a uniformly slow device (bench_pipeline's
-  /// --latency).
-  void setLatencySpike(double probability, std::uint32_t extra_quanta);
-
   /// Fault the `nth` access of kind `op` (1-based, counted over this
   /// policy's lifetime, attempts included).
   void failOpNumber(IoOpKind op, std::uint64_t nth,
@@ -187,8 +181,9 @@ class FaultPolicy {
 
   /// Device hook, called once per access attempt BEFORE the op takes
   /// effect. Throws TransientIoError / PermanentIoError (attempts = the
-  /// given attempt number) or returns extra latency quanta to simulate.
-  std::uint32_t onAccess(IoOpKind op, BlockId block, std::uint32_t attempt);
+  /// given attempt number) or CrashRequested; returning lets the attempt
+  /// proceed.
+  void onAccess(IoOpKind op, BlockId block, std::uint32_t attempt);
 
  private:
   struct Trigger {
@@ -215,8 +210,6 @@ class FaultPolicy {
 
   std::uint64_t rng_state_;
   double probability_[3] = {0.0, 0.0, 0.0};
-  double spike_probability_ = 0.0;
-  std::uint32_t spike_quanta_ = 0;
   std::uint64_t op_count_[3] = {0, 0, 0};
   std::vector<OpTrigger> op_triggers_;
   std::vector<CrashTrigger> crash_triggers_;

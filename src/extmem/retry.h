@@ -14,10 +14,9 @@
 // (fault-before-effect, see fault.h), and a store is an idempotent
 // full-block write.
 //
-// Determinism: backoff is expressed in scheduler-yield quanta (like a
-// FaultPolicy latency spike) and the jitter is a pure hash of (seed,
-// block, attempt) — no wall clock, no global RNG — so a seeded chaos run
-// replays identically.
+// Determinism: backoff is expressed in scheduler-yield quanta and the
+// jitter is a pure hash of (seed, block, attempt) — no wall clock, no
+// global RNG — so a seeded chaos run replays identically.
 //
 // Accounting: each re-attempt increments IoStats::io_retries; an escape
 // (budget exhausted, or permanent) increments IoStats::io_gave_up; every

@@ -2,10 +2,16 @@
 // paper-style parameters (b records per block, m words of memory).
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "durability/ledger.h"
 #include "extmem/block_device.h"
 #include "extmem/bucket_page.h"
 #include "extmem/memory_budget.h"
@@ -74,6 +80,39 @@ inline std::vector<std::uint64_t> distinctKeys(std::size_t n,
   keys.reserve(n);
   for (std::size_t i = 0; i < n; ++i) keys.push_back(perm(i));
   return keys;
+}
+
+/// The AckLedger oracle: sweeps every key of `universe` and expects
+/// `table` to hold exactly the ledger's fold through `lsn` — the folded
+/// value, or nothing for a key never written or last erased — so a lost
+/// op and a resurrected one both show.
+inline void expectMatchesLedger(tables::ExternalHashTable& table,
+                                const durability::AckLedger& ledger,
+                                std::uint64_t lsn,
+                                std::span<const std::uint64_t> universe) {
+  const auto expected = ledger.stateThroughLsn(lsn);
+  for (const std::uint64_t key : universe) {
+    const auto got = table.lookup(key);
+    const auto it = expected.find(key);
+    if (it == expected.end() || !it->second.has_value()) {
+      EXPECT_EQ(got, std::nullopt) << "key " << key << " resurrected";
+    } else {
+      EXPECT_EQ(got, it->second) << "key " << key << " lost or stale";
+    }
+  }
+}
+
+/// A recovered table must serve, not just read back: each of `new_keys`
+/// (never written before, and distinct, so the insert-only kinds do not
+/// shadow) is inserted through applyBatch and must read back at once.
+inline void expectServesNewKeys(tables::ExternalHashTable& table,
+                                std::span<const std::uint64_t> new_keys) {
+  for (std::size_t i = 0; i < new_keys.size(); ++i) {
+    const std::uint64_t value = 0x5EED0000 + i;
+    table.applyBatch(
+        std::vector<tables::Op>{tables::Op::insertOp(new_keys[i], value)});
+    EXPECT_EQ(table.lookup(new_keys[i]), std::optional<std::uint64_t>(value));
+  }
 }
 
 /// Layout visitor that counts items and collects keys.

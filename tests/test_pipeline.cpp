@@ -11,7 +11,8 @@
 //  * Backpressure: submit blocks once max_pending_batches windows are
 //    sealed and unapplied, and resumes when the worker frees a slot.
 //  * Log stage: with a WAL attached, window k+1 is logged while window k
-//    is still applying, and the log holds every window in seal order.
+//    is still applying, and at every queue depth the log holds every
+//    window once, in seal order.
 //  * Errors on the worker surface on drain().
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -418,6 +420,58 @@ TEST(PipelineWal, NextWindowLogsWhileTheCurrentOneApplies) {
   for (std::size_t k = 1; k <= 2; ++k) {
     EXPECT_EQ(log.records[k - 1].lsn, ledger.lsnOfWindow(k));
     EXPECT_EQ(log.records[k - 1].ops, ledger.window(k));
+  }
+}
+
+// At depth 1 nothing overlaps and each window pays one extra thread hop
+// from the log stage to the worker; at depths 2 and 4 several sealed
+// windows queue between the two stages. At each depth the WAL must hold
+// every window once, in seal order, and the table must equal the fold of
+// the log.
+TEST(PipelineWal, EveryDepthLogsEachWindowOnceInSealOrder) {
+  const auto universe = distinctKeys(256);
+  for (const std::size_t depth : {1u, 2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "depth=" << depth);
+    TestRig rig(8);
+    tables::GeneralConfig cfg;
+    cfg.expected_n = universe.size();
+    auto table = makeTable(TableKind::kChaining, rig.context(), cfg);
+    extmem::BlockDevice wal_device(rig.device->wordsPerBlock(),
+                                   exthash::testing::testStorageOptions());
+    durability::WalWriter wal(wal_device);
+
+    PipelineConfig pc;
+    pc.batch_capacity = 16;
+    pc.max_pending_batches = depth;
+    pc.wal = &wal;
+    durability::AckLedger ledger(pc.batch_capacity);
+    {
+      IngestPipeline pipe(*table, pc);
+      std::mt19937_64 rng(depth);
+      for (std::size_t i = 0; i < 1000; ++i) {
+        const std::uint64_t key = universe[rng() % universe.size()];
+        const Op op =
+            i % 7 == 6 ? Op::eraseOp(key) : Op::insertOp(key, i + 1);
+        pipe.submit(op);
+        ledger.submit(op);
+      }
+      pipe.drain();
+    }
+    ledger.seal();
+
+    const std::size_t windows = ledger.sealedWindows();
+    EXPECT_EQ(wal.recordsAppended(), windows);
+    EXPECT_EQ(wal.durableLsn(), ledger.lsnOfWindow(windows));
+    const durability::WalLog log = durability::WalReader(wal_device).readAll();
+    EXPECT_FALSE(log.torn_tail);
+    ASSERT_EQ(log.records.size(), windows);
+    for (std::size_t k = 1; k <= windows; ++k) {
+      EXPECT_EQ(log.records[k - 1].lsn, ledger.lsnOfWindow(k));
+      EXPECT_EQ(log.records[k - 1].ops, ledger.window(k));
+    }
+    exthash::testing::expectMatchesLedger(*table, ledger,
+                                          ledger.lsnOfWindow(windows),
+                                          universe);
   }
 }
 
