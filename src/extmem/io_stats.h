@@ -8,6 +8,12 @@
 //   rmw    — read-modify-write of one block      (cost 1, raw accesses 2)
 // `cost()` is the paper's I/O count; `rawAccesses()` counts every block
 // transfer for hardware-oriented sanity checks.
+//
+// Every field is a monotone counter, so the difference of two snapshots
+// is the activity between them. Gauges live on the component that owns
+// them — BlockCache::capacityBlocks() and adaptiveTarget(),
+// MemoryArbiter::cacheFrames() and stagingSlots() — and the arbiter
+// counts its own moves().
 #pragma once
 
 #include <cstdint>
@@ -29,26 +35,8 @@ struct IoStats {
   std::uint64_t cache_writebacks = 0;
   // Replacement-policy telemetry (see extmem/replacement_policy.h):
   // misses that hit a ghost directory (2Q's A1out, ARC's B1/B2 — a reuse
-  // the policy remembered after evicting; always 0 for LRU), and the sum
-  // of the caches' adaptive targets (ARC's p, in blocks). The target is a
-  // GAUGE, not a counter: a snapshot sums the current p over every
-  // attached cache (divide by the cache count for a mean), and diffing
-  // snapshots yields the drift over the measured phase.
+  // the policy remembered after evicting; always 0 for LRU).
   std::uint64_t cache_ghost_hits = 0;
-  double cache_adaptive_target = 0.0;
-  // Memory-arbitration telemetry (see extmem/memory_arbiter.h).
-  // cache_frames_current is a GAUGE like cache_adaptive_target: tables
-  // report their attached cache's current capacity (the sharded façade
-  // sums its shards'), so a snapshot is the cache-side memory grant right
-  // now and a diff is the drift over the measured phase.
-  // staging_slots_current (gauge: the arbitrated staging window capacity)
-  // and arbiter_moves (counter: frames moved between the cache and
-  // staging sides or between per-shard caches) are filled by the layer
-  // that owns the arbiter — workload::runMeasurement, or a bench driving
-  // MemoryArbiter directly — since no single table can see them.
-  std::uint64_t cache_frames_current = 0;
-  std::uint64_t staging_slots_current = 0;
-  std::uint64_t arbiter_moves = 0;
   // Device reads issued inside a CacheBypassScope (block_device.h): cold
   // merges and bulk rebuilds that stream data once and would only pollute
   // a cache. Each is also counted in `reads`; this counter attributes
@@ -97,10 +85,6 @@ struct IoStats {
     cache_hits += rhs.cache_hits;
     cache_writebacks += rhs.cache_writebacks;
     cache_ghost_hits += rhs.cache_ghost_hits;
-    cache_adaptive_target += rhs.cache_adaptive_target;
-    cache_frames_current += rhs.cache_frames_current;
-    staging_slots_current += rhs.staging_slots_current;
-    arbiter_moves += rhs.arbiter_moves;
     cache_bypass_reads += rhs.cache_bypass_reads;
     faults_injected += rhs.faults_injected;
     io_retries += rhs.io_retries;
@@ -115,27 +99,17 @@ struct IoStats {
     return s;
   }
 
+  /// Per-counter difference; `rhs` must be the earlier snapshot.
   IoStats operator-(const IoStats& rhs) const noexcept {
     IoStats d;
     d.reads = reads - rhs.reads;
     d.writes = writes - rhs.writes;
-    d.rmws = rhs.rmws <= rmws ? rmws - rhs.rmws : 0;
+    d.rmws = rmws - rhs.rmws;
     d.allocated_blocks = allocated_blocks - rhs.allocated_blocks;
     d.freed_blocks = freed_blocks - rhs.freed_blocks;
     d.cache_hits = cache_hits - rhs.cache_hits;
     d.cache_writebacks = cache_writebacks - rhs.cache_writebacks;
     d.cache_ghost_hits = cache_ghost_hits - rhs.cache_ghost_hits;
-    d.cache_adaptive_target = cache_adaptive_target - rhs.cache_adaptive_target;
-    // Gauges can legitimately drift down across a diff; clamp at zero
-    // like rmws so a shrink never wraps the unsigned fields.
-    d.cache_frames_current = rhs.cache_frames_current <= cache_frames_current
-                                 ? cache_frames_current - rhs.cache_frames_current
-                                 : 0;
-    d.staging_slots_current =
-        rhs.staging_slots_current <= staging_slots_current
-            ? staging_slots_current - rhs.staging_slots_current
-            : 0;
-    d.arbiter_moves = arbiter_moves - rhs.arbiter_moves;
     d.cache_bypass_reads = cache_bypass_reads - rhs.cache_bypass_reads;
     d.faults_injected = faults_injected - rhs.faults_injected;
     d.io_retries = io_retries - rhs.io_retries;

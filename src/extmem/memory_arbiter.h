@@ -143,7 +143,6 @@ class MemoryArbiter {
   std::uint64_t moves() const noexcept { return moves_; }
   /// Rebalance() calls so far.
   std::uint64_t rebalances() const noexcept { return rebalances_; }
-  std::size_t cacheCount() const noexcept { return caches_.size(); }
 
   /// Bound on the retained decision log.
   static constexpr std::size_t kDecisionHistory = 256;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <ostream>
+#include <string_view>
 
 namespace exthash::obs {
 
@@ -169,44 +170,6 @@ void MetricsRegistry::dump(std::ostream& os) const {
       os << withSuffix(name, "_count") << " " << h.count() << "\n";
       os << withSuffix(name, "_max") << " " << h.max() << "\n";
     }
-  }
-}
-
-void MetricsRegistry::writeCsvHeader(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  os << "label";
-  for (const auto& [name, entry] : metrics_) {
-    if (entry.counter || entry.gauge) os << "," << name;
-    if (entry.histogram)
-      os << "," << name << "_p99," << name << "_count";
-  }
-  os << "\n";
-}
-
-void MetricsRegistry::writeCsvRow(std::ostream& os,
-                                  std::string_view label) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  os << label;
-  for (const auto& [name, entry] : metrics_) {
-    if (entry.counter) {
-      os << "," << entry.counter->value();
-    } else if (entry.gauge) {
-      os << "," << entry.gauge->value();
-    }
-    if (entry.histogram) {
-      os << "," << entry.histogram->valueAtQuantile(0.99) << ","
-         << entry.histogram->count();
-    }
-  }
-  os << "\n";
-}
-
-void MetricsRegistry::resetAll() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, entry] : metrics_) {
-    if (entry.counter) entry.counter->reset();
-    if (entry.gauge) entry.gauge->reset();
-    if (entry.histogram) entry.histogram->reset();
   }
 }
 

@@ -1,6 +1,6 @@
 // obs — low-overhead telemetry: counters, gauges, and log-bucketed
 // latency histograms behind a process-global MetricsRegistry, with a
-// Prometheus-exposition text sink and a CSV time-series sampler.
+// Prometheus-exposition text sink.
 //
 // Gating mirrors the EXTHASH_AUDIT pattern (util/audit.h), at two levels:
 //
@@ -15,10 +15,10 @@
 //                 (what the benches' --trace/--metrics flags flip).
 //
 // The classes themselves are ALWAYS compiled — tests exercise the
-// percentile math and the exposition format in every build, and a few
-// always-on consumers (IngestPipeline's apply-latency histogram, the
-// measurement runner's telemetry toggles) record through them directly,
-// gated by their own runtime flags rather than the macro.
+// percentile math and the exposition format in every build, and an
+// always-on consumer (IngestPipeline's apply-latency histogram) records
+// through them directly, gated by its own runtime flag rather than the
+// macro.
 //
 // Threading: Counter / Gauge / LatencyHistogram are lock-free — relaxed
 // atomics on the record path, CAS-max for maxima — and safe to record
@@ -40,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace exthash::obs {
@@ -72,7 +71,6 @@ class Counter {
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -88,7 +86,6 @@ class Gauge {
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { set(0.0); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -199,18 +196,6 @@ class MetricsRegistry {
   /// summaries with quantile="0.5|0.9|0.99|0.999" series plus _sum,
   /// _count, and _max.
   void dump(std::ostream& os) const;
-
-  /// One CSV time-series sample: writeCsvHeader emits
-  /// "label,<metric>,<metric>,..." over every metric currently
-  /// registered (histograms contribute <name>_p99 and <name>_count);
-  /// writeCsvRow emits the matching value row. Benches call this between
-  /// phases for a cheap longitudinal view.
-  void writeCsvHeader(std::ostream& os) const;
-  void writeCsvRow(std::ostream& os, std::string_view label) const;
-
-  /// Zero every registered metric (names stay registered). Quiescent
-  /// points only, like LatencyHistogram::reset.
-  void resetAll();
 
  private:
   struct Entry {

@@ -146,8 +146,8 @@ void traceInstant(const char* name, const char* cat = "exthash") noexcept;
 }  // namespace exthash::obs
 
 // Macro-gated span for library instrumentation sites: compiled out
-// entirely without EXTHASH_TELEMETRY_MODE (benches and the runner use
-// the TraceSpan class directly for their top-level phase spans, which
+// entirely without EXTHASH_TELEMETRY_MODE (benches and perfbench use the
+// TraceSpan class directly for their top-level phase spans, which
 // therefore work in every build).
 #ifdef EXTHASH_TELEMETRY_MODE
 #define EXTHASH_OBS_SPAN(var, name_literal, cat_literal) \

@@ -32,9 +32,8 @@
 //
 // Backpressure: at most `max_pending_batches` sealed batches may be
 // unapplied at once; submit()/flush() block until the worker frees a slot.
-// The staging structures live outside the paper's I/O model (like the
-// measurement runner's key log); their size is bounded by batch_capacity ·
-// (max_pending_batches + 1) operations.
+// The staging structures live outside the paper's I/O model; their size
+// is bounded by batch_capacity · (max_pending_batches + 1) operations.
 //
 // Fail-stop under errors: the first background error (a worker-side
 // CheckFailure, or an IoError that escaped the device's retry budget —
@@ -122,9 +121,9 @@ struct PipelineConfig {
   /// split made explicit. The budget must outlive the pipeline.
   extmem::MemoryBudget* budget = nullptr;
   /// Record per-window applyBatch wall latency into applyLatency(). A
-  /// runtime flag (not tied to EXTHASH_TELEMETRY_MODE) because the
-  /// measurement runner reports p99 apply latency in every build; costs
-  /// two steady_clock reads per applied window when on.
+  /// runtime flag (not tied to EXTHASH_TELEMETRY_MODE) so that
+  /// bench_pipeline and perfbench report the apply tail in every build;
+  /// costs two steady_clock reads per applied window when on.
   bool record_apply_latency = false;
   /// Ack-after-durable mode (see durability/): when set, a log stage (one
   /// more background thread) appends every sealed window to this

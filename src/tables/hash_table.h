@@ -222,8 +222,6 @@ class ExternalHashTable {
       stats.cache_hits += read_cache_->hits();
       stats.cache_writebacks += read_cache_->writebacks();
       stats.cache_ghost_hits += read_cache_->ghostHits();
-      stats.cache_adaptive_target += read_cache_->adaptiveTarget();
-      stats.cache_frames_current += read_cache_->capacityBlocks();
     }
     return stats;
   }

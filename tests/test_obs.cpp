@@ -1,23 +1,25 @@
 // obs/ telemetry layer: histogram percentile math against a known
 // distribution, bucket-geometry invariants, registry find-or-create and
-// the Prometheus / CSV sinks, Chrome-trace JSON round-trips through the
-// repo's own validator, concurrent recording (the TSAN-exercised case),
+// the Prometheus sink, Chrome-trace JSON round-trips through the repo's
+// own validator, concurrent recording (the TSAN-exercised case),
 // compile-time gating of the instrumentation macros, the cache-bypass
-// attribution counter, and the runner's telemetry toggles end-to-end.
+// attribution counter, and the metric families and apply-latency tail of
+// a hand-wired cache + arbiter + pipeline stack.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "extmem/block_cache.h"
+#include "extmem/memory_arbiter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_check.h"
+#include "pipeline/ingest_pipeline.h"
 #include "table_test_util.h"
 #include "tables/factory.h"
-#include "workload/runner.h"
+#include "workload/keygen.h"
 
 namespace exthash::obs {
 namespace {
@@ -150,23 +152,6 @@ TEST(MetricsRegistry, PrometheusDumpGroupsFamiliesAndQuantiles) {
   EXPECT_NE(text.find("exthash_unit_ns_max 100"), std::string::npos);
 }
 
-TEST(MetricsRegistry, CsvHeaderAndRowHaveMatchingShape) {
-  MetricsRegistry reg;
-  reg.counter("exthash_unit_a_total").inc(2);
-  reg.gauge("exthash_unit_b").set(4.0);
-  reg.histogram("exthash_unit_c_ns").record(9);
-
-  std::ostringstream header, row;
-  reg.writeCsvHeader(header);
-  reg.writeCsvRow(row, "phase1");
-  const auto columns = [](const std::string& line) {
-    return static_cast<std::size_t>(
-        std::count(line.begin(), line.end(), ','));
-  };
-  EXPECT_EQ(columns(header.str()), columns(row.str()));
-  EXPECT_EQ(row.str().rfind("phase1,", 0), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Trace sessions
 // ---------------------------------------------------------------------------
@@ -295,23 +280,6 @@ TEST(TelemetryGating, MacrosMatchTheBuildMode) {
 // Instrumented components end-to-end
 // ---------------------------------------------------------------------------
 
-workload::MeasurementConfig telemetryRunConfig(std::size_t n) {
-  workload::MeasurementConfig mc;
-  mc.n = n;
-  mc.queries_per_checkpoint = 32;
-  mc.checkpoints = 3;
-  mc.seed = 9;
-  mc.batch_size = 256;
-  mc.pipelined = true;
-  mc.pipeline_depth = 2;
-  mc.cache_frames = 16;
-  mc.cache_write_back = true;
-  mc.cache_replacement = extmem::ReplacementKind::kArc;
-  mc.arbiter = true;
-  mc.arbiter_interval = 512;
-  return mc;
-}
-
 TEST(TelemetryEndToEnd, MetricFamiliesFromAnInstrumentedRun) {
   if (!compiledIn()) {
     GTEST_SKIP() << "needs -DEXTHASH_TELEMETRY=ON";
@@ -319,14 +287,54 @@ TEST(TelemetryEndToEnd, MetricFamiliesFromAnInstrumentedRun) {
   const bool was_enabled = enabled();
   setEnabled(true);
   {
+    // A chaining table behind a write-back ARC cache, fed by a depth-2
+    // pipeline whose staging windows the arbiter trades against the
+    // cache's frames.
     TestRig rig(16);
+    extmem::BlockCache cache(*rig.device, *rig.memory, 16,
+                             extmem::BlockCache::WritePolicy::kWriteBack,
+                             extmem::ReplacementKind::kArc);
     tables::GeneralConfig cfg;
     cfg.expected_n = 4096;
     cfg.target_load = 0.5;
     auto table =
         makeTable(tables::TableKind::kChaining, rig.context(), cfg);
+    table->attachCache(&cache);
+    extmem::ArbiterConfig ac;
+    ac.slots_per_frame = 4;
+    extmem::MemoryArbiter arbiter(ac);
+    arbiter.addCache(&cache);
+
     workload::ZipfKeyStream keys(17, 2048, 0.99);
-    workload::runMeasurement(*table, keys, telemetryRunConfig(4096));
+    std::vector<std::uint64_t> inserted;
+    {
+      pipeline::PipelineConfig pc;
+      pc.batch_capacity = 256;
+      pc.max_pending_batches = 2;
+      pc.budget = rig.memory.get();
+      pipeline::IngestPipeline pipe(*table, pc);
+      pipeline::IngestPipeline* p = &pipe;
+      arbiter.setStaging(
+          [p](std::size_t slots) { p->setWindowCapacity(slots); },
+          [p] {
+            const auto s = p->stats();
+            return extmem::StagingSignals{s.ops_coalesced, s.submit_waits};
+          },
+          pc.batch_capacity);
+      for (std::size_t i = 1; i <= 4096; ++i) {
+        const std::uint64_t key = keys.next();
+        inserted.push_back(key);
+        pipe.insert(key, i);
+        if (i % 512 == 0) {
+          pipe.submitMaintenance([a = &arbiter] { a->rebalance(); });
+        }
+      }
+      pipe.drain();
+    }
+    // Per-key lookups reach the cache; Zipf repeats make them hit.
+    for (const std::uint64_t key : inserted) {
+      ASSERT_TRUE(table->lookup(key).has_value()) << key;
+    }
   }
   setEnabled(was_enabled);
 
@@ -361,63 +369,27 @@ TEST(TelemetryEndToEnd, BufferedMergeReadsAreAttributedAsBypasses) {
   EXPECT_LE(io.cache_bypass_reads, io.reads);
 }
 
-TEST(TelemetryEndToEnd, RunnerRecordsApplyTailAndWritesAParseableTrace) {
-  const std::string trace_path =
-      ::testing::TempDir() + "/exthash_runner_trace.json";
-  workload::MeasurementConfig mc;
-  mc.n = 2048;
-  mc.queries_per_checkpoint = 16;
-  mc.checkpoints = 2;
-  mc.seed = 21;
-  mc.batch_size = 128;
-  mc.record_apply_latency = true;
-  mc.trace_file = trace_path;
-
-  TestRig rig(16);
-  tables::GeneralConfig cfg;
-  cfg.expected_n = mc.n;
-  cfg.target_load = 0.5;
-  auto table = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
-  workload::DistinctKeyStream keys(23);
-  const auto m = workload::runMeasurement(*table, keys, mc);
-
-  EXPECT_GT(m.apply_batches, 0u);
-  EXPECT_GT(m.apply_p99_us, 0.0);
-  EXPECT_GE(m.apply_p99_us, m.apply_p50_us);
-  EXPECT_GE(m.apply_max_us, m.apply_p99_us / 1.25 - 1e-9);
-
-  std::ifstream in(trace_path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const TraceCheckResult result = checkTraceJson(buf.str());
-  ASSERT_TRUE(result) << result.error;
-  EXPECT_GE(result.events, 2u);  // ingest span + checkpoint samples
-  std::remove(trace_path.c_str());
-}
-
-// Pipelined runs record the apply tail on the worker thread; the readout
+// The pipeline records the apply tail on the worker thread; the readout
 // happens after drain. (Also the TSAN angle for the always-on histogram.)
-TEST(TelemetryEndToEnd, PipelinedRunnerRecordsApplyTail) {
-  workload::MeasurementConfig mc;
-  mc.n = 2048;
-  mc.queries_per_checkpoint = 16;
-  mc.checkpoints = 2;
-  mc.seed = 27;
-  mc.batch_size = 128;
-  mc.pipelined = true;
-  mc.pipeline_depth = 2;
-  mc.record_apply_latency = true;
-
+TEST(TelemetryEndToEnd, PipelineRecordsApplyTail) {
   TestRig rig(16);
   tables::GeneralConfig cfg;
-  cfg.expected_n = mc.n;
+  cfg.expected_n = 2048;
   cfg.target_load = 0.5;
   auto table = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
-  workload::DistinctKeyStream keys(29);
-  const auto m = workload::runMeasurement(*table, keys, mc);
-  EXPECT_GT(m.apply_batches, 0u);
-  EXPECT_GT(m.apply_p99_us, 0.0);
+  pipeline::PipelineConfig pc;
+  pc.batch_capacity = 128;
+  pc.max_pending_batches = 2;
+  pc.record_apply_latency = true;
+  pipeline::IngestPipeline pipe(*table, pc);
+  const auto keys = exthash::testing::distinctKeys(2048);
+  for (std::size_t i = 0; i < keys.size(); ++i) pipe.insert(keys[i], i);
+  pipe.drain();
+
+  const LatencyHistogram& hist = pipe.applyLatency();
+  EXPECT_EQ(hist.count(), 16u);  // 2048 distinct keys in windows of 128
+  EXPECT_GT(hist.valueAtQuantile(0.5), 0u);
+  EXPECT_GE(hist.valueAtQuantile(0.99), hist.valueAtQuantile(0.5));
 }
 
 }  // namespace

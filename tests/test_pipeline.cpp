@@ -8,6 +8,8 @@
 //    apply is blocked.
 //  * Ordered shutdown: drain() applies everything and resolves every
 //    future before returning.
+//  * Counted I/O: distinct-key windows cost what the same applyBatch
+//    calls cost.
 //  * Backpressure: submit blocks once max_pending_batches windows are
 //    sealed and unapplied, and resumes when the worker frees a slot.
 //  * Log stage: with a WAL attached, window k+1 is logged while window k
@@ -327,6 +329,39 @@ TEST(PipelineCoalescing, RepeatedKeyInWindowCostsOneTableOp) {
   EXPECT_EQ(st.ops_coalesced, 49u);
   EXPECT_EQ(st.ops_applied, 2u);
   EXPECT_EQ(table->lookup(7), std::optional<std::uint64_t>(49));
+}
+
+// Distinct keys never coalesce, so a window-128 pipeline hands the table
+// the same eight batches as eight direct applyBatch(128) calls: the same
+// table state and the same counted I/O.
+TEST(PipelineCounts, DistinctKeyWindowsCostTheSameAsBatchedApply) {
+  tables::GeneralConfig cfg;
+  cfg.expected_n = 1024;
+  cfg.target_load = 0.5;
+  const auto keys = distinctKeys(1024);
+  std::vector<Op> ops;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ops.push_back(Op::insertOp(keys[i], i + 1));
+  }
+
+  TestRig batched_rig(32);
+  auto batched = makeTable(TableKind::kChaining, batched_rig.context(), cfg);
+  for (std::size_t i = 0; i < ops.size(); i += 128) {
+    batched->applyBatch(std::span<const Op>(ops).subspan(i, 128));
+  }
+
+  TestRig piped_rig(32);
+  auto piped = makeTable(TableKind::kChaining, piped_rig.context(), cfg);
+  PipelineConfig pc;
+  pc.batch_capacity = 128;
+  pc.max_pending_batches = 2;
+  IngestPipeline pipe(*piped, pc);
+  for (const Op& op : ops) pipe.submit(op);
+  pipe.drain();
+
+  EXPECT_EQ(pipe.stats().ops_coalesced, 0u);
+  EXPECT_EQ(piped->size(), batched->size());
+  EXPECT_EQ(piped->ioStats().cost(), batched->ioStats().cost());
 }
 
 TEST(PipelineBackpressure, SubmitBlocksWhenWindowsAreFullAndResumes) {

@@ -2,13 +2,10 @@
 // semantic: every cache-attached kind (and the sharded façade) must
 // produce identical table contents under LRU, 2Q, and ARC, write-through
 // and write-back, as uncached — while the policies churn through heavy
-// eviction traffic. Plus the sharded frame-split regression and the
-// measurement runner's cache threading.
+// eviction traffic. Plus the sharded frame-split regression.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "extmem/block_cache.h"
@@ -16,8 +13,6 @@
 #include "table_test_util.h"
 #include "tables/factory.h"
 #include "tables/sharded_table.h"
-#include "workload/keygen.h"
-#include "workload/runner.h"
 
 namespace exthash::tables {
 namespace {
@@ -217,73 +212,6 @@ TEST(ShardedPolicyEquivalence, FewerFramesThanShardsLeavesTailUncached) {
   EXPECT_EQ(sharded->shardCache(3), nullptr);
   EXPECT_EQ(sharded->shardCache(0)->capacityBlocks(), 1u);
   EXPECT_EQ(sharded->shardCache(1)->capacityBlocks(), 1u);
-}
-
-// The measurement runner threads the cache spec: a run-scoped cache is
-// attached for the measurement (flushed at every drain point so tu
-// charges deferred writes) and detached before returning.
-TEST(RunnerPolicyThreading, MeasurementSweepsReplacementPolicies) {
-  std::map<std::string, double> tu;
-  for (const auto repl :
-       {extmem::ReplacementKind::kLru, extmem::ReplacementKind::kTwoQ,
-        extmem::ReplacementKind::kArc}) {
-    TestRig rig(kB, /*memory_words=*/0, 42);
-    GeneralConfig cfg;
-    cfg.expected_n = 1024;
-    cfg.target_load = 0.5;
-    auto table = makeTable(TableKind::kChaining, rig.context(), cfg);
-    const std::size_t used_baseline = rig.memory->used();
-    workload::ZipfKeyStream keys(7, 512, 1.1);
-    workload::MeasurementConfig mc;
-    mc.n = 1024;
-    mc.queries_per_checkpoint = 64;
-    mc.checkpoints = 3;
-    mc.seed = 5;
-    mc.batch_size = 64;
-    mc.cache_frames = 8;
-    mc.cache_write_back = true;
-    mc.cache_replacement = repl;
-    const auto m = workload::runMeasurement(*table, keys, mc);
-    // runMeasurement's internal sampling asserts every inserted key is
-    // found; reaching here means contents stayed coherent.
-    EXPECT_GT(m.tu, 0.0);
-    EXPECT_EQ(table->readCache(), nullptr)
-        << "run-scoped cache must detach";
-    EXPECT_EQ(rig.memory->used(), used_baseline)
-        << "cache + ghost charge must release";
-    tu[std::string(extmem::replacementKindName(repl))] = m.tu;
-  }
-  // All policies measured; write-back keeps tu below the uncached rmw-per
-  // -insert cost of 1 on a skewed stream with residency.
-  EXPECT_EQ(tu.size(), 3u);
-  for (const auto& [name, v] : tu) EXPECT_LT(v, 1.5) << name;
-}
-
-// Pipelined mode composes with the run-scoped cache: the pipeline's
-// drain() is the flush barrier.
-TEST(RunnerPolicyThreading, PipelinedMeasurementWithArcCache) {
-  TestRig rig(kB, /*memory_words=*/0, 42);
-  GeneralConfig cfg;
-  cfg.expected_n = 1024;
-  cfg.target_load = 0.5;
-  auto table = makeTable(TableKind::kChaining, rig.context(), cfg);
-  workload::ZipfKeyStream keys(9, 512, 1.1);
-  workload::MeasurementConfig mc;
-  mc.n = 1024;
-  mc.queries_per_checkpoint = 32;
-  mc.checkpoints = 2;
-  mc.seed = 5;
-  mc.batch_size = 128;
-  mc.pipelined = true;
-  mc.pipeline_depth = 2;
-  mc.cache_frames = 8;
-  mc.cache_write_back = true;
-  mc.cache_replacement = extmem::ReplacementKind::kArc;
-  const auto m = workload::runMeasurement(*table, keys, mc);
-  EXPECT_GT(m.tu, 0.0);
-  EXPECT_EQ(table->readCache(), nullptr);
-  EXPECT_GT(table->size(), 0u);
-  EXPECT_LE(table->size(), 512u);
 }
 
 }  // namespace

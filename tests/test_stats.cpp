@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include "extmem/io_stats.h"
 
@@ -59,39 +61,52 @@ TEST(Quantile, Median) {
   EXPECT_DOUBLE_EQ(quantile({5, 1, 3}, 1.0), 5.0);
 }
 
+// Every IoStats field, by name. The static_assert keeps the list whole:
+// a counter added to IoStats without joining it fails to compile.
+struct IoCounter {
+  const char* name;
+  std::uint64_t extmem::IoStats::*field;
+};
+constexpr IoCounter kIoCounters[] = {
+    {"reads", &extmem::IoStats::reads},
+    {"writes", &extmem::IoStats::writes},
+    {"rmws", &extmem::IoStats::rmws},
+    {"allocated_blocks", &extmem::IoStats::allocated_blocks},
+    {"freed_blocks", &extmem::IoStats::freed_blocks},
+    {"cache_hits", &extmem::IoStats::cache_hits},
+    {"cache_writebacks", &extmem::IoStats::cache_writebacks},
+    {"cache_ghost_hits", &extmem::IoStats::cache_ghost_hits},
+    {"cache_bypass_reads", &extmem::IoStats::cache_bypass_reads},
+    {"faults_injected", &extmem::IoStats::faults_injected},
+    {"io_retries", &extmem::IoStats::io_retries},
+    {"io_gave_up", &extmem::IoStats::io_gave_up},
+    {"fsyncs", &extmem::IoStats::fsyncs},
+};
+static_assert(sizeof(extmem::IoStats) ==
+              std::size(kIoCounters) * sizeof(std::uint64_t));
+
 TEST(IoStats, PlusAggregatesEveryCounter) {
+  // Distinct values everywhere, so a counter dropped from operator+= or
+  // operator- (or crossed with another) shows up by name.
   extmem::IoStats a;
-  a.reads = 3;
-  a.writes = 5;
-  a.rmws = 7;
-  a.allocated_blocks = 11;
-  a.freed_blocks = 2;
   extmem::IoStats b;
-  b.reads = 10;
-  b.writes = 20;
-  b.rmws = 30;
-  b.allocated_blocks = 40;
-  b.freed_blocks = 50;
+  for (std::size_t i = 0; i < std::size(kIoCounters); ++i) {
+    a.*kIoCounters[i].field = 3 + 2 * i;
+    b.*kIoCounters[i].field = 100 + 7 * i;
+  }
 
   const extmem::IoStats sum = a + b;
-  EXPECT_EQ(sum.reads, 13u);
-  EXPECT_EQ(sum.writes, 25u);
-  EXPECT_EQ(sum.rmws, 37u);
-  EXPECT_EQ(sum.allocated_blocks, 51u);
-  EXPECT_EQ(sum.freed_blocks, 52u);
-  EXPECT_EQ(sum.cost(), 13u + 25u + 37u);
-  EXPECT_EQ(sum.rawAccesses(), 13u + 25u + 2 * 37u);
-
-  // operator+= matches operator+, and a+b-b round-trips to a (the shard
-  // aggregation / probe-delta pair).
   extmem::IoStats acc = a;
   acc += b;
-  EXPECT_EQ(acc.cost(), sum.cost());
-  EXPECT_EQ(acc.reads, sum.reads);
+  // a+b-b round-trips to a (the shard aggregation / probe-delta pair).
   const extmem::IoStats back = sum - b;
-  EXPECT_EQ(back.reads, a.reads);
-  EXPECT_EQ(back.writes, a.writes);
-  EXPECT_EQ(back.rmws, a.rmws);
+  for (const IoCounter& c : kIoCounters) {
+    EXPECT_EQ(sum.*c.field, a.*c.field + b.*c.field) << c.name;
+    EXPECT_EQ(acc.*c.field, sum.*c.field) << c.name;
+    EXPECT_EQ(back.*c.field, a.*c.field) << c.name;
+  }
+  EXPECT_EQ(sum.cost(), sum.reads + sum.writes + sum.rmws);
+  EXPECT_EQ(sum.rawAccesses(), sum.reads + sum.writes + 2 * sum.rmws);
 }
 
 TEST(IoStats, PlusIdentityAndAccumulation) {

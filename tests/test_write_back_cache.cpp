@@ -439,9 +439,9 @@ TEST(ShardedWriteBackCacheTest, PipelinedIngestStaysCoherent) {
   EXPECT_EQ(table->size(), keys.size());
 }
 
-// runMeasurement's drain points must charge flushed dirty writes to the
-// insert phase: after the run nothing is dirty and tu reflects at least
-// one device write per eventual block.
+// runMeasurement's checkpoint flushes must charge flushed dirty writes to
+// the insert phase: after the run nothing is dirty and tu reflects at
+// least one device write per eventual block.
 TEST(WriteBackCacheRunner, MeasurementFlushesAtDrainPoints) {
   TestRig rig(8);
   BlockCache cache(*rig.device, *rig.memory, 16,
@@ -456,7 +456,6 @@ TEST(WriteBackCacheRunner, MeasurementFlushesAtDrainPoints) {
   mc.n = 512;
   mc.queries_per_checkpoint = 32;
   mc.checkpoints = 4;
-  mc.batch_size = 64;
   mc.seed = 9;
   workload::DistinctKeyStream keys(3);
   const auto m = workload::runMeasurement(*table, keys, mc);
