@@ -63,8 +63,8 @@ class DurabilityManager {
   /// table's devices, purely by convention — nothing couples them).
   /// `storage` selects where their blocks live (default: in memory; a
   /// file-backed choice puts the log and manifests on real files named
-  /// "wal" / "manifest", with every group-commit ack and manifest commit
-  /// gated on a real fdatasync).
+  /// "wal" / "manifest", with every WAL ack and manifest commit gated on
+  /// a real fdatasync).
   explicit DurabilityManager(std::size_t words_per_block,
                              const extmem::StorageOptions& storage = {});
 

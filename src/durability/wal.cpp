@@ -67,14 +67,14 @@ void WalWriter::startNewTailBlock() {
   const BlockId id = device_.allocate();
   blocks_.push_back(id);
   ++seq_counter_;
-  shadow_.assign(device_.wordsPerBlock(), Word{0});
-  shadow_[0] = makeBlockHeader(seq_counter_);
+  tail_block_.assign(device_.wordsPerBlock(), Word{0});
+  tail_block_[0] = makeBlockHeader(seq_counter_);
   tail_used_ = 0;
 }
 
 void WalWriter::flushTailBlock() {
   device_.withOverwrite(blocks_.back(), [&](std::span<Word> data) {
-    std::copy(shadow_.begin(), shadow_.end(), data.begin());
+    std::copy(tail_block_.begin(), tail_block_.end(), data.begin());
   });
   ++blocks_written_;
   EXTHASH_OBS_COUNT("exthash_wal_block_writes_total", 1);
@@ -88,9 +88,10 @@ void WalWriter::appendWordsLocked(std::span<const Word> words) {
     }
     const std::size_t n =
         std::min(words.size() - i, payload_per_block_ - tail_used_);
-    std::copy(words.begin() + static_cast<std::ptrdiff_t>(i),
-              words.begin() + static_cast<std::ptrdiff_t>(i + n),
-              shadow_.begin() + static_cast<std::ptrdiff_t>(1 + tail_used_));
+    std::copy(
+        words.begin() + static_cast<std::ptrdiff_t>(i),
+        words.begin() + static_cast<std::ptrdiff_t>(i + n),
+        tail_block_.begin() + static_cast<std::ptrdiff_t>(1 + tail_used_));
     tail_used_ += n;
     i += n;
     // Rewrite the tail sector now: a record becomes durable the moment
@@ -104,53 +105,23 @@ std::uint64_t WalWriter::append(std::span<const tables::Op> ops) {
   util::MutexLock lock(mutex_);
   if (poisoned_) std::rethrow_exception(poisoned_);
   const std::uint64_t lsn = next_lsn_++;
-  pending_.push_back(Pending{lsn, encodeRecord(lsn, ops)});
-  while (durable_lsn_ < lsn) {
-    if (poisoned_) std::rethrow_exception(poisoned_);
-    if (leader_active_) {
-      cv_.wait(lock);
-      continue;
-    }
-    // Become the leader: take every pending record (the group) and write
-    // it in one tail pass with the mutex released, so more appenders can
-    // enqueue into the next group meanwhile.
-    leader_active_ = true;
-    std::vector<Pending> batch;
-    batch.swap(pending_);
-    const std::uint64_t batch_last = batch.back().lsn;
-    std::exception_ptr err;
-    lock.native().unlock();
-    try {
-      for (const Pending& p : batch) {
-        appendWordsLocked(std::span<const Word>(p.words));
-      }
-      // The barrier is what turns "written" into "durable": no LSN in
-      // this batch is acknowledged until the device certifies the bytes
-      // reached the platter (fdatasync on file backends). A failed or
-      // power-cut barrier lands in the poison path below, exactly like a
-      // failed block write — the batch stays unacknowledged.
-      device_.sync();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    lock.native().lock();
-    leader_active_ = false;
-    if (err) {
-      // A failed flush (crash, device error) poisons the writer: records
-      // in this batch may be partially on disk, so nothing after them can
-      // be acknowledged. Recovery truncates the torn tail and reset()
-      // revives the writer.
-      poisoned_ = err;
-      cv_.notify_all();
-      std::rethrow_exception(err);
-    }
-    durable_lsn_ = std::max(durable_lsn_, batch_last);
-    records_appended_ += batch.size();
-    if (batch.size() > 1) ++group_commits_;
-    EXTHASH_OBS_COUNT("exthash_wal_records_total",
-                      static_cast<std::int64_t>(batch.size()));
-    cv_.notify_all();
+  try {
+    appendWordsLocked(encodeRecord(lsn, ops));
+    // The barrier is what turns "written" into "durable": the LSN is not
+    // acknowledged until the device certifies the bytes reached the
+    // platter (fdatasync on file backends).
+    device_.sync();
+  } catch (...) {
+    // A failed write or barrier (crash, device error) poisons the writer:
+    // the record may be partially on disk, so nothing after it can be
+    // acknowledged. Recovery truncates the torn tail and reset() revives
+    // the writer.
+    poisoned_ = std::current_exception();
+    throw;
   }
+  durable_lsn_ = lsn;
+  ++records_appended_;
+  EXTHASH_OBS_COUNT("exthash_wal_records_total", 1);
   return lsn;
 }
 
@@ -166,11 +137,9 @@ std::uint64_t WalWriter::nextLsn() const {
 
 void WalWriter::reset(std::uint64_t next_lsn) {
   util::MutexLock lock(mutex_);
-  EXTHASH_CHECK_MSG(!leader_active_ && pending_.empty(),
-                    "WAL reset while an append is in flight");
   for (const BlockId id : blocks_) device_.free(id);
   blocks_.clear();
-  shadow_.clear();
+  tail_block_.clear();
   tail_used_ = 0;
   // The fence protects acknowledged LSNs only: an LSN that was assigned
   // but never became durable (its append crashed) may be reissued — its
@@ -190,11 +159,6 @@ std::uint64_t WalWriter::recordsAppended() const {
 std::uint64_t WalWriter::blocksWritten() const {
   util::MutexLock lock(mutex_);
   return blocks_written_;
-}
-
-std::uint64_t WalWriter::groupCommits() const {
-  util::MutexLock lock(mutex_);
-  return group_commits_;
 }
 
 std::size_t WalWriter::blocksInLog() const {
@@ -239,7 +203,7 @@ WalLog WalReader::readAll() {
   std::uint64_t expected_lsn = 0;  // 0 = accept any first LSN
   while (pos < stream.size()) {
     if (stream[pos] != kWalRecordMagic) {
-      // Clean end = nothing but zeros remain (the shadow's zero fill);
+      // Clean end = nothing but zeros remain (the tail block's zero fill);
       // anything else is a tear.
       for (std::size_t j = pos; j < stream.size(); ++j) {
         if (stream[j] != 0) {

@@ -16,7 +16,7 @@
 //                   op_count × (kind, key, value)] ...
 //
 // The tail block is REWRITTEN (one counted overwrite, from an in-memory
-// shadow) each time records extend into it — the sector-rewrite model a
+// copy) each time records extend into it — the sector-rewrite model a
 // real log would use. A crash tearing that rewrite leaves a prefix of the
 // new contents over a suffix of the old; WalReader's per-record checksum
 // and LSN contiguity check catch every such tear and truncate the tail
@@ -24,13 +24,10 @@
 // keep counting across reset()), so a scan can order blocks without any
 // mutable superblock.
 //
-// Group commit: appenders enqueue their encoded record under the mutex;
-// the first appender to find no flush in flight becomes the LEADER,
-// writes every pending record in one tail pass with the mutex RELEASED,
-// then publishes durable_lsn and wakes the followers. Concurrently
-// sealed windows therefore share tail-block writes. The pipeline's
-// single log stage appends serially (leader of a batch of one); the
-// threaded unit test drives real groups.
+// One appender: the pipeline's log stage is the WAL's only production
+// appender and appends serially, so append() writes and syncs its one
+// record under the writer's mutex. Concurrent appends are safe but
+// simply queue on that mutex.
 //
 // Acknowledged = durable: an op is acknowledged once its record's LSN is
 // <= durableLsn(). The crash-recovery oracle snapshots durableLsn() at
@@ -68,14 +65,15 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Append one record for a sealed window; returns its LSN and blocks
-  /// until the record is durable (possibly written by another thread's
-  /// group-commit flush). Thread-safe. Throws the device's error (e.g.
-  /// DeviceCrashed) if the flush fails; once a flush has failed the
-  /// writer is poisoned and every append rethrows until reset().
+  /// Append one record for a sealed window; returns its LSN once the
+  /// record is written and synced. Thread-safe (appends serialize).
+  /// Throws the device's error (e.g. DeviceCrashed) if the write or the
+  /// sync fails; once one has failed the writer is poisoned and every
+  /// append rethrows until reset().
   std::uint64_t append(std::span<const tables::Op> ops);
 
   /// Highest LSN known durable (0 = none). Acknowledgement boundary.
+  /// Callable from any thread; it waits out an append in flight.
   std::uint64_t durableLsn() const;
   /// LSN the next append will receive.
   std::uint64_t nextLsn() const;
@@ -84,21 +82,16 @@ class WalWriter {
   /// sequence at `next_lsn` (monotonicity across resets is the fence
   /// that makes replay idempotent — an LSN is never reused). Called at
   /// checkpoints once every logged record is covered by the manifest.
-  /// Requires quiescence (no append in flight).
   void reset(std::uint64_t next_lsn);
 
   std::uint64_t recordsAppended() const;
   std::uint64_t blocksWritten() const;
-  /// Leader flushes that carried more than one record.
-  std::uint64_t groupCommits() const;
+  /// Always 0: each append writes its own record (see the file comment).
+  /// Kept for perfbench's durability.group_commits metric.
+  std::uint64_t groupCommits() const { return 0; }
   std::size_t blocksInLog() const;
 
  private:
-  struct Pending {
-    std::uint64_t lsn = 0;
-    std::vector<extmem::Word> words;
-  };
-
   void appendWordsLocked(std::span<const extmem::Word> words);
   void startNewTailBlock();
   void flushTailBlock();
@@ -107,19 +100,15 @@ class WalWriter {
   const std::size_t payload_per_block_;
 
   mutable util::Mutex mutex_;
-  util::CondVar cv_;
-  std::vector<Pending> pending_;
-  bool leader_active_ = false;
   std::exception_ptr poisoned_;
   std::uint64_t next_lsn_;
   std::uint64_t durable_lsn_;
   std::uint64_t seq_counter_ = 0;
   std::vector<extmem::BlockId> blocks_;
-  std::vector<extmem::Word> shadow_;  // in-memory copy of the tail block
-  std::size_t tail_used_ = 0;         // payload words used in the tail
+  std::vector<extmem::Word> tail_block_;  // in-memory copy of the tail
+  std::size_t tail_used_ = 0;             // payload words used in it
   std::uint64_t records_appended_ = 0;
   std::uint64_t blocks_written_ = 0;
-  std::uint64_t group_commits_ = 0;
 };
 
 /// One decoded WAL record: the ops of one sealed window.

@@ -22,7 +22,6 @@ BlockDevice::BlockDevice(std::size_t words_per_block,
                                                   << " vs "
                                                   << words_per_block_);
   storage_persistent_ = storage_->persistent();
-  laddered_ = storage_persistent_;
 }
 
 namespace {
@@ -35,15 +34,12 @@ void yieldQuanta(std::uint32_t quanta) {
 
 // ---- The retry ladder ------------------------------------------------------
 //
-// Every backend call of a counted access runs here. The load (or frame)
-// call's attempts each run the FaultPolicy gate first (gatedCall); the
-// store's do not, so the policy sees each attempt of an access once.
-// Transient outcomes, injected or real (EINTR storms, EAGAIN), are
-// re-attempted within the RetryPolicy budget — safe because a faulted
-// gate changes nothing and re-issuing a storeRun is idempotent.
-// Escapes are re-attributed with the device-level op kind and the final
-// attempt count, keeping the cause (the policy's, or the errno detail) as
-// the detail.
+// Every backend call of a persistent backend runs here. Transient
+// outcomes (EINTR storms, EAGAIN) are re-attempted within the RetryPolicy
+// budget — safe because a failed load changes nothing and re-issuing a
+// storeRun is idempotent. Escapes are re-attributed with the device-level
+// op kind and the final attempt count, keeping the block the backend
+// named (for a run, the block whose transfer failed) and its errno detail.
 template <class Fn>
 auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
     -> decltype(fn(1u)) {
@@ -54,7 +50,7 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
       return fn(attempt);
     } catch (const DeviceCrashed&) {
       // Power cut at the syscall layer: freeze, so every later access
-      // throws — exactly like a FaultPolicy crash trigger.
+      // throws.
       frozen_ = true;
       throw;
     } catch (const TransientIoError& error) {
@@ -67,101 +63,32 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
       ++stats_.io_gave_up;
       EXTHASH_OBS_COUNT("exthash_io_gave_up_total", 1);
       obs::flightRecorderNoteFatal(error.what());
-      throw TransientIoError(op, id, attempt, error.detail(),
+      throw TransientIoError(op, error.block(), attempt, error.detail(),
                              error.posixErrno());
     } catch (const PermanentIoError& error) {
       ++stats_.io_gave_up;
       EXTHASH_OBS_COUNT("exthash_io_gave_up_total", 1);
       obs::flightRecorderNoteFatal(error.what());
-      throw PermanentIoError(op, id, attempt, error.detail(),
+      throw PermanentIoError(op, error.block(), attempt, error.detail(),
                              error.posixErrno());
     }
   }
 }
 
-// One attempt's consultation of the installed policy: a fault throws (and
-// is the only thing stats_.faults_injected counts), and a crash point
-// throws CrashRequested — no IoError, so it passes through the ladder to
-// gatedCall.
-void BlockDevice::gate(IoOpKind op, BlockId id, std::uint32_t attempt) {
-  if (fault_policy_ == nullptr) return;
-  try {
-    fault_policy_->onAccess(op, id, attempt);
-  } catch (const IoError&) {
-    ++stats_.faults_injected;
-    EXTHASH_OBS_COUNT("exthash_io_faults_injected_total", 1);
-    throw;
-  }
-}
-
-template <class Call>
-auto BlockDevice::gatedCall(IoOpKind op, BlockId id, Call&& call)
-    -> decltype(call()) {
-  try {
-    return retryBackend(op, id, [&](std::uint32_t attempt) {
-      gate(op, id, attempt);
-      return call();
-    });
-  } catch (const CrashRequested& crash) {
-    return crashPoint(op, id, crash.torn_words);
-  }
-}
-
-// A read crash freezes the device before the backend is touched. A write
-// kind hands the accessor a shadow frame — the old contents for an rmw;
-// an overwrite zero-fills it anyway — whose tear backendStore lands.
-Word* BlockDevice::crashPoint(IoOpKind op, BlockId id,
-                              std::size_t torn_words) {
-  if (op == IoOpKind::kRead) {
-    frozen_ = true;
-    throw DeviceCrashed(op, id, "crash point fired");
-  }
-  shadow_.resize(words_per_block_);
-  if (op == IoOpKind::kRmw) {
-    const Word* old = storage_->load(id);
-    std::copy(old, old + words_per_block_, shadow_.begin());
-  }
-  tear_block_ = id;
-  tear_words_ = std::min(torn_words, words_per_block_);
-  return shadow_.data();
-}
-
 const Word* BlockDevice::backendLoad(BlockId id) {
-  if (!laddered_) return storage_->load(id);
-  return gatedCall(IoOpKind::kRead, id,
-                   [&]() -> const Word* { return storage_->load(id); });
+  if (!storage_persistent_) return storage_->load(id);
+  return retryBackend(IoOpKind::kRead, id,
+                      [&](std::uint32_t) { return storage_->load(id); });
 }
 
 Word* BlockDevice::backendLoadMutable(BlockId id) {
-  if (!laddered_) return storage_->loadMutable(id);
-  return gatedCall(IoOpKind::kRmw, id,
-                   [&] { return storage_->loadMutable(id); });
+  if (!storage_persistent_) return storage_->loadMutable(id);
+  return retryBackend(IoOpKind::kRmw, id,
+                      [&](std::uint32_t) { return storage_->loadMutable(id); });
 }
 
-Word* BlockDevice::backendFrame(BlockId id) {
-  // Frames live in memory on every backend: only a policy's gate can fail.
-  if (fault_policy_ == nullptr) return storage_->frame(id);
-  return gatedCall(IoOpKind::kWrite, id, [&] { return storage_->frame(id); });
-}
-
-void BlockDevice::backendStore(IoOpKind op, BlockId id) {
-  if (!laddered_) return;
-  if (id == tear_block_) {
-    // The crashed write lands torn. Bare backend calls: the machine is
-    // dying, and a failure of the tear itself just loses more.
-    tear_block_ = kInvalidBlock;
-    if (tear_words_ > 0) {
-      std::copy_n(shadow_.begin(), tear_words_, storage_->loadMutable(id));
-      storage_->storeRun(id, 1);
-    }
-    frozen_ = true;
-    throw DeviceCrashed(op, id, "crash point fired (torn write)");
-  }
-  backendStoreRun(op, id, 1);
-}
-
-void BlockDevice::backendStoreRun(IoOpKind op, BlockId first,
-                                  std::size_t count) {
+void BlockDevice::backendStore(IoOpKind op, BlockId first,
+                               std::size_t count) {
   if (!storage_persistent_) return;
   retryBackend(op, first,
                [&](std::uint32_t) { storage_->storeRun(first, count); });
@@ -169,9 +96,10 @@ void BlockDevice::backendStoreRun(IoOpKind op, BlockId first,
 
 void BlockDevice::countedStoreRun(BlockId first, std::size_t count) {
   try {
-    backendStoreRun(IoOpKind::kWrite, first, count);
-  } catch (const IoError&) {
-    ++stats_.writes;  // the write of `first`, the block the error names
+    backendStore(IoOpKind::kWrite, first, count);
+  } catch (const IoError& error) {
+    // The landed prefix, plus the write of the block the error names.
+    stats_.writes += error.block() - first + 1;
     throw;
   }
   stats_.writes += count;
@@ -218,7 +146,7 @@ void BlockDevice::markAllocated(BlockId first, std::size_t count,
     // fallocate'd file regions read back as zeros). Reused ids may carry
     // stale bytes on a persistent medium — scrub them there.
     if (reused && storage_persistent_) {
-      backendStore(IoOpKind::kWrite, first + i);
+      backendStore(IoOpKind::kWrite, first + i, 1);
     }
   }
   blocks_in_use_ += count;
@@ -305,24 +233,23 @@ void BlockDevice::writeCopy(BlockId id, std::span<const Word> contents) {
   });
 }
 
-std::span<const Word> BlockDevice::inspect(BlockId id) const {
+std::span<const Word> BlockDevice::inspect(BlockId id) {
   checkLive(id);
   // A frozen device performs no I/O at all — teardown walks (destructors
   // of the doomed stack inspect chains to free them) must see the
   // last-known frame contents instead of re-raising from a dead backend
   // mid-unwind, which would terminate the process.
   if (frozen_) return {storage_->peek(id), words_per_block_};
-  // Uncounted analysis path: no retry ladder, no statistics — a real
-  // syscall failure propagates as the backend threw it (attempt 1).
-  return {storage_->load(id), words_per_block_};
+  // Uncounted, but retried: buffer-btree's apply path reads leaves here.
+  return {backendLoad(id), words_per_block_};
 }
 
-BlockDevice::Image BlockDevice::captureImage() const {
+BlockDevice::Image BlockDevice::captureImage() {
   Image image;
   image.words_per_block = words_per_block_;
   image.words.resize(next_id_ * words_per_block_);
   for (BlockId id = 0; id < next_id_; ++id) {
-    const Word* p = storage_->load(id);
+    const Word* p = backendLoad(id);
     std::copy(p, p + words_per_block_,
               image.words.begin() +
                   static_cast<std::ptrdiff_t>(id * words_per_block_));
@@ -347,7 +274,7 @@ void BlockDevice::restoreImage(const Image& image) {
     Word* p = storage_->frame(id);
     std::copy(src, src + static_cast<std::ptrdiff_t>(words_per_block_), p);
   }
-  if (next_id_ > 0) backendStoreRun(IoOpKind::kWrite, 0, next_id_);
+  if (next_id_ > 0) backendStore(IoOpKind::kWrite, 0, next_id_);
   allocated_ = image.allocated;
   allocated_.resize(next_id_);
   free_ranges_ = image.free_ranges;

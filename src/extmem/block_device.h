@@ -9,10 +9,10 @@
 // Where the bytes live is a construction-time choice (the StorageBackend
 // seam, extmem/storage_backend.h): the default MemStorage keeps the
 // original in-memory chunk array; FileStorage puts every block in a
-// preallocated file driven by pread/pwrite/fdatasync, with real errno
-// outcomes mapped onto the same IoError taxonomy the FaultPolicy uses.
-// Everything above the device — counted I/O, caching, retry, crash
-// freezing — is backend-agnostic.
+// preallocated file driven by pread/pwrite/fdatasync, with errno outcomes
+// mapped onto the IoError taxonomy (extmem/fault.h). Everything above the
+// device — counted I/O, caching, retry, crash freezing — is
+// backend-agnostic.
 //
 // Extent allocation (`allocateExtent`) returns *contiguous block ids*, so
 // hash tables can place bucket j at `base + j` — a computed address that
@@ -23,25 +23,22 @@
 // the analysis/introspection layer (zone accounting, tests); library code
 // on the query/update path must never use it.
 //
-// Fault injection and retry share one seam: every attempt of a counted
-// access runs the installed FaultPolicy's gate (extmem/fault.h), then the
-// backend call, inside the device's one retry ladder (setRetryPolicy,
-// extmem/retry.h). A faulted gate changes neither the statistics nor the
-// block, and a backend store (storeRun) re-issues full-block pwrites at
-// fixed offsets, so re-attempting one block or a whole run is idempotent
-// and transient faults — injected, or real syscall outcomes (EINTR
-// storms, EAGAIN) on persistent backends — are safely re-attempted.
-// withOverwriteRun stores consecutive blocks with one backend call when
-// no policy is installed; with one, it is a loop of withOverwrite, so
-// every policy schedule sees the same ops in the same order. An access
-// that exhausts the budget, or hits a permanent fault (EIO, ENOSPC),
-// throws Transient-/PermanentIoError; an injected one does so before the
-// caller's callback runs. A DeviceCrashed (injected power cut) freezes the
-// device, exactly like a FaultPolicy crash trigger. inspect(), allocation,
-// free and the image calls are metadata paths and never consult the
-// policy (a file backend can still surface real syscall errors there).
-// The ladder engages only with a policy installed or a persistent
-// backend; otherwise an access is one branch plus the backend call.
+// Faults come only from the backend, and every backend call of a counted
+// access runs inside the device's one retry ladder (setRetryPolicy,
+// extmem/retry.h). A load has no effect until it succeeds, and a store
+// (storeRun) re-issues full-block pwrites at fixed offsets, so
+// re-attempting a load, one block or a whole run is idempotent and
+// transient syscall outcomes (EINTR storms, EAGAIN) are safely
+// re-attempted. An access that exhausts the budget, or hits a permanent
+// fault (EIO, ENOSPC), throws Transient-/PermanentIoError. A read or rmw
+// fails at its load, before the caller's callback runs and before it
+// counts; a blind overwrite fails at its store, after its callback ran,
+// and counts its write. A DeviceCrashed (a power cut under the file
+// backend, see extmem/faulty_file_ops.h) freezes the device. inspect(),
+// allocation, free and the image calls add nothing to cost(), yet the
+// loads of inspect() and captureImage() and the stores of restoreImage()
+// and of a reused id's scrub run in the same ladder. MemStorage cannot
+// fail, so on it an access is one branch plus the backend call.
 #pragma once
 
 #include <algorithm>
@@ -118,10 +115,10 @@ class BlockDevice {
     const std::span<Word> block(p, words_per_block_);
     if constexpr (std::is_void_v<std::invoke_result_t<F&, std::span<Word>>>) {
       std::forward<F>(fn)(block);
-      backendStore(IoOpKind::kRmw, id);
+      backendStore(IoOpKind::kRmw, id, 1);
     } else {
       decltype(auto) result = std::forward<F>(fn)(block);
-      backendStore(IoOpKind::kRmw, id);
+      backendStore(IoOpKind::kRmw, id, 1);
       return result;
     }
   }
@@ -133,16 +130,16 @@ class BlockDevice {
     EXTHASH_OBS_TIMED("exthash_device_write_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kWrite, id);
-    Word* p = backendFrame(id);
+    Word* p = storage_->frame(id);
     ++stats_.writes;
     std::fill(p, p + words_per_block_, Word{0});
     const std::span<Word> block(p, words_per_block_);
     if constexpr (std::is_void_v<std::invoke_result_t<F&, std::span<Word>>>) {
       std::forward<F>(fn)(block);
-      backendStore(IoOpKind::kWrite, id);
+      backendStore(IoOpKind::kWrite, id, 1);
     } else {
       decltype(auto) result = std::forward<F>(fn)(block);
-      backendStore(IoOpKind::kWrite, id);
+      backendStore(IoOpKind::kWrite, id, 1);
       return result;
     }
   }
@@ -150,28 +147,19 @@ class BlockDevice {
   /// Counted blind write of the consecutive blocks [first, first + count):
   /// zeroes each block, then fill(i, std::span<Word>) fills block first + i
   /// (fill must not throw). Counts one write per block, exactly like
-  /// `count` calls to withOverwrite. Without a FaultPolicy every block is
-  /// checked live, filled, and the run is stored with ONE backend call
-  /// inside the retry ladder (one pwrite per arena chunk on a file; a
-  /// retry re-issues the whole run). With a policy installed it is a loop
-  /// of withOverwrite, so the gate, the retry budget and crash points stay
-  /// per access.
+  /// `count` calls to withOverwrite. Every block is checked live and
+  /// filled, and the run is stored with ONE backend call inside the retry
+  /// ladder (one pwrite per arena chunk on a file; a retry re-issues the
+  /// whole run).
   ///
   /// Failure contract: the thrown IoError's block() is the first block of
-  /// the run that did not land, and every block before it landed. When the
-  /// single backend call fails, the error names `first` and counts one
-  /// write — as withOverwrite counts a write whose store failed — even if
-  /// part of the run reached the medium (re-writing it is idempotent).
-  /// Telemetry times the whole run as one exthash_device_write_ns sample.
+  /// the run that did not land, and every block before it landed. The
+  /// failure counts the landed prefix plus the failed block — as
+  /// withOverwrite counts a write whose store failed — even if more of the
+  /// run reached the medium (re-writing it is idempotent). Telemetry times
+  /// the whole run as one exthash_device_write_ns sample.
   template <class Fill>
   void withOverwriteRun(BlockId first, std::size_t count, Fill&& fill) {
-    if (fault_policy_ != nullptr) {
-      for (std::size_t i = 0; i < count; ++i) {
-        withOverwrite(first + i,
-                      [&](std::span<Word> block) { fill(i, block); });
-      }
-      return;
-    }
     EXTHASH_OBS_TIMED("exthash_device_write_ns");
     for (std::size_t i = 0; i < count; ++i) checkLive(first + i);
     throwIfFrozen(IoOpKind::kWrite, first);
@@ -188,23 +176,13 @@ class BlockDevice {
   /// counted on memory backends, so the WAL's barrier cadence is always
   /// measurable). Counted in IoStats::fsyncs, NOT in cost(). A failed
   /// barrier throws PermanentIoError — dirty pages may have been dropped,
-  /// so re-running it cannot certify the data (fsyncgate semantics); an
-  /// injected power cut lands here as DeviceCrashed and freezes the
-  /// device like any other crash point.
+  /// so re-running it cannot certify the data (fsyncgate semantics); a
+  /// power cut lands here as DeviceCrashed and freezes the device like
+  /// any other access it interrupts.
   void sync();
 
-  /// Install a fault scripter consulted on every attempt of a counted
-  /// access (see the file comment; nullptr uninstalls — the default,
-  /// zero-cost path). Non-owning: the policy must outlive its
-  /// installation. Thread compatibility matches the device itself.
-  void setFaultPolicy(FaultPolicy* policy) noexcept {
-    fault_policy_ = policy;
-    laddered_ = storage_persistent_ || policy != nullptr;
-  }
-
-  /// Retry budget for transient faults — injected ones (FaultPolicy) and,
-  /// on persistent backends, real transient syscall outcomes (EINTR,
-  /// EAGAIN) alike.
+  /// Retry budget for transient faults: the transient syscall outcomes
+  /// (EINTR storms, EAGAIN) of a persistent backend.
   void setRetryPolicy(const RetryPolicy& policy) noexcept {
     retry_policy_ = policy;
   }
@@ -221,8 +199,10 @@ class BlockDevice {
   std::vector<Word> readCopy(BlockId id);
   void writeCopy(BlockId id, std::span<const Word> contents);
 
-  /// UNCOUNTED inspection for analysis & invariant checks only.
-  std::span<const Word> inspect(BlockId id) const;
+  /// UNCOUNTED inspection for analysis & invariant checks only. A
+  /// persistent backend's load runs in the retry ladder, as a counted
+  /// read's does.
+  std::span<const Word> inspect(BlockId id);
 
   IoStats& stats() noexcept { return stats_; }
   const IoStats& stats() const noexcept { return stats_; }
@@ -235,35 +215,32 @@ class BlockDevice {
   std::size_t idSpaceSize() const noexcept { return next_id_; }
   bool isAllocated(BlockId id) const noexcept;
 
-  // ---- Crash simulation seam (durability/ + crash tests) ----------------
+  // ---- Crash seam (durability/ + crash tests) ---------------------------
   //
-  // A crash trigger (FaultPolicy::crashOpNumber) freezes the device at a
-  // deterministic access. A read freezes before the backend is touched. A
-  // write kind runs its callback on a shadow frame, and its store lands
-  // only the first `torn_words` words (a torn sector; the rest keep their
-  // old contents) before freezing. Every further counted access then
-  // throws DeviceCrashed until thaw() — the "machine rebooted" seam
-  // recovery runs behind. Metadata paths stay teardown-safe:
+  // A backend call that hits a power cut (DeviceCrashed, raised by
+  // FileStorage when its FaultyFileOps shim cuts the power) freezes the
+  // device: every further counted access throws DeviceCrashed until
+  // thaw() — the "machine rebooted" seam recovery runs behind. What
+  // reached the file (a torn prefix of the interrupted pwrite included)
+  // is all that survives. Metadata paths stay teardown-safe:
   // free()/freeExtent() on a frozen device are silent no-ops (destructors
-  // of the doomed stack unwind through them), while allocation throws.
+  // of the doomed stack unwind through them), inspect() serves the
+  // last-known frames, and allocation throws.
 
   /// Freeze the device by hand (the crash harness freezes every durable
-  /// device the moment any one of them crashes).
+  /// device once the machine died).
   void freeze() noexcept { frozen_ = true; }
   /// Lift a crash freeze — the reboot. Contents stay exactly as the crash
-  /// left them (torn sector included); a tear whose store never ran is
-  /// dropped.
-  void thaw() noexcept {
-    frozen_ = false;
-    tear_block_ = kInvalidBlock;
-  }
+  /// left them on the medium.
+  void thaw() noexcept { frozen_ = false; }
   bool frozen() const noexcept { return frozen_; }
 
   /// Full value snapshot of the device's durable state: block contents,
-  /// allocation map, free ranges, id-space watermark. Statistics and fault
-  /// policies are deliberately excluded. Uncounted — this is
+  /// allocation map, free ranges, id-space watermark. Statistics and the
+  /// retry policy are deliberately excluded. Uncounted — this is
   /// the checkpoint primitive, the in-memory stand-in for "the bytes that
-  /// were on the platter when the checkpoint completed".
+  /// were on the platter when the checkpoint completed". Its loads run in
+  /// the retry ladder, as inspect()'s do.
   struct Image {
     std::size_t words_per_block = 0;
     std::vector<Word> words;  // next_id blocks, words_per_block each
@@ -272,11 +249,11 @@ class BlockDevice {
     BlockId next_id = 0;
     std::size_t blocks_in_use = 0;
   };
-  Image captureImage() const;
+  Image captureImage();
   /// Overwrite the device's entire durable state with `image` (geometry
   /// must match): every frame is filled, then the whole image is stored
   /// as one run through the retry ladder. Does not touch the frozen flag,
-  /// statistics or policies.
+  /// statistics or the retry policy.
   void restoreImage(const Image& image);
 
  private:
@@ -286,25 +263,19 @@ class BlockDevice {
     }
   }
 
-  // Backend access for the accessors above. With a FaultPolicy installed
-  // or a persistent backend, every attempt runs the policy gate and then
-  // the backend call inside the one retry ladder; otherwise it is a single
-  // backend call. Defined in the .cpp, so none of it is instantiated per
-  // callback type.
+  // Backend access for the accessors above. On a persistent backend every
+  // call runs inside the one retry ladder; on MemStorage it is a single
+  // backend call (a store is none at all). Defined in the .cpp, so none of
+  // it is instantiated per callback type.
   const Word* backendLoad(BlockId id);
   Word* backendLoadMutable(BlockId id);
-  Word* backendFrame(BlockId id);
-  void backendStore(IoOpKind op, BlockId id);
   /// Store [first, first + count) with one backend call in the ladder.
-  void backendStoreRun(IoOpKind op, BlockId first, std::size_t count);
-  /// withOverwriteRun's store: counts `count` writes, or one on failure.
+  void backendStore(IoOpKind op, BlockId first, std::size_t count);
+  /// withOverwriteRun's store: counts `count` writes, or on failure the
+  /// landed prefix plus the block the error names.
   void countedStoreRun(BlockId first, std::size_t count);
-  template <class Call>
-  auto gatedCall(IoOpKind op, BlockId id, Call&& call) -> decltype(call());
   template <class Fn>
   auto retryBackend(IoOpKind op, BlockId id, Fn&& fn) -> decltype(fn(1u));
-  void gate(IoOpKind op, BlockId id, std::uint32_t attempt);
-  Word* crashPoint(IoOpKind op, BlockId id, std::size_t torn_words);
 
   void checkLive(BlockId id) const;
   void ensureBacking(BlockId last_id);
@@ -315,7 +286,6 @@ class BlockDevice {
   std::size_t words_per_block_;
   std::unique_ptr<StorageBackend> storage_;  // chunk-stable frames inside
   bool storage_persistent_ = false;
-  bool laddered_ = false;  // persistent backend or a policy installed
   std::vector<std::uint8_t> allocated_;  // per-block liveness
   // Freed ids as maximal ranges (neighbours coalesce on free), in address
   // order, plus a (length, first) index for O(log n) best fit.
@@ -325,15 +295,8 @@ class BlockDevice {
   std::size_t blocks_in_use_ = 0;
   std::uint32_t bypass_depth_ = 0;  // see CacheBypassScope
   bool frozen_ = false;             // crash freeze, see freeze()/thaw()
-  FaultPolicy* fault_policy_ = nullptr;  // non-owning, see setFaultPolicy
   RetryPolicy retry_policy_;
   IoStats stats_;
-  // A write-kind crash point in flight (see crashPoint): the accessor
-  // fills shadow_, and the store of tear_block_ lands its first
-  // tear_words_ words.
-  BlockId tear_block_ = kInvalidBlock;
-  std::size_t tear_words_ = 0;
-  std::vector<Word> shadow_;
 
   friend class CacheBypassScope;
 };

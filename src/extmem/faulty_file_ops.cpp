@@ -8,19 +8,25 @@
 namespace exthash::extmem {
 
 FaultyFileOps::FaultyFileOps(std::uint64_t seed, FileOps* inner)
-    : inner_(inner != nullptr ? inner : &realFileOps()),
-      rng_state_(splitmix64(seed ^ 0xF11E0F5FA017C0DEULL)) {}
+    : inner_(inner != nullptr ? inner : &realFileOps()), seed_(seed) {}
 
 void FaultyFileOps::failNth(FileSyscall sc, std::uint64_t nth, int err,
-                            bool sticky) {
+                            bool sticky, int fd) {
   std::lock_guard<std::mutex> lock(mutex_);
-  triggers_.push_back(Trigger{sc, nth, err, sticky});
+  triggers_.push_back(Trigger{sc, nth, err, sticky, fd});
 }
 
-void FaultyFileOps::setErrnoProbability(FileSyscall sc, double p, int err) {
+void FaultyFileOps::setErrnoProbability(FileSyscall sc, double p, int err,
+                                        int fd) {
   std::lock_guard<std::mutex> lock(mutex_);
-  probability_[index(sc)] = p;
-  probability_err_[index(sc)] = err;
+  Scope& s = scope(fd);
+  s.probability[index(sc)] = p;
+  s.err[index(sc)] = err;
+}
+
+void FaultyFileOps::failRange(int fd, off_t offset, off_t length, int err) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  bad_ranges_.push_back(BadRange{fd, offset, offset + length, err});
 }
 
 void FaultyFileOps::shortReadNth(std::uint64_t nth, std::size_t bytes) {
@@ -42,8 +48,13 @@ void FaultyFileOps::tornWriteNth(std::uint64_t nth, std::size_t bytes,
 void FaultyFileOps::powerCutAfter(std::uint64_t total_syscalls,
                                   std::size_t torn_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  cut_at_ = total_syscalls;
-  cut_torn_bytes_ = torn_bytes;
+  cut_ = PowerCut{total_syscalls, false, kAnyFile, torn_bytes};
+}
+
+void FaultyFileOps::powerCutAtPwrite(std::uint64_t nth,
+                                     std::size_t torn_bytes, int fd) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  cut_ = PowerCut{nth, true, fd, torn_bytes};
 }
 
 void FaultyFileOps::enableWriteBuffering() {
@@ -59,11 +70,13 @@ void FaultyFileOps::restorePower() {
 void FaultyFileOps::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   triggers_.clear();
+  bad_ranges_.clear();
   short_reads_.clear();
   short_writes_.clear();
-  for (double& p : probability_) p = 0;
-  cut_at_ = 0;
-  cut_torn_bytes_ = 0;
+  for (auto& [fd, s] : scopes_) {
+    for (double& p : s.probability) p = 0;
+  }
+  cut_ = PowerCut{};
 }
 
 std::uint64_t FaultyFileOps::syscalls() const {
@@ -71,14 +84,15 @@ std::uint64_t FaultyFileOps::syscalls() const {
   return total_syscalls_;
 }
 
-std::uint64_t FaultyFileOps::count(FileSyscall sc) const {
+std::uint64_t FaultyFileOps::count(FileSyscall sc, int fd) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return per_kind_[index(sc)];
+  const auto it = scopes_.find(fd);
+  return it == scopes_.end() ? 0 : it->second.per_kind[index(sc)];
 }
 
 std::uint64_t FaultyFileOps::faultsInjected() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return faults_injected_;
+  return injected_;
 }
 
 bool FaultyFileOps::powerCutFired() const {
@@ -86,15 +100,29 @@ bool FaultyFileOps::powerCutFired() const {
   return cut_fired_;
 }
 
-double FaultyFileOps::nextUniform() {
-  rng_state_ += 0x9e3779b97f4a7c15ULL;
-  return static_cast<double>(splitmix64(rng_state_) >> 11) * 0x1.0p-53;
+FaultyFileOps::Scope& FaultyFileOps::scope(int fd) {
+  const auto [it, fresh] = scopes_.try_emplace(fd);
+  if (fresh) {
+    // Each file's own stream; kAnyFile (fd + 1 == 0) gets the seed's.
+    it->second.rng = splitmix64(
+        seed_ ^ 0xF11E0F5FA017C0DEULL ^
+        static_cast<std::uint64_t>(fd + 1) * 0x9E3779B97F4A7C15ULL);
+  }
+  return it->second;
+}
+
+int FaultyFileOps::draw(Scope& s, std::size_t k) {
+  const double p = s.probability[k];
+  if (p <= 0.0) return 0;
+  s.rng += 0x9e3779b97f4a7c15ULL;
+  const double u = static_cast<double>(splitmix64(s.rng) >> 11) * 0x1.0p-53;
+  return u < p ? s.err[k] : 0;
 }
 
 void FaultyFileOps::dieLocked() {
   cut_fired_ = true;
   dead_ = true;
-  cut_at_ = 0;
+  cut_ = PowerCut{};
   // The page cache is gone: everything unsynced is lost, even writes
   // issued before the cut — that is the whole point of fsync discipline.
   pending_.clear();
@@ -105,15 +133,28 @@ int FaultyFileOps::gate(FileSyscall sc, const void* in_flight,
                         std::size_t count, int fd, off_t offset) {
   if (dead_) throw PowerLoss{total_syscalls_};
   ++total_syscalls_;
-  const std::uint64_t n = ++per_kind_[index(sc)];
+  const std::size_t k = index(sc);
+  Scope& any = scope(kAnyFile);
+  Scope& mine = scope(fd);
+  const std::uint64_t n = ++any.per_kind[k];
+  const std::uint64_t file_n = ++mine.per_kind[k];
+  // This syscall's number among those a script scoped to `scope` counts
+  // (0 when the script watches another file).
+  const auto seen = [&](int scope) -> std::uint64_t {
+    if (scope == kAnyFile) return n;
+    return scope == fd ? file_n : 0;
+  };
 
-  if (cut_at_ != 0 && total_syscalls_ >= cut_at_) {
+  const std::uint64_t cut_seen = !cut_.pwrite_only ? total_syscalls_
+                                 : sc == FileSyscall::kPwrite ? seen(cut_.fd)
+                                                              : 0;
+  if (cut_.at != 0 && cut_seen >= cut_.at) {
     // A cut mid-pwrite may leave a torn prefix on the platter — written
     // STRAIGHT to the inner layer: a partial writeback that survives
     // while older unsynced writes do not (real page caches reorder).
-    if (sc == FileSyscall::kPwrite && cut_torn_bytes_ > 0 &&
+    if (sc == FileSyscall::kPwrite && cut_.torn_bytes > 0 &&
         in_flight != nullptr) {
-      const std::size_t torn = std::min(cut_torn_bytes_, count);
+      const std::size_t torn = std::min(cut_.torn_bytes, count);
       const char* src = static_cast<const char*>(in_flight);
       std::size_t done = 0;
       while (done < torn) {
@@ -128,20 +169,36 @@ int FaultyFileOps::gate(FileSyscall sc, const void* in_flight,
 
   for (std::size_t i = 0; i < triggers_.size(); ++i) {
     const Trigger& t = triggers_[i];
-    const bool hit = t.sc == sc && (t.sticky ? n >= t.nth : n == t.nth);
-    if (!hit) continue;
+    if (t.sc != sc || (t.sticky ? seen(t.fd) < t.nth : seen(t.fd) != t.nth)) {
+      continue;
+    }
     const int err = t.err;
     if (!t.sticky) {
       triggers_.erase(triggers_.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    ++faults_injected_;
+    ++injected_;
     return err;
   }
 
-  const double p = probability_[index(sc)];
-  if (p > 0.0 && nextUniform() < p) {
-    ++faults_injected_;
-    return probability_err_[index(sc)];
+  int err = draw(mine, k);
+  if (err == 0) err = draw(any, k);
+  if (err != 0) ++injected_;
+  return err;
+}
+
+int FaultyFileOps::clampToBadRanges(int fd, off_t offset,
+                                    std::size_t& count) {
+  for (const BadRange& r : bad_ranges_) {
+    if (r.fd != fd) continue;
+    if (offset >= r.begin && offset < r.end) {
+      ++injected_;
+      return r.err;
+    }
+    if (offset < r.begin &&
+        static_cast<std::size_t>(r.begin - offset) < count) {
+      count = static_cast<std::size_t>(r.begin - offset);
+      ++injected_;
+    }
   }
   return 0;
 }
@@ -176,18 +233,20 @@ ssize_t FaultyFileOps::bufferedPread(int fd, void* buf, std::size_t count,
 ssize_t FaultyFileOps::pread(int fd, void* buf, std::size_t count,
                              off_t offset) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const int err = gate(FileSyscall::kPread, nullptr, count, fd, offset);
+  std::size_t want = count;
+  int err = gate(FileSyscall::kPread, nullptr, count, fd, offset);
+  if (err == 0) err = clampToBadRanges(fd, offset, want);
   if (err != 0) {
     errno = err;
     return -1;
   }
-  std::size_t want = count;
-  const std::uint64_t n = per_kind_[index(FileSyscall::kPread)];
+  const std::uint64_t n =
+      scope(kAnyFile).per_kind[index(FileSyscall::kPread)];
   for (std::size_t i = 0; i < short_reads_.size(); ++i) {
     if (short_reads_[i].nth != n) continue;
     want = std::min(want, short_reads_[i].bytes);
     short_reads_.erase(short_reads_.begin() + static_cast<std::ptrdiff_t>(i));
-    ++faults_injected_;
+    ++injected_;
     break;
   }
   return buffering_ ? bufferedPread(fd, buf, want, offset)
@@ -197,15 +256,17 @@ ssize_t FaultyFileOps::pread(int fd, void* buf, std::size_t count,
 ssize_t FaultyFileOps::pwrite(int fd, const void* buf, std::size_t count,
                               off_t offset) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const int err = gate(FileSyscall::kPwrite, buf, count, fd, offset);
+  std::size_t n_bytes = count;
+  int err = gate(FileSyscall::kPwrite, buf, count, fd, offset);
+  if (err == 0) err = clampToBadRanges(fd, offset, n_bytes);
   if (err != 0) {
     errno = err;
     return -1;
   }
-  std::size_t n_bytes = count;
   bool torn = false;
   int torn_err = 0;
-  const std::uint64_t n = per_kind_[index(FileSyscall::kPwrite)];
+  const std::uint64_t n =
+      scope(kAnyFile).per_kind[index(FileSyscall::kPwrite)];
   for (std::size_t i = 0; i < short_writes_.size(); ++i) {
     if (short_writes_[i].nth != n) continue;
     n_bytes = std::min(n_bytes, short_writes_[i].bytes);
@@ -213,7 +274,7 @@ ssize_t FaultyFileOps::pwrite(int fd, const void* buf, std::size_t count,
     torn_err = short_writes_[i].err;
     short_writes_.erase(short_writes_.begin() +
                         static_cast<std::ptrdiff_t>(i));
-    ++faults_injected_;
+    ++injected_;
     break;
   }
 

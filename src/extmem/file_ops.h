@@ -7,7 +7,7 @@
 // lets the crash-recovery suite drive its full kind × crash-point × seed
 // sweeps against real files — the fault fires in "the kernel", and
 // everything above (FileStorage's retry loops, the device's IoError
-// ladder, the WAL's group commit) reacts exactly as it would in
+// ladder, the WAL's ack-after-sync) reacts exactly as it would in
 // production.
 //
 // Conventions match POSIX: pread/pwrite return the byte count or -1 with
@@ -41,8 +41,7 @@ bool errnoIsTransient(int err) noexcept;
 /// Thrown by a fault shim when an armed power cut fires: the machine is
 /// dead mid-syscall. Deliberately NOT an IoError — it must sail through
 /// FileStorage's EINTR/short-I/O loops untouched; FileStorage converts it
-/// to DeviceCrashed at its boundary so the device freezes exactly like a
-/// FaultPolicy crash point.
+/// to DeviceCrashed at its boundary, which freezes the device.
 struct PowerLoss {
   std::uint64_t syscall_index = 0;  // 1-based index of the fatal syscall
 };

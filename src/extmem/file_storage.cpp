@@ -206,25 +206,27 @@ const Word* FileStorage::peek(BlockId id) const noexcept {
 
 void FileStorage::storeRun(BlockId first, std::size_t count) {
   const std::size_t block_bytes = words_per_block_ * sizeof(Word);
+  BlockId at = first;  // the block the pwrite in flight begins in
   // A pwrite of `want` bytes at `base`, resumed across EINTR and short
-  // transfers. Failures name the run's first block: the run fails as a
-  // whole (storage_backend.h).
+  // transfers. A failure names the block its failing pwrite began in:
+  // every block before it landed (storage_backend.h).
   const auto transfer = [&](const char* in, std::size_t want, off_t base) {
     std::size_t done = 0;
     int eintr = 0;
     while (done < want) {
-      const ssize_t n =
-          ops_->pwrite(fd_, in + done, want - done, base + done);
+      const off_t offset = base + static_cast<off_t>(done);
+      at = static_cast<BlockId>(offset) / slot_bytes_;
+      const ssize_t n = ops_->pwrite(fd_, in + done, want - done, offset);
       if (n > 0) {
         done += static_cast<std::size_t>(n);
         continue;
       }
       if (n == 0) {
         // A zero-byte pwrite for a nonzero count is a device wedge.
-        throwErrno(IoOpKind::kWrite, first, EIO, "pwrite");
+        throwErrno(IoOpKind::kWrite, at, EIO, "pwrite");
       }
       if (errno == EINTR && ++eintr < kEintrBudget) continue;
-      throwErrno(IoOpKind::kWrite, first, errno, "pwrite");
+      throwErrno(IoOpKind::kWrite, at, errno, "pwrite");
     }
   };
   try {
@@ -248,7 +250,7 @@ void FileStorage::storeRun(BlockId first, std::size_t count) {
       id += n;
     }
   } catch (const PowerLoss& cut) {
-    throw DeviceCrashed(IoOpKind::kWrite, first,
+    throw DeviceCrashed(IoOpKind::kWrite, at,
                         "power lost during pwrite (syscall " +
                             std::to_string(cut.syscall_index) + ")");
   }

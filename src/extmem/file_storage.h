@@ -12,6 +12,8 @@
 //     contiguous only inside a chunk), so a checkpoint flush's sorted
 //     dirty runs cost a handful of syscalls, not one per block. With
 //     O_DIRECT active a run goes slot by slot through the bounce buffer.
+//     A failed run names the block where its failing pwrite began, so
+//     every block before the named one landed.
 //   - every pread/pwrite runs in an EINTR + short-transfer resume loop
 //     (bounded, so a stuck shim cannot livelock); a pread past EOF
 //     zero-fills, matching fallocate's reserve-as-zeros semantics
@@ -22,9 +24,8 @@
 //     carry the errno name + strerror text in the message.
 //   - sync() is fdatasync; creation of a fresh file is followed by an
 //     fsync of its parent directory, so the directory entry survives too
-//   - an injected PowerLoss (faulty_file_ops.h) is converted to
-//     DeviceCrashed at this boundary, freezing the owning device exactly
-//     like a FaultPolicy crash point.
+//   - a scripted PowerLoss (faulty_file_ops.h) is converted to
+//     DeviceCrashed at this boundary, which freezes the owning device.
 //
 // The mirror arena holds one frame per block (chunk-stable, see
 // storage_backend.h): load() preads the file into the block's own frame,
@@ -76,6 +77,8 @@ class FileStorage final : public StorageBackend {
   }
 
   const std::string& path() const noexcept { return path_; }
+  /// The open file, for scoping a FaultyFileOps script to this device.
+  int fd() const noexcept { return fd_; }
   /// Whether O_DIRECT actually engaged (tmpfs and friends refuse it; the
   /// constructor falls back to buffered I/O rather than failing).
   bool directActive() const noexcept { return direct_active_; }

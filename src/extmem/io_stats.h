@@ -42,15 +42,13 @@ struct IoStats {
   // a cache. Each is also counted in `reads`; this counter attributes
   // them so telemetry can separate deliberate bypasses from cache misses.
   std::uint64_t cache_bypass_reads = 0;
-  // Fault-injection / resilience telemetry (see extmem/fault.h and
-  // extmem/retry.h). faults_injected counts every fault the installed
-  // FaultPolicy threw (attempts included); io_retries counts the
-  // transient faults the device's retry loop absorbed; io_gave_up counts
-  // the accesses that escaped as an IoError (retry budget exhausted or
-  // permanent). Faulted attempts never count in reads/writes/rmws — the
-  // device consults the policy before the op takes effect, so cost()
-  // keeps the paper's convention under fault schedules.
-  std::uint64_t faults_injected = 0;
+  // Resilience telemetry (see extmem/fault.h and extmem/retry.h):
+  // io_retries counts the transient faults the device's retry loop
+  // absorbed; io_gave_up counts the accesses that escaped as an IoError
+  // (retry budget exhausted or permanent). A retried attempt never counts
+  // again in reads/writes/rmws, so cost() keeps the paper's convention
+  // under faults. The faults a test scripts are counted where they are
+  // injected: FaultyFileOps::faultsInjected().
   std::uint64_t io_retries = 0;
   std::uint64_t io_gave_up = 0;
   // Durability barriers (BlockDevice::sync → fdatasync on file backends;
@@ -86,7 +84,6 @@ struct IoStats {
     cache_writebacks += rhs.cache_writebacks;
     cache_ghost_hits += rhs.cache_ghost_hits;
     cache_bypass_reads += rhs.cache_bypass_reads;
-    faults_injected += rhs.faults_injected;
     io_retries += rhs.io_retries;
     io_gave_up += rhs.io_gave_up;
     fsyncs += rhs.fsyncs;
@@ -111,7 +108,6 @@ struct IoStats {
     d.cache_writebacks = cache_writebacks - rhs.cache_writebacks;
     d.cache_ghost_hits = cache_ghost_hits - rhs.cache_ghost_hits;
     d.cache_bypass_reads = cache_bypass_reads - rhs.cache_bypass_reads;
-    d.faults_injected = faults_injected - rhs.faults_injected;
     d.io_retries = io_retries - rhs.io_retries;
     d.io_gave_up = io_gave_up - rhs.io_gave_up;
     d.fsyncs = fsyncs - rhs.fsyncs;

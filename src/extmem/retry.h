@@ -6,23 +6,19 @@
 // withRead / withWrite / withOverwrite calls — so CachedBlockIo, the
 // BlockCache's miss-fill and write-back paths, and the tables' direct
 // device accesses (merge cursors, run writers) all inherit it. Each
-// attempt runs the installed FaultPolicy's gate, then the backend call. A
-// TransientIoError, injected or from a real syscall (EINTR, EAGAIN), is
-// re-attempted up to RetryPolicy::max_attempts times with exponentially
-// growing, jittered backoff; a PermanentIoError escapes immediately.
-// Re-attempting is always safe: the gate fires before the op takes effect
-// (fault-before-effect, see fault.h), and a store is an idempotent
-// full-block write.
+// attempt is one backend call. A TransientIoError from a syscall (EINTR
+// storms, EAGAIN) is re-attempted up to RetryPolicy::max_attempts times
+// with exponentially growing, jittered backoff; a PermanentIoError
+// escapes immediately. Re-attempting is always safe: a failed load has
+// no effect, and a store is an idempotent full-block write.
 //
 // Determinism: backoff is expressed in scheduler-yield quanta and the
 // jitter is a pure hash of (seed, block, attempt) — no wall clock, no
 // global RNG — so a seeded chaos run replays identically.
 //
 // Accounting: each re-attempt increments IoStats::io_retries; an escape
-// (budget exhausted, or permanent) increments IoStats::io_gave_up; every
-// fault the policy injects (never a real syscall error) increments
-// IoStats::faults_injected. Mirrored to the obs:: metrics registry in
-// telemetry builds.
+// (budget exhausted, or permanent) increments IoStats::io_gave_up.
+// Mirrored to the obs:: metrics registry in telemetry builds.
 #pragma once
 
 #include <cstdint>

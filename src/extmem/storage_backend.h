@@ -1,17 +1,18 @@
 // Storage seam under BlockDevice: where block contents actually live.
 //
-// BlockDevice owns the MODEL — counted I/O, allocation, and one fault
-// seam: the FaultPolicy gate, the retry ladder around every backend call,
-// crash freezing. A StorageBackend owns the BYTES. Two backends:
+// BlockDevice owns the MODEL — counted I/O, allocation, the retry ladder
+// around every backend call, crash freezing. A StorageBackend owns the
+// BYTES. Two backends:
 //
 //   MemStorage  — the original in-memory chunk array. load is pointer
 //                 math; storeRun and sync are no-ops. Byte-identical to the
-//                 pre-seam device, and still the default.
+//                 pre-seam device, still the default, and infallible.
 //   FileStorage — a preallocated file driven by pread/pwrite/fdatasync
-//                 (extmem/file_storage.h). Real errno outcomes map onto
-//                 the same IoError taxonomy the FaultPolicy uses, so the
-//                 device's retry ladder and the quarantine/fail-stop
-//                 layers above it treat both alike.
+//                 (extmem/file_storage.h). errno outcomes map onto the
+//                 IoError taxonomy (extmem/fault.h), which the device's
+//                 retry ladder and the quarantine/fail-stop layers above
+//                 it handle. Tests script those outcomes with a
+//                 FaultyFileOps shim (extmem/faulty_file_ops.h).
 //
 // Contract (what BlockDevice relies on):
 //   - load(id) returns a pointer to the block's current contents that
@@ -24,16 +25,17 @@
 //     storeRun(id, 1) persists it. frame(id) skips the read (blind
 //     overwrite).
 //   - storeRun(first, count) persists the whole frames of the consecutive
-//     blocks [first, first + count). A failure reports the run as a whole
-//     and names `first`; any prefix of the run may have landed by then.
-//     Re-issuing a run with the same frame contents is idempotent (full-
-//     block pwrites at fixed offsets), which is what makes the
-//     device-level transient retry of a whole run safe on real files.
+//     blocks [first, first + count). A failure names the block where the
+//     failing transfer began: every block before it landed, and later
+//     ones may have too. Re-issuing a run with the same frame contents is
+//     idempotent (full-block pwrites at fixed offsets), which is what
+//     makes the device-level transient retry of a whole run safe on real
+//     files.
 //   - sync() is the durability barrier (fdatasync); throwing means dirty
 //     state may be lost and the caller must treat the data as unacked.
 //   - Backends throw TransientIoError / PermanentIoError (errno attached)
-//     on failure and PowerLoss-derived DeviceCrashed on an injected
-//     power cut; MemStorage never throws.
+//     on failure and PowerLoss-derived DeviceCrashed on a scripted power
+//     cut; MemStorage never throws.
 #pragma once
 
 #include <cstdint>
@@ -118,8 +120,7 @@ class StorageBackend {
   virtual void sync() = 0;
 
   /// True when storeRun()/sync() hit a medium that can actually fail — the
-  /// device wraps accesses in its retry ladder then (and whenever a
-  /// FaultPolicy is installed).
+  /// device wraps accesses in its retry ladder then.
   virtual bool persistent() const noexcept = 0;
   virtual std::string_view name() const noexcept = 0;
 };

@@ -45,7 +45,7 @@
 // lookup tasks resolve EVERY pending future with the error, so no future
 // ever hangs or breaks its promise. drain() still waits for the worker to
 // go idle before rethrowing — the table is quiescent afterwards either
-// way. Once the underlying fault clears (e.g. FaultPolicy::clear()),
+// way. Once the underlying fault clears (e.g. FaultyFileOps::clear()),
 // reset() returns the pipeline to service on the surviving table
 // contents: it discards still-staged ops (counted, returned), fails any
 // unsealed lookups with the stored error, and clears the latch.

@@ -48,7 +48,7 @@
 // error, without touching the shard, while healthy shards keep serving.
 // shardErrors() aggregates the latched errors for operators;
 // clearShardErrors() re-admits traffic once the fault cleared (e.g.
-// FaultPolicy::clear() on the shard device). Logic errors (CheckFailure)
+// FaultyFileOps::clear() on the shim under the shard's file). Logic errors (CheckFailure)
 // stay batch-scoped: they are rethrown but do not latch the shard.
 #pragma once
 

@@ -14,6 +14,8 @@
 #include "durability/ledger.h"
 #include "extmem/block_device.h"
 #include "extmem/bucket_page.h"
+#include "extmem/faulty_file_ops.h"
+#include "extmem/file_storage.h"
 #include "extmem/memory_budget.h"
 #include "hashfn/hash_family.h"
 #include "tables/hash_table.h"
@@ -45,6 +47,34 @@ inline extmem::StorageOptions testStorageOptions() {
   return options;
 }
 
+/// File-backed storage whatever EXTHASH_TEST_STORAGE says (its directory
+/// and keep-files settings still apply), with every syscall routed
+/// through `ops` when given: the rig the fault and crash tests share.
+inline extmem::StorageOptions fileStorageOptions(
+    extmem::FileOps* ops = nullptr) {
+  extmem::StorageOptions options = testStorageOptions();
+  options.backend = extmem::StorageOptions::Backend::kFile;
+  options.file_ops = ops;
+  return options;
+}
+
+/// The backing file of a file-backed device, for scoping a FaultyFileOps
+/// script to it.
+inline int fileOf(const extmem::BlockDevice& device) {
+  return dynamic_cast<const extmem::FileStorage&>(device.storage()).fd();
+}
+
+/// Script block `id` of a file-backed device as a bad sector: every
+/// transfer that starts in it fails with `err` until shim.clear().
+inline void failBlock(extmem::FaultyFileOps& shim,
+                      const extmem::BlockDevice& device, extmem::BlockId id,
+                      int err) {
+  const auto& file =
+      dynamic_cast<const extmem::FileStorage&>(device.storage());
+  const auto slot = static_cast<off_t>(file.slotBytes());
+  shim.failRange(file.fd(), static_cast<off_t>(id) * slot, slot, err);
+}
+
 /// A device honoring the env-selected backend (see testStorageOptions).
 inline std::unique_ptr<extmem::BlockDevice> makeTestDevice(
     std::size_t words_per_block) {
@@ -64,6 +94,12 @@ struct TestRig {
       : device(makeTestDevice(extmem::wordsForRecordCapacity(b))),
         memory(std::make_unique<extmem::MemoryBudget>(memory_words)),
         hash(hashfn::makeHash(kind, seed)) {}
+
+  /// Rebuild the (still unused) device on `storage`.
+  void useStorage(const extmem::StorageOptions& storage) {
+    device = std::make_unique<extmem::BlockDevice>(device->wordsPerBlock(),
+                                                   storage);
+  }
 
   tables::TableContext context() const {
     return tables::TableContext{device.get(), memory.get(), hash};

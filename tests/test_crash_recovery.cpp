@@ -1,9 +1,9 @@
-// End-to-end crash-recovery sweep: every table kind runs an acknowledged
-// ingest through the WAL-attached pipeline while a deterministic crash
-// point (seal, torn log append, mid-checkpoint, mid-apply before or after
-// a periodic checkpoint, mid-replay) freezes one of the devices, and
-// recovery on a fresh table must reproduce EXACTLY the acknowledged
-// prefix — the AckLedger replays the same submit stream through the same
+// End-to-end crash-recovery sweep on files: every table kind runs an
+// acknowledged ingest through the WAL-attached pipeline while a
+// deterministic power cut (seal, torn log append, mid-checkpoint,
+// mid-apply before or after a periodic checkpoint, mid-replay, or a
+// seed-drawn syscall) kills the machine, and recovery on a fresh table
+// must reproduce EXACTLY the acknowledged prefix — the AckLedger replays the same submit stream through the same
 // coalescing/seal rules as the pipeline, so ledger window k IS WAL LSN k
 // and stateThroughLsn(L) is the ground truth for any recovered LSN L.
 // Distinct per-op values make the oracle exactly-once: a lost
@@ -12,6 +12,7 @@
 // per-shard recovery (ShardedTable::resetShard) lives at the bottom.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <optional>
 #include <random>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "durability/ledger.h"
 #include "durability/recovery.h"
 #include "extmem/block_device.h"
-#include "extmem/fault.h"
 #include "extmem/faulty_file_ops.h"
 #include "pipeline/ingest_pipeline.h"
 #include "table_test_util.h"
@@ -32,10 +32,8 @@ namespace {
 using durability::AckLedger;
 using durability::DurabilityManager;
 using durability::RecoveryResult;
-using extmem::BlockDevice;
-using extmem::FaultPolicy;
 using extmem::FaultyFileOps;
-using extmem::IoOpKind;
+using extmem::FileSyscall;
 using extmem::StorageOptions;
 using pipeline::IngestPipeline;
 using pipeline::PipelineConfig;
@@ -93,24 +91,25 @@ Workload makeWorkload(TableKind kind, std::uint64_t seed) {
   return w;
 }
 
-// kTableAfterCheckpoint arms the table device late: the first periodic
-// checkpoint's maintenance task installs the policy right after the
-// checkpoint lands, so recovery starts from that checkpoint, not from
-// begin()'s at LSN 0.
+// Which file the power cut counts pwrites on. kTableAfterCheckpoint arms
+// late: the first periodic checkpoint's maintenance task arms the cut
+// right after the checkpoint lands, so recovery starts from that
+// checkpoint, not from begin()'s at LSN 0. kAnySyscall cuts at a
+// seed-drawn syscall of any file instead.
 enum class CrashTarget {
   kNone,
   kWal,
   kManifest,
   kTable,
   kTableAfterCheckpoint,
+  kAnySyscall,
 };
 
 struct CrashPoint {
   const char* name;
   CrashTarget target;
-  std::uint64_t nth_write;   // crash at the nth kWrite (0 = disarmed)
-  std::uint64_t nth_rmw;     // additionally arm the nth kRmw (0 = none)
-  bool torn;                 // tear the crashing write mid-block
+  std::uint64_t nth_pwrite;  // cut at the target file's nth pwrite
+  bool torn;                 // the cut pwrite lands half a block
 };
 
 GeneralConfig sweepConfig(const StorageOptions& storage) {
@@ -124,25 +123,26 @@ GeneralConfig sweepConfig(const StorageOptions& storage) {
   return cfg;
 }
 
-/// File-backed everything (table, WAL, manifests), regardless of the
-/// EXTHASH_TEST_STORAGE environment — the explicit real-file arm.
-StorageOptions fileStorage() {
-  StorageOptions options = testing::testStorageOptions();
-  options.backend = StorageOptions::Backend::kFile;
-  return options;
-}
-
-// Run one ingest-crash-recover episode and check the oracle. Returns the
-// recovery result for point-specific assertions. `storage` selects where
-// every device in the episode (table, shards, WAL, manifests) keeps its
-// blocks; the default follows EXTHASH_TEST_STORAGE like every other test.
+// Run one ingest-crash-recover episode and check the oracle. Every device
+// (table, shards, WAL, manifests) keeps its blocks in a file behind one
+// FaultyFileOps shim, and the crash is a power cut: the pwrite in flight
+// may land a torn prefix, the page-cache model drops every write no sync
+// covered, and every later syscall fails until the reboot. WAL acks and
+// manifest commits gate on sync(), so the acknowledged prefix is exactly
+// the synced prefix, and recovery from the surviving file bytes must
+// reproduce it bit-exactly against the AckLedger oracle. Returns the
+// recovery result for point-specific assertions.
 RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
-                          const CrashPoint& point,
-                          const StorageOptions& storage =
-                              testing::testStorageOptions()) {
+                          const CrashPoint& point) {
+  FaultyFileOps shim(seed);  // declared first: outlives every device
+  const bool cut = point.target != CrashTarget::kNone;
+  // Only a cut clears the page cache; without one, buffered writes of
+  // closed shard files would outlive them under a reused fd.
+  if (cut) shim.enableWriteBuffering();
+  const StorageOptions storage = testing::fileStorageOptions(&shim);
+
   testing::TestRig rig(8);
-  rig.device = std::make_unique<BlockDevice>(rig.device->wordsPerBlock(),
-                                             storage);
+  rig.useStorage(storage);
   const GeneralConfig cfg = sweepConfig(storage);
   const Workload w = makeWorkload(kind, seed);
 
@@ -150,36 +150,45 @@ RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
   DurabilityManager dm(rig.device->wordsPerBlock(), storage);
   dm.begin(*table);
 
-  // Arm the crash AFTER the initial checkpoint so op counts are relative
-  // to the ingest phase. The policy must outlive the pipeline.
-  FaultPolicy policy(/*seed=*/seed);
-  BlockDevice* target = nullptr;
+  // Arm the cut AFTER the initial checkpoint, so pwrite counts are
+  // relative to the ingest phase.
+  const std::size_t block_bytes =
+      rig.device->wordsPerBlock() * sizeof(extmem::Word);
+  const std::size_t torn_bytes = point.torn ? block_bytes / 2 : 0;
+  int target = FaultyFileOps::kAnyFile;
   switch (point.target) {
     case CrashTarget::kNone:
       break;
     case CrashTarget::kWal:
-      target = &dm.walDevice();
+      target = testing::fileOf(dm.walDevice());
       break;
     case CrashTarget::kManifest:
-      target = &dm.manifestDevice();
+      target = testing::fileOf(dm.manifestDevice());
       break;
     case CrashTarget::kTable:
     case CrashTarget::kTableAfterCheckpoint:
-      target = &table->durableDevice(0);
+      target = testing::fileOf(table->durableDevice(0));
       break;
-  }
-  const bool arm_late = point.target == CrashTarget::kTableAfterCheckpoint;
-  const std::size_t torn_words = point.torn ? rig.device->wordsPerBlock() / 2 : 0;
-  if (target != nullptr) {
-    policy.crashOpNumber(IoOpKind::kWrite, point.nth_write, torn_words);
-    if (point.nth_rmw != 0) {
-      policy.crashOpNumber(IoOpKind::kRmw, point.nth_rmw, torn_words);
+    case CrashTarget::kAnySyscall: {
+      // A pseudo-random number of syscalls into the ingest, tearing a
+      // random byte prefix (bytes % 8 != 0 ⇒ mid-word) of whatever pwrite
+      // is in flight.
+      std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ULL + 1);
+      shim.powerCutAfter(shim.syscalls() + 8 + rng() % 120,
+                         /*torn_bytes=*/rng() % (block_bytes + 1));
+      break;
     }
-    if (!arm_late) target->setFaultPolicy(&policy);
   }
+  const auto arm = [&shim, &point, target, torn_bytes] {
+    shim.powerCutAtPwrite(
+        shim.count(FileSyscall::kPwrite, target) + point.nth_pwrite,
+        torn_bytes, target);
+  };
+  const bool arm_late = point.target == CrashTarget::kTableAfterCheckpoint;
+  if (target != FaultyFileOps::kAnyFile && !arm_late) arm();
   // Read and cleared only by maintenance tasks, which run on the worker
   // thread that owns the table.
-  BlockDevice* arm_after_checkpoint = arm_late ? target : nullptr;
+  bool arm_after_checkpoint = arm_late;
 
   AckLedger ledger(kWindow);
   bool crashed = false;
@@ -201,14 +210,13 @@ RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
       ledger.submit(w.ops[i]);
       if ((i + 1) % kCheckpointEvery == 0 && i + 1 < w.ops.size()) {
         try {
-          pipe.submitMaintenance(
-              [&dm, &table, &policy, &arm_after_checkpoint] {
-                dm.checkpoint(*table);
-                if (arm_after_checkpoint != nullptr) {
-                  arm_after_checkpoint->setFaultPolicy(&policy);
-                  arm_after_checkpoint = nullptr;
-                }
-              });
+          pipe.submitMaintenance([&dm, &table, &arm, &arm_after_checkpoint] {
+            dm.checkpoint(*table);
+            if (arm_after_checkpoint) {
+              arm();
+              arm_after_checkpoint = false;
+            }
+          });
         } catch (...) {
           crashed = true;
           break;
@@ -226,22 +234,19 @@ RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
   }
   ledger.seal();  // mirror drain()'s final partial-window seal
 
-  if (target != nullptr) {
-    EXPECT_TRUE(crashed) << "armed crash point never fired";
-    EXPECT_GE(policy.crashesFired(), 1u);
-  } else {
-    EXPECT_FALSE(crashed);
-  }
+  EXPECT_EQ(crashed, cut) << "the power cut never fired, or a clean run "
+                             "failed";
+  EXPECT_EQ(shim.powerCutFired(), cut);
 
   // Snapshot the acknowledgement horizon, then stop the machine.
   const std::uint64_t acked_lsn = dm.wal().durableLsn();
   dm.freezeAll(*table);
-  if (target != nullptr) {
-    target->setFaultPolicy(nullptr);  // before the shard devices die
-    policy.clear();
-  }
-  table.reset();         // frozen devices free as a no-op
-  rig.device->thaw();    // the fresh table's constructor must allocate
+  table.reset();  // frozen devices free as a no-op
+
+  // The reboot: power comes back (unsynced writes stay lost), devices
+  // thaw, and recovery reads what actually survived in the files.
+  shim.restorePower();
+  rig.device->thaw();  // the fresh table's constructor must allocate
 
   auto fresh = makeTable(kind, rig.context(), cfg);
   const RecoveryResult result = dm.recover(*fresh);
@@ -262,72 +267,71 @@ RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
   return result;
 }
 
-void sweep(const CrashPoint& point,
-           const StorageOptions& storage = testing::testStorageOptions()) {
+void sweep(const CrashPoint& point) {
   for (const TableKind kind : tables::kAllTableKindsWithSharded) {
     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       SCOPED_TRACE(::testing::Message()
                    << tableKindName(kind) << " seed=" << seed
                    << " point=" << point.name);
-      runEpisode(kind, seed, point, storage);
+      runEpisode(kind, seed, point);
     }
   }
 }
 
 // A window seal's WAL append vanishes whole: the record was never
 // acknowledged, so recovery must land exactly on the previous window.
-TEST(CrashRecovery, CrashAtWindowSeal) {
-  sweep({"seal", CrashTarget::kWal, /*nth_write=*/5, /*nth_rmw=*/0,
-         /*torn=*/false});
+TEST(CrashRecoveryFileBacked, CrashAtWindowSealOnFiles) {
+  sweep({"seal", CrashTarget::kWal, /*nth_pwrite=*/5, /*torn=*/false});
 }
 
 // The same append tears mid-block: the reader must truncate the torn
 // tail and recovery replays only the durable prefix.
-TEST(CrashRecovery, TornWriteDuringLogAppend) {
-  sweep({"log-append-torn", CrashTarget::kWal, /*nth_write=*/9,
-         /*nth_rmw=*/0, /*torn=*/true});
-}
-
-// Crash inside the periodic checkpoint (manifest payload or header
-// write): the superblock pair guarantees the OTHER slot's checkpoint +
-// the full log still recover everything acknowledged.
-TEST(CrashRecovery, CrashDuringCheckpoint) {
-  sweep({"checkpoint", CrashTarget::kManifest, /*nth_write=*/3,
-         /*nth_rmw=*/0, /*torn=*/true});
-}
-
-// Crash while applyBatch writes table blocks — the window's WAL record
-// is already durable (log-before-apply), so replay reconstructs it; the
-// torn table write itself is immaterial because table devices rewind to
-// the checkpoint images.
-TEST(CrashRecovery, TornWriteDuringApply) {
-  sweep({"apply", CrashTarget::kTable, /*nth_write=*/4, /*nth_rmw=*/6,
+TEST(CrashRecoveryFileBacked, TornWriteDuringLogAppendOnFiles) {
+  sweep({"log-append-torn", CrashTarget::kWal, /*nth_pwrite=*/9,
          /*torn=*/true});
 }
 
-// The same crash, armed after the first periodic checkpoint: the table
-// devices rewind to that checkpoint's images and replay the WAL tail
-// past it, so the manifest path and a non-empty replay both run.
-TEST(CrashRecovery, TornWriteDuringApplyAfterACheckpoint) {
-  sweep({"apply-after-checkpoint", CrashTarget::kTableAfterCheckpoint,
-         /*nth_write=*/4, /*nth_rmw=*/6, /*torn=*/true});
+// Power lost inside the periodic checkpoint (manifest payload or header
+// write): the superblock pair guarantees the OTHER slot's checkpoint +
+// the full log still recover everything acknowledged.
+TEST(CrashRecoveryFileBacked, CrashDuringCheckpointOnFiles) {
+  sweep({"checkpoint", CrashTarget::kManifest, /*nth_pwrite=*/3,
+         /*torn=*/true});
 }
 
-// Crash in the middle of recovery's own replay, then recover AGAIN: the
-// LSN fence makes replay idempotent across attempts.
+// Power lost while applyBatch writes table blocks — the window's WAL
+// record is already durable (log-before-apply), so replay reconstructs
+// it; the torn table write itself is immaterial because table devices
+// rewind to the checkpoint images.
+TEST(CrashRecoveryFileBacked, TornWriteDuringApplyOnFiles) {
+  sweep({"apply", CrashTarget::kTable, /*nth_pwrite=*/4, /*torn=*/true});
+}
+
+// The same cut, armed after the first periodic checkpoint: the table
+// devices rewind to that checkpoint's images and replay the WAL tail past
+// it, so the manifest path and a non-empty replay both run.
+TEST(CrashRecoveryFileBacked, TornWriteDuringApplyAfterACheckpointOnFiles) {
+  sweep({"apply-after-checkpoint", CrashTarget::kTableAfterCheckpoint,
+         /*nth_pwrite=*/4, /*torn=*/true});
+}
+
+// Power lost in the middle of recovery's own replay, then recover AGAIN:
+// the LSN fence makes replay idempotent across attempts.
 TEST(CrashRecovery, CrashMidReplayThenRecoverAgain) {
   for (const TableKind kind : tables::kAllTableKindsWithSharded) {
     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       SCOPED_TRACE(::testing::Message()
                    << tableKindName(kind) << " seed=" << seed
                    << " point=mid-replay");
+      FaultyFileOps shim(seed);  // declared first: outlives every device
+      const StorageOptions storage = testing::fileStorageOptions(&shim);
       testing::TestRig rig(8);
-      const GeneralConfig cfg = sweepConfig(testing::testStorageOptions());
+      rig.useStorage(storage);
+      const GeneralConfig cfg = sweepConfig(storage);
       const Workload w = makeWorkload(kind, seed);
 
       auto table = makeTable(kind, rig.context(), cfg);
-      DurabilityManager dm(rig.device->wordsPerBlock(),
-                           testing::testStorageOptions());
+      DurabilityManager dm(rig.device->wordsPerBlock(), storage);
       dm.begin(*table);
 
       AckLedger ledger(kWindow);
@@ -356,19 +360,23 @@ TEST(CrashRecovery, CrashMidReplayThenRecoverAgain) {
       table.reset();
       rig.device->thaw();
 
-      // Recovery attempt #1 crashes while replay writes into the fresh
-      // table.
-      FaultPolicy policy(seed);
+      // Recovery attempt #1 loses power at the second pwrite replay
+      // issues to the fresh table's file. The first pwrite after arming
+      // restores the checkpoint image (one pwrite per 1,024-block arena
+      // chunk, and these images are smaller).
       auto fresh1 = makeTable(kind, rig.context(), cfg);
-      policy.crashOpNumber(IoOpKind::kWrite, 2, /*torn_words=*/2);
-      policy.crashOpNumber(IoOpKind::kRmw, 2, /*torn_words=*/2);
-      fresh1->durableDevice(0).setFaultPolicy(&policy);
+      const int file = testing::fileOf(fresh1->durableDevice(0));
+      const std::uint64_t wal_reads = dm.walDevice().stats().reads;
+      shim.powerCutAtPwrite(shim.count(FileSyscall::kPwrite, file) + 3,
+                            /*torn_bytes=*/2 * sizeof(extmem::Word), file);
       EXPECT_THROW(dm.recover(*fresh1), extmem::DeviceCrashed);
-      EXPECT_GE(policy.crashesFired(), 1u);
+      EXPECT_TRUE(shim.powerCutFired());
+      // Replay had begun: recovery scans the log only once every image is
+      // restored.
+      EXPECT_GT(dm.walDevice().stats().reads, wal_reads);
 
-      fresh1->durableDevice(0).setFaultPolicy(nullptr);
-      policy.clear();
-      fresh1.reset();  // recover() re-thawed everything on the way out
+      shim.restorePower();  // before the half-recovered table tears down
+      fresh1.reset();       // recover() re-thawed everything on the way out
 
       // Attempt #2 on another fresh table succeeds and lands on the same
       // state — replay is idempotent behind the LSN fence.
@@ -385,151 +393,18 @@ TEST(CrashRecovery, CrashMidReplayThenRecoverAgain) {
 
 // No crash at all: the full sweep doubles as a clean-shutdown recovery
 // check (freeze after drain, recover, everything acknowledged present).
-TEST(CrashRecovery, CleanShutdownRecoversEverything) {
-  for (const TableKind kind : tables::kAllTableKindsWithSharded) {
-    SCOPED_TRACE(tableKindName(kind));
-    const RecoveryResult result = runEpisode(
-        kind, /*seed=*/7, {"none", CrashTarget::kNone, 0, 0, false});
-    EXPECT_FALSE(result.torn_tail);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// File-backed arm: the SAME kind × crash-point × seed sweeps, but every
-// device (table, shards, WAL, manifests) keeps its blocks in real files,
-// every group-commit ack and manifest commit is gated on a real fdatasync,
-// and the crash points fire against that stack. Nothing above the device
-// layer changes — that is the point of the StorageBackend seam.
-// ---------------------------------------------------------------------------
-
-TEST(CrashRecoveryFileBacked, CrashAtWindowSealOnFiles) {
-  sweep({"seal", CrashTarget::kWal, /*nth_write=*/5, /*nth_rmw=*/0,
-         /*torn=*/false},
-        fileStorage());
-}
-
-TEST(CrashRecoveryFileBacked, TornWriteDuringLogAppendOnFiles) {
-  sweep({"log-append-torn", CrashTarget::kWal, /*nth_write=*/9,
-         /*nth_rmw=*/0, /*torn=*/true},
-        fileStorage());
-}
-
-TEST(CrashRecoveryFileBacked, CrashDuringCheckpointOnFiles) {
-  sweep({"checkpoint", CrashTarget::kManifest, /*nth_write=*/3,
-         /*nth_rmw=*/0, /*torn=*/true},
-        fileStorage());
-}
-
-TEST(CrashRecoveryFileBacked, TornWriteDuringApplyOnFiles) {
-  sweep({"apply", CrashTarget::kTable, /*nth_write=*/4, /*nth_rmw=*/6,
-         /*torn=*/true},
-        fileStorage());
-}
-
-TEST(CrashRecoveryFileBacked, TornWriteDuringApplyAfterACheckpointOnFiles) {
-  sweep({"apply-after-checkpoint", CrashTarget::kTableAfterCheckpoint,
-         /*nth_write=*/4, /*nth_rmw=*/6, /*torn=*/true},
-        fileStorage());
-}
-
 TEST(CrashRecoveryFileBacked, CleanShutdownRecoversEverythingOnFiles) {
   for (const TableKind kind : tables::kAllTableKindsWithSharded) {
     SCOPED_TRACE(tableKindName(kind));
     const RecoveryResult result =
-        runEpisode(kind, /*seed=*/7, {"none", CrashTarget::kNone, 0, 0, false},
-                   fileStorage());
+        runEpisode(kind, /*seed=*/7, {"none", CrashTarget::kNone, 0, false});
     EXPECT_FALSE(result.torn_tail);
   }
 }
 
-// The power-loss arm: instead of a FaultPolicy trigger at a counted
-// access, the machine dies at the Nth SYSCALL — beneath the EINTR loops,
-// beneath the retry ladder — with the FaultyFileOps page-cache model
-// dropping every unsynced buffered write (the in-flight pwrite may keep a
-// torn byte prefix, mid-word cuts included). Because WAL acks and
-// manifest commits gate on sync(), the acknowledged prefix is exactly the
-// synced prefix, and recovery from the surviving file bytes must
-// reproduce it bit-exactly against the AckLedger oracle.
-void runPowerCutEpisode(TableKind kind, std::uint64_t seed) {
-  FaultyFileOps shim(seed);  // declared first: outlives every device
-  shim.enableWriteBuffering();
-  StorageOptions durable = fileStorage();
-  durable.file_ops = &shim;
-
-  testing::TestRig rig(8);
-  rig.device = std::make_unique<BlockDevice>(rig.device->wordsPerBlock(),
-                                             durable);
-  const GeneralConfig cfg = sweepConfig(durable);
-  const Workload w = makeWorkload(kind, seed);
-
-  auto table = makeTable(kind, rig.context(), cfg);
-  DurabilityManager dm(rig.device->wordsPerBlock(), durable);
-  dm.begin(*table);
-
-  // Kill the machine a pseudo-random number of syscalls into the ingest,
-  // tearing a random byte prefix (bytes % 8 != 0 ⇒ mid-word) of whatever
-  // pwrite is in flight.
-  std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ULL + 1);
-  const std::size_t block_bytes =
-      rig.device->wordsPerBlock() * sizeof(extmem::Word);
-  shim.powerCutAfter(shim.syscalls() + 8 + rng() % 120,
-                     /*torn_bytes=*/rng() % (block_bytes + 1));
-
-  AckLedger ledger(kWindow);
-  bool crashed = false;
-  {
-    PipelineConfig pcfg;
-    pcfg.batch_capacity = kWindow;
-    pcfg.max_pending_batches = 2;
-    pcfg.wal = &dm.wal();
-    IngestPipeline pipe(*table, pcfg);
-    for (std::size_t i = 0; i < w.ops.size(); ++i) {
-      try {
-        pipe.submit(w.ops[i]);
-      } catch (...) {
-        crashed = true;
-        break;
-      }
-      ledger.submit(w.ops[i]);
-      if ((i + 1) % kCheckpointEvery == 0 && i + 1 < w.ops.size()) {
-        try {
-          pipe.submitMaintenance([&dm, &table] { dm.checkpoint(*table); });
-        } catch (...) {
-          crashed = true;
-          break;
-        }
-      }
-    }
-    if (!crashed) {
-      try {
-        pipe.drain();
-      } catch (...) {
-        crashed = true;
-      }
-    }
-  }
-  ledger.seal();
-  ASSERT_TRUE(crashed) << "power cut never fired";
-  EXPECT_TRUE(shim.powerCutFired());
-
-  const std::uint64_t acked_lsn = dm.wal().durableLsn();
-  dm.freezeAll(*table);
-  table.reset();
-
-  // The reboot: power comes back (unsynced writes stay lost), devices
-  // thaw, and recovery reads what actually survived in the files.
-  shim.restorePower();
-  rig.device->thaw();
-
-  auto fresh = makeTable(kind, rig.context(), cfg);
-  const RecoveryResult result = dm.recover(*fresh);
-  EXPECT_GE(result.recovered_lsn, acked_lsn);
-
-  testing::expectMatchesLedger(*fresh, ledger, result.recovered_lsn,
-                               w.universe);
-  testing::expectServesNewKeys(*fresh, w.unseen);
-}
-
+// The power cut at the Nth SYSCALL of any file — beneath the EINTR loops,
+// beneath the retry ladder — with the in-flight pwrite keeping a torn
+// byte prefix, mid-word cuts included.
 TEST(CrashRecoveryFileBacked, SyscallPowerCutAgainstAckLedgerOracle) {
   for (const TableKind kind :
        {TableKind::kBuffered, TableKind::kChaining, TableKind::kSharded}) {
@@ -537,7 +412,8 @@ TEST(CrashRecoveryFileBacked, SyscallPowerCutAgainstAckLedgerOracle) {
       SCOPED_TRACE(::testing::Message()
                    << tableKindName(kind) << " seed=" << seed
                    << " point=syscall-power-cut");
-      runPowerCutEpisode(kind, seed);
+      runEpisode(kind, seed,
+                 {"syscall-power-cut", CrashTarget::kAnySyscall, 0, false});
     }
   }
 }
@@ -548,12 +424,14 @@ TEST(CrashRecoveryFileBacked, SyscallPowerCutAgainstAckLedgerOracle) {
 // ---------------------------------------------------------------------------
 
 TEST(CrashRecovery, ResetShardServesWhileOthersKeepServing) {
+  FaultyFileOps shim(/*seed=*/3);
   testing::TestRig rig(8);
   tables::ShardedTableConfig scfg;
   scfg.shards = 3;
   scfg.inner = TableKind::kChaining;
   scfg.inner_config.expected_n = 256;
   scfg.threads = 1;
+  scfg.storage = testing::fileStorageOptions(&shim);
   tables::ShardedTable table(rig.context(), scfg);
 
   const auto keys = testing::distinctKeys(96);
@@ -569,11 +447,13 @@ TEST(CrashRecovery, ResetShardServesWhileOthersKeepServing) {
     shard_of[i] = tables::ShardedTable::shardOfBlockId(*block);
   }
 
-  // Shard 0's device goes bad: every access faults until the policy
+  // Shard 0's file goes bad: every read and write faults until the shim
   // clears, so its first lookup exhausts retries and latches the shard.
-  FaultPolicy policy(/*seed=*/3);
-  policy.setFailureProbability(1.0);
-  table.shardDevice(0).setFaultPolicy(&policy);
+  const int shard0 = testing::fileOf(table.shardDevice(0));
+  for (const auto sc : {FileSyscall::kPread, FileSyscall::kPwrite}) {
+    shim.failNth(sc, shim.count(sc, shard0) + 1, EAGAIN, /*sticky=*/true,
+                 shard0);
+  }
 
   std::size_t failed_lookups = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -590,7 +470,7 @@ TEST(CrashRecovery, ResetShardServesWhileOthersKeepServing) {
   EXPECT_EQ(table.failedShardCount(), 1u);
 
   // The fault clears; reset rebuilds shard 0 empty on the same device.
-  table.shardDevice(0).setFaultPolicy(nullptr);
+  shim.clear();
   table.resetShard(0);
   EXPECT_FALSE(table.shardFailed(0));
   EXPECT_EQ(table.failedShardCount(), 0u);

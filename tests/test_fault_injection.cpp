@@ -1,24 +1,24 @@
 // Fault injection + end-to-end I/O error resilience.
 //
-// Layer by layer: FaultPolicy determinism and the typed IoError taxonomy;
-// the device-level retry loop (transient absorbed, budgets exhausted,
-// permanent escaping immediately) with its IoStats counters; the device's
-// fault seam on the mem and file backends (metadata paths never consult
-// the policy; what read and torn-write crash points leave); BlockCache
+// Layer by layer: the FaultyFileOps shim's determinism and trigger
+// semantics (file scoping, bad byte ranges) and the typed IoError
+// taxonomy; the device-level retry loop (transient absorbed, budgets
+// exhausted, permanent escaping immediately) with its IoStats counters;
+// the device's fault seam on files (metadata paths add no cost; what a
+// power cut in a read, an rmw or an overwrite leaves); BlockCache
 // write-back quarantine (dirty data survives a failed eviction and lands
 // after the fault clears; a failed flush run quarantines only the frame
 // its error names); IngestPipeline fail-stop + reset(); ShardedTable
 // per-shard fault isolation; the flight recorder; and the capstone chaos
 // sweep — every table kind plus the sharded façade, in
-// pipelined+cached+arbitrated mode, must produce bit-exact lookup digests
-// under seeded transient-fault schedules vs the fault-free run and answer
-// exactly the AckLedger's fold of the op stream, with the retry counters
-// proving faults actually fired.
+// pipelined+cached+arbitrated mode on files, must produce bit-exact lookup
+// digests under seeded transient-fault schedules vs the fault-free run and
+// answer exactly the AckLedger's fold of the op stream, with the retry
+// counters proving faults actually fired.
 //
-// Lifetime discipline used throughout: a FaultPolicy installed on a device
-// is declared BEFORE the cache/table layered over that device, because
-// destructors flush and free through the device and must still find the
-// policy alive.
+// Every fault is scripted at the syscall layer, so the devices under test
+// are file-backed, and the shim is declared BEFORE the devices, caches
+// and tables over it: destructors flush and free through the files.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,7 +55,9 @@ namespace {
 using extmem::BlockCache;
 using extmem::BlockDevice;
 using extmem::BlockId;
-using extmem::FaultPolicy;
+using extmem::DeviceCrashed;
+using extmem::FaultyFileOps;
+using extmem::FileSyscall;
 using extmem::IoError;
 using extmem::IoOpKind;
 using extmem::MemoryArbiter;
@@ -71,67 +73,119 @@ using tables::Op;
 using tables::ShardedTable;
 using tables::TableKind;
 using testing::distinctKeys;
+using testing::fileOf;
+using testing::fileStorageOptions;
 using testing::TestRig;
 
 // ---------------------------------------------------------------------------
-// FaultPolicy: determinism and trigger semantics
+// FaultyFileOps: determinism and trigger semantics, over a kernel stand-in
+// whose every call succeeds in full.
 // ---------------------------------------------------------------------------
 
-TEST(FaultPolicy, SameSeedReplaysTheSameSchedule) {
-  const auto run = [](std::uint64_t seed) {
-    FaultPolicy policy(seed);
-    policy.setFailureProbability(0.25);
-    std::vector<bool> fired;
-    for (std::uint32_t i = 0; i < 200; ++i) {
-      try {
-        policy.onAccess(IoOpKind::kRead, i % 7, 1);
-        fired.push_back(false);
-      } catch (const TransientIoError&) {
-        fired.push_back(true);
-      }
-    }
-    return fired;
+class NullFileOps final : public extmem::FileOps {
+ public:
+  ssize_t pread(int, void*, std::size_t count, off_t) override {
+    return static_cast<ssize_t>(count);
+  }
+  ssize_t pwrite(int, const void*, std::size_t count, off_t) override {
+    return static_cast<ssize_t>(count);
+  }
+  int fsync(int) override { return 0; }
+  int fallocate(int, off_t, off_t) override { return 0; }
+};
+
+/// Whether each of `calls` pwrites of 8 bytes to `fd` failed.
+std::vector<bool> pwriteOutcomes(FaultyFileOps& shim, int fd, int calls) {
+  char buf[8] = {};
+  std::vector<bool> failed;
+  for (int i = 0; i < calls; ++i) {
+    failed.push_back(shim.pwrite(fd, buf, sizeof buf, 0) < 0);
+  }
+  return failed;
+}
+
+TEST(FaultyFileOps, SameSeedReplaysTheSameSchedule) {
+  NullFileOps kernel;
+  const auto run = [&](std::uint64_t seed) {
+    FaultyFileOps shim(seed, &kernel);
+    shim.setErrnoProbability(FileSyscall::kPwrite, 0.25, EAGAIN);
+    return pwriteOutcomes(shim, 3, 200);
   };
   EXPECT_EQ(run(1), run(1));
   EXPECT_NE(run(1), run(2));  // different seed, different schedule
 }
 
-TEST(FaultPolicy, OneShotTriggerFiresExactlyOnce) {
-  FaultPolicy policy(7);
-  policy.failOpNumber(IoOpKind::kWrite, 2);
-  EXPECT_NO_THROW(policy.onAccess(IoOpKind::kWrite, 0, 1));
-  EXPECT_THROW(policy.onAccess(IoOpKind::kWrite, 0, 1), TransientIoError);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_NO_THROW(policy.onAccess(IoOpKind::kWrite, 0, 1));
-  }
-  EXPECT_EQ(policy.faultsInjected(), 1u);
+TEST(FaultyFileOps, OneShotTriggerFiresExactlyOnce) {
+  NullFileOps kernel;
+  FaultyFileOps shim(7, &kernel);
+  shim.failNth(FileSyscall::kPwrite, 2, EIO);
+  std::vector<bool> expected(12, false);
+  expected[1] = true;
+  EXPECT_EQ(pwriteOutcomes(shim, 3, 12), expected);
+  EXPECT_EQ(shim.faultsInjected(), 1u);
 }
 
-TEST(FaultPolicy, StickyBlockTriggerFiresUntilCleared) {
-  FaultPolicy policy(7);
-  policy.failBlock(5, FaultPolicy::Severity::kPermanent,
-                   FaultPolicy::Durability::kSticky);
-  EXPECT_THROW(policy.onAccess(IoOpKind::kRead, 5, 1), PermanentIoError);
-  EXPECT_THROW(policy.onAccess(IoOpKind::kRead, 5, 2), PermanentIoError);
-  EXPECT_NO_THROW(policy.onAccess(IoOpKind::kRead, 6, 1));  // other blocks fine
-  policy.clear();
-  EXPECT_NO_THROW(policy.onAccess(IoOpKind::kRead, 5, 1));
-  EXPECT_EQ(policy.faultsInjected(), 2u);  // counters survive clear()
+TEST(FaultyFileOps, StickyTriggerFiresUntilCleared) {
+  NullFileOps kernel;
+  FaultyFileOps shim(7, &kernel);
+  shim.failNth(FileSyscall::kPwrite, 2, EIO, /*sticky=*/true);
+  EXPECT_EQ(pwriteOutcomes(shim, 3, 3),
+            (std::vector<bool>{false, true, true}));
+  shim.clear();
+  EXPECT_EQ(pwriteOutcomes(shim, 3, 2), (std::vector<bool>{false, false}));
+  EXPECT_EQ(shim.faultsInjected(), 2u);  // counters survive clear()
+  EXPECT_EQ(shim.count(FileSyscall::kPwrite), 5u);
 }
 
-TEST(FaultPolicy, ErrorCarriesOpBlockAndAttempt) {
-  FaultPolicy policy(7);
-  policy.failBlock(12);
-  try {
-    policy.onAccess(IoOpKind::kRmw, 12, 3);
-    FAIL() << "expected a TransientIoError";
-  } catch (const IoError& e) {
-    EXPECT_EQ(e.op(), IoOpKind::kRmw);
-    EXPECT_EQ(e.block(), 12u);
-    EXPECT_TRUE(e.transient());
-    EXPECT_EQ(e.attempts(), 3u);
-    EXPECT_NE(std::string(e.what()).find("block 12"), std::string::npos);
-  }
+// A script scoped to one file neither fires on nor counts the syscalls of
+// another file sharing the shim, and a scoped probability draws the same
+// schedule however other files' syscalls interleave with its own.
+TEST(FaultyFileOps, FileScopedTriggerIgnoresOtherFiles) {
+  NullFileOps kernel;
+  FaultyFileOps shim(9, &kernel);
+  constexpr int kMine = 3;
+  constexpr int kOther = 4;
+  shim.failNth(FileSyscall::kPwrite, 2, EIO, /*sticky=*/false, kMine);
+  EXPECT_EQ(pwriteOutcomes(shim, kOther, 5), std::vector<bool>(5, false));
+  EXPECT_EQ(pwriteOutcomes(shim, kMine, 3),
+            (std::vector<bool>{false, true, false}));
+  EXPECT_EQ(shim.count(FileSyscall::kPwrite, kMine), 3u);
+  EXPECT_EQ(shim.count(FileSyscall::kPwrite, kOther), 5u);
+  EXPECT_EQ(shim.count(FileSyscall::kPwrite), 8u);
+
+  const auto scoped = [&](bool interleave) {
+    FaultyFileOps probe(11, &kernel);
+    probe.setErrnoProbability(FileSyscall::kPwrite, 0.25, EAGAIN, kMine);
+    std::vector<bool> failed;
+    for (int i = 0; i < 100; ++i) {
+      if (interleave && i % 3 == 0) {
+        EXPECT_EQ(pwriteOutcomes(probe, kOther, 2),
+                  std::vector<bool>(2, false));
+      }
+      failed.push_back(pwriteOutcomes(probe, kMine, 1)[0]);
+    }
+    return failed;
+  };
+  EXPECT_EQ(scoped(false), scoped(true));
+}
+
+// A bad range fails the transfers that start in it and cuts short the
+// ones that reach it, on its own file only, until clear().
+TEST(FaultyFileOps, BadRangeFailsInsideAndCutsShortBelow) {
+  NullFileOps kernel;
+  FaultyFileOps shim(13, &kernel);
+  shim.failRange(3, /*offset=*/100, /*length=*/50, EIO);
+  char buf[64] = {};
+  EXPECT_EQ(shim.pwrite(3, buf, 64, 64), 36);  // stops at byte 100
+  errno = 0;
+  EXPECT_EQ(shim.pwrite(3, buf, 64, 100), -1);
+  EXPECT_EQ(errno, EIO);
+  EXPECT_EQ(shim.pread(3, buf, 64, 149), -1);
+  EXPECT_EQ(shim.pread(3, buf, 64, 150), 64);  // past the range
+  EXPECT_EQ(shim.pwrite(4, buf, 64, 100), 64);  // another file
+  EXPECT_EQ(shim.faultsInjected(), 3u);
+  shim.clear();
+  EXPECT_EQ(shim.pwrite(3, buf, 64, 100), 64);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,12 +193,31 @@ TEST(FaultPolicy, ErrorCarriesOpBlockAndAttempt) {
 // escaping immediately — with the IoStats counters telling the story.
 // ---------------------------------------------------------------------------
 
+TEST(DeviceRetry, ErrorCarriesOpBlockAndAttempt) {
+  FaultyFileOps shim(7);
+  BlockDevice dev(8, fileStorageOptions(&shim));
+  const BlockId id = dev.allocateExtent(13) + 12;
+  testing::failBlock(shim, dev, id, EAGAIN);
+  try {
+    dev.withWrite(id, [](std::span<Word>) {});
+    FAIL() << "expected a TransientIoError";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.op(), IoOpKind::kRmw);
+    EXPECT_EQ(e.block(), 12u);
+    EXPECT_TRUE(e.transient());
+    EXPECT_EQ(e.attempts(), dev.retryPolicy().max_attempts);
+    EXPECT_EQ(e.posixErrno(), EAGAIN);
+    EXPECT_NE(std::string(e.what()).find("block 12"), std::string::npos);
+  }
+}
+
 TEST(DeviceRetry, OneShotTransientFaultIsAbsorbedAndCounted) {
-  BlockDevice dev(8, testing::testStorageOptions());
+  FaultyFileOps shim(3);
+  BlockDevice dev(8, fileStorageOptions(&shim));
   const BlockId id = dev.allocate();
-  FaultPolicy policy(3);
-  policy.failOpNumber(IoOpKind::kRead, 1);  // first read faults once
-  dev.setFaultPolicy(&policy);
+  // The next read faults once.
+  shim.failNth(FileSyscall::kPread, shim.count(FileSyscall::kPread) + 1,
+               EAGAIN);
 
   std::uint64_t seen = 1;
   dev.withRead(id, [&](std::span<const Word> data) { seen = data[0]; });
@@ -152,54 +225,55 @@ TEST(DeviceRetry, OneShotTransientFaultIsAbsorbedAndCounted) {
 
   const auto stats = dev.stats();
   EXPECT_EQ(stats.reads, 1u);  // the faulted attempt never counted
-  EXPECT_EQ(stats.faults_injected, 1u);
+  EXPECT_EQ(shim.faultsInjected(), 1u);
   EXPECT_EQ(stats.io_retries, 1u);
   EXPECT_EQ(stats.io_gave_up, 0u);
 }
 
 TEST(DeviceRetry, StickyTransientFaultExhaustsTheBudget) {
-  BlockDevice dev(8, testing::testStorageOptions());
+  FaultyFileOps shim(3);
+  BlockDevice dev(8, fileStorageOptions(&shim));
   const BlockId id = dev.allocate();
-  FaultPolicy policy(3);
-  policy.failBlock(id);  // transient + sticky: every attempt faults
-  dev.setFaultPolicy(&policy);
+  testing::failBlock(shim, dev, id, EAGAIN);  // every attempt faults
   RetryPolicy rp;
   rp.max_attempts = 3;
   dev.setRetryPolicy(rp);
 
+  int calls = 0;
   try {
-    dev.withOverwrite(id, [](std::span<Word>) {});
+    dev.withOverwrite(id, [&](std::span<Word>) { ++calls; });
     FAIL() << "expected a TransientIoError";
   } catch (const TransientIoError& e) {
     EXPECT_EQ(e.attempts(), 3u);
   }
   const auto stats = dev.stats();
-  EXPECT_EQ(stats.writes, 0u);  // fault-before-effect: nothing ever counted
-  EXPECT_EQ(stats.faults_injected, 3u);
+  // A blind overwrite fails at its store: the callback ran once and the
+  // write counted once, however many attempts the store took.
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(stats.writes, 1u);
+  EXPECT_EQ(shim.faultsInjected(), 3u);
   EXPECT_EQ(stats.io_retries, 2u);  // attempts 2 and 3 were retries
   EXPECT_EQ(stats.io_gave_up, 1u);
 }
 
 TEST(DeviceRetry, PermanentFaultEscapesWithoutRetry) {
-  BlockDevice dev(8, testing::testStorageOptions());
+  FaultyFileOps shim(3);
+  BlockDevice dev(8, fileStorageOptions(&shim));
   const BlockId id = dev.allocate();
-  FaultPolicy policy(3);
-  policy.failBlock(id, FaultPolicy::Severity::kPermanent,
-                   FaultPolicy::Durability::kSticky);
-  dev.setFaultPolicy(&policy);
+  testing::failBlock(shim, dev, id, EIO);
 
   EXPECT_THROW(dev.withWrite(id, [](std::span<Word>) {}), PermanentIoError);
   const auto stats = dev.stats();
-  EXPECT_EQ(stats.faults_injected, 1u);
+  EXPECT_EQ(shim.faultsInjected(), 1u);
   EXPECT_EQ(stats.io_retries, 0u);
   EXPECT_EQ(stats.io_gave_up, 1u);
 }
 
 TEST(DeviceRetry, ProbabilisticFaultsAreAbsorbedUnderHeavyTraffic) {
-  BlockDevice dev(8, testing::testStorageOptions());
-  FaultPolicy policy(11);
-  policy.setFailureProbability(0.1);
-  dev.setFaultPolicy(&policy);
+  FaultyFileOps shim(11);
+  BlockDevice dev(8, fileStorageOptions(&shim));
+  shim.setErrnoProbability(FileSyscall::kPread, 0.1, EAGAIN);
+  shim.setErrnoProbability(FileSyscall::kPwrite, 0.1, EAGAIN);
   RetryPolicy rp;
   rp.max_attempts = 8;
   dev.setRetryPolicy(rp);
@@ -217,7 +291,7 @@ TEST(DeviceRetry, ProbabilisticFaultsAreAbsorbedUnderHeavyTraffic) {
   for (const BlockId id : ids) expected += id;
   EXPECT_EQ(sum, expected);  // every op eventually succeeded, data intact
   const auto stats = dev.stats();
-  EXPECT_GT(stats.faults_injected, 0u);
+  EXPECT_GT(shim.faultsInjected(), 0u);
   EXPECT_GT(stats.io_retries, 0u);
   EXPECT_EQ(stats.io_gave_up, 0u);
   EXPECT_EQ(stats.reads, 64u);
@@ -236,104 +310,90 @@ TEST(DeviceRetry, BackoffQuantaAreCappedAndDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// The fault seam, on both backends: which device paths consult the policy,
-// what a crash point leaves behind, and how the counters add up.
+// The device's fault seam on files: what the metadata paths cost, what a
+// power cut in each kind of access leaves behind, and how the counters add
+// up.
 // ---------------------------------------------------------------------------
 
-class FaultPolicySeamTest
-    : public ::testing::TestWithParam<StorageOptions::Backend> {
- protected:
-  static constexpr std::size_t kWords = 8;
+constexpr std::size_t kSeamWords = 8;
+constexpr std::size_t kSeamBytes = kSeamWords * sizeof(Word);
 
-  std::unique_ptr<BlockDevice> makeDevice() const {
-    StorageOptions options = testing::testStorageOptions();
-    options.backend = GetParam();
-    return std::make_unique<BlockDevice>(kWords, options);
-  }
+/// Overwrite `id` with base + i in word i.
+void fillBlock(BlockDevice& dev, BlockId id, Word base) {
+  dev.withOverwrite(id, [&](std::span<Word> data) {
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = base + i;
+  });
+}
 
-  /// Overwrite `id` with base + i in word i.
-  static void fillBlock(BlockDevice& dev, BlockId id, Word base) {
-    dev.withOverwrite(id, [&](std::span<Word> data) {
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] = base + i;
-    });
-  }
-};
+// Allocation (a reused id is scrubbed with a pwrite), free, inspect and
+// the image calls reach the file but add nothing to cost(); their
+// transient faults are retried like a counted access's.
+TEST(FaultSeam, MetadataPathsAddNoCost) {
+  FaultyFileOps shim(41);
+  BlockDevice dev(kSeamWords, fileStorageOptions(&shim));
+  const BlockId first = dev.allocateExtent(4);
+  for (BlockId id = first; id < first + 4; ++id) fillBlock(dev, id, 10 * id);
+  dev.freeExtent(first, 2);  // ids first, first + 1 become reusable
+  const extmem::IoStats before = dev.stats();
+  const std::uint64_t syscalls = shim.syscalls();
 
-TEST_P(FaultPolicySeamTest, MetadataPathsNeverConsultThePolicy) {
-  auto dev = makeDevice();
-  const BlockId first = dev->allocateExtent(4);
-  for (BlockId id = first; id < first + 4; ++id) fillBlock(*dev, id, 10 * id);
-  dev->freeExtent(first, 2);  // ids first, first + 1 become reusable
-
-  // Everything armed at once: any consultation would fault, crash, or at
-  // least advance an op counter.
-  FaultPolicy policy(41);
-  for (BlockId id = 0; id < 16; ++id) {
-    policy.failBlock(id, FaultPolicy::Severity::kPermanent,
-                     FaultPolicy::Durability::kSticky);
-  }
-  policy.setFailureProbability(1.0);
-  policy.crashOpNumber(IoOpKind::kRead, 1);
-  policy.crashOpNumber(IoOpKind::kWrite, 1, /*torn_words=*/3);
-  policy.crashOpNumber(IoOpKind::kRmw, 1, /*torn_words=*/3);
-  dev->setFaultPolicy(&policy);
-  const extmem::IoStats before = dev->stats();
-
-  EXPECT_EQ(dev->allocateExtent(2), first);  // reused ids
-  const BlockId fresh = dev->allocate();     // a fresh id
+  EXPECT_EQ(dev.allocateExtent(2), first);  // reused ids
+  const BlockId fresh = dev.allocate();     // a fresh id
   EXPECT_EQ(fresh, first + 4);
-  EXPECT_EQ(dev->inspect(first + 2)[0], 10 * (first + 2));
-  const BlockDevice::Image image = dev->captureImage();
-  dev->freeExtent(first, 2);
-  dev->free(fresh);
-  dev->restoreImage(image);
-  EXPECT_TRUE(dev->isAllocated(fresh));
-  EXPECT_EQ(dev->inspect(first + 3)[1], 10 * (first + 3) + 1);
+  const auto failNextPread = [&] {
+    shim.failNth(FileSyscall::kPread, shim.count(FileSyscall::kPread) + 1,
+                 EAGAIN);
+  };
+  failNextPread();
+  EXPECT_EQ(dev.inspect(first + 2)[0], 10 * (first + 2));
+  failNextPread();
+  const BlockDevice::Image image = dev.captureImage();
+  dev.freeExtent(first, 2);
+  dev.free(fresh);
+  dev.restoreImage(image);
+  EXPECT_TRUE(dev.isAllocated(fresh));
+  EXPECT_EQ(dev.inspect(first + 3)[1], 10 * (first + 3) + 1);
 
-  EXPECT_EQ(policy.opCount(IoOpKind::kRead), 0u);
-  EXPECT_EQ(policy.opCount(IoOpKind::kWrite), 0u);
-  EXPECT_EQ(policy.opCount(IoOpKind::kRmw), 0u);
-  EXPECT_EQ(policy.faultsInjected(), 0u);
-  EXPECT_EQ(policy.crashesFired(), 0u);
-  EXPECT_FALSE(dev->frozen());
-  const extmem::IoStats delta = dev->stats() - before;
+  EXPECT_GT(shim.syscalls(), syscalls);
+  EXPECT_FALSE(dev.frozen());
+  const extmem::IoStats delta = dev.stats() - before;
   EXPECT_EQ(delta.cost(), 0u);
-  EXPECT_EQ(delta.faults_injected, 0u);
-  EXPECT_EQ(delta.io_retries, 0u);
+  EXPECT_EQ(delta.io_retries, 2u);  // inspect's and the capture's preads
   EXPECT_EQ(delta.io_gave_up, 0u);
 }
 
-TEST_P(FaultPolicySeamTest, OverwriteCrashTearsTheNewPrefix) {
-  for (const std::size_t torn : {std::size_t{0}, std::size_t{3}, kWords}) {
-    auto dev = makeDevice();
-    const BlockId id = dev->allocate();
-    fillBlock(*dev, id, 100);
-    FaultPolicy policy(43);
-    policy.crashOpNumber(IoOpKind::kWrite, 1, torn);
-    dev->setFaultPolicy(&policy);
+TEST(FaultSeam, OverwritePowerCutTearsTheNewPrefix) {
+  for (const std::size_t torn : {std::size_t{0}, std::size_t{3}, kSeamWords}) {
+    FaultyFileOps shim(43);
+    BlockDevice dev(kSeamWords, fileStorageOptions(&shim));
+    const BlockId id = dev.allocate();
+    fillBlock(dev, id, 100);
+    shim.powerCutAtPwrite(shim.count(FileSyscall::kPwrite) + 1,
+                          torn * sizeof(Word));
 
     int calls = 0;
     bool zeroed = false;
-    EXPECT_THROW(dev->withOverwrite(id,
-                                    [&](std::span<Word> data) {
-                                      ++calls;
-                                      zeroed = std::all_of(
-                                          data.begin(), data.end(),
-                                          [](Word w) { return w == 0; });
-                                      for (std::size_t i = 0; i < data.size();
-                                           ++i) {
-                                        data[i] = 200 + i;
-                                      }
-                                    }),
-                 extmem::DeviceCrashed)
+    EXPECT_THROW(dev.withOverwrite(id,
+                                   [&](std::span<Word> data) {
+                                     ++calls;
+                                     zeroed = std::all_of(
+                                         data.begin(), data.end(),
+                                         [](Word w) { return w == 0; });
+                                     for (std::size_t i = 0; i < data.size();
+                                          ++i) {
+                                       data[i] = 200 + i;
+                                     }
+                                   }),
+                 DeviceCrashed)
         << "torn_words=" << torn;
     EXPECT_EQ(calls, 1);
     EXPECT_TRUE(zeroed);
-    EXPECT_TRUE(dev->frozen());
-    EXPECT_THROW(dev->readCopy(id), extmem::DeviceCrashed);
+    EXPECT_TRUE(dev.frozen());
+    EXPECT_THROW(dev.readCopy(id), DeviceCrashed);
 
-    dev->thaw();
-    const std::vector<Word> after = dev->readCopy(id);
+    shim.restorePower();
+    dev.thaw();
+    const std::vector<Word> after = dev.readCopy(id);
     for (std::size_t i = 0; i < after.size(); ++i) {
       EXPECT_EQ(after[i], i < torn ? 200 + i : 100 + i)
           << "torn_words=" << torn << " word " << i;
@@ -341,30 +401,31 @@ TEST_P(FaultPolicySeamTest, OverwriteCrashTearsTheNewPrefix) {
   }
 }
 
-TEST_P(FaultPolicySeamTest, RmwCrashTearsTheNewPrefix) {
-  for (const std::size_t torn : {std::size_t{0}, std::size_t{3}, kWords}) {
-    auto dev = makeDevice();
-    const BlockId id = dev->allocate();
-    fillBlock(*dev, id, 100);
-    FaultPolicy policy(45);
-    policy.crashOpNumber(IoOpKind::kRmw, 1, torn);
-    dev->setFaultPolicy(&policy);
+TEST(FaultSeam, RmwPowerCutTearsTheNewPrefix) {
+  for (const std::size_t torn : {std::size_t{0}, std::size_t{3}, kSeamWords}) {
+    FaultyFileOps shim(45);
+    BlockDevice dev(kSeamWords, fileStorageOptions(&shim));
+    const BlockId id = dev.allocate();
+    fillBlock(dev, id, 100);
+    shim.powerCutAtPwrite(shim.count(FileSyscall::kPwrite) + 1,
+                          torn * sizeof(Word));
 
     int calls = 0;
-    EXPECT_THROW(dev->withWrite(id,
-                                [&](std::span<Word> data) {
-                                  ++calls;
-                                  // Sees the old contents: 100 + i -> 200 + i.
-                                  for (Word& w : data) w += 100;
-                                }),
-                 extmem::DeviceCrashed)
+    EXPECT_THROW(dev.withWrite(id,
+                               [&](std::span<Word> data) {
+                                 ++calls;
+                                 // Sees the old contents: 100 + i -> 200 + i.
+                                 for (Word& w : data) w += 100;
+                               }),
+                 DeviceCrashed)
         << "torn_words=" << torn;
     EXPECT_EQ(calls, 1);
-    EXPECT_TRUE(dev->frozen());
-    EXPECT_THROW(dev->readCopy(id), extmem::DeviceCrashed);
+    EXPECT_TRUE(dev.frozen());
+    EXPECT_THROW(dev.readCopy(id), DeviceCrashed);
 
-    dev->thaw();
-    const std::vector<Word> after = dev->readCopy(id);
+    shim.restorePower();
+    dev.thaw();
+    const std::vector<Word> after = dev.readCopy(id);
     for (std::size_t i = 0; i < after.size(); ++i) {
       EXPECT_EQ(after[i], i < torn ? 200 + i : 100 + i)
           << "torn_words=" << torn << " word " << i;
@@ -372,97 +433,88 @@ TEST_P(FaultPolicySeamTest, RmwCrashTearsTheNewPrefix) {
   }
 }
 
-TEST_P(FaultPolicySeamTest, CrashInsideACrashedWriteLeavesNoTearBehind) {
-  auto dev = makeDevice();
-  const BlockId a = dev->allocate();
-  const BlockId b = dev->allocate();
-  fillBlock(*dev, a, 100);
-  FaultPolicy policy(51);
-  policy.crashOpNumber(IoOpKind::kRmw, 1, /*torn_words=*/3);
-  policy.crashOpNumber(IoOpKind::kRead, 1);
-  dev->setFaultPolicy(&policy);
+// A power cut inside a write's callback (its nested read) lands nothing
+// of that write: the store after the callback never runs.
+TEST(FaultSeam, PowerCutInsideAWriteCallbackLandsNothing) {
+  FaultyFileOps shim(51);
+  BlockDevice dev(kSeamWords, fileStorageOptions(&shim));
+  const BlockId a = dev.allocate();
+  const BlockId b = dev.allocate();
+  fillBlock(dev, a, 100);
+  shim.powerCutAfter(shim.syscalls() + 2);  // the nested read's pread
 
-  // The rmw on `a` crashes first; its callback's read of `b` crashes the
-  // device before the rmw's store, so nothing of `a` lands.
-  EXPECT_THROW(dev->withWrite(a,
-                              [&](std::span<Word> data) {
-                                data[0] = 1;
-                                (void)dev->readCopy(b);
-                              }),
-               extmem::DeviceCrashed);
-  EXPECT_EQ(policy.crashesFired(), 2u);
-  EXPECT_TRUE(dev->frozen());
+  EXPECT_THROW(dev.withWrite(a,
+                             [&](std::span<Word> data) {
+                               data[0] = 1;
+                               (void)dev.readCopy(b);
+                             }),
+               DeviceCrashed);
+  EXPECT_TRUE(shim.powerCutFired());
+  EXPECT_TRUE(dev.frozen());
 
-  dev->thaw();
-  EXPECT_EQ(dev->readCopy(a)[0], 100u);
-  fillBlock(*dev, a, 300);  // an ordinary write after the reboot
-  EXPECT_FALSE(dev->frozen());
-  EXPECT_EQ(dev->readCopy(a)[0], 300u);
+  shim.restorePower();
+  dev.thaw();
+  EXPECT_EQ(dev.readCopy(a)[0], 100u);
+  fillBlock(dev, a, 300);  // an ordinary write after the reboot
+  EXPECT_FALSE(dev.frozen());
+  EXPECT_EQ(dev.readCopy(a)[0], 300u);
 }
 
-TEST_P(FaultPolicySeamTest, ReadCrashRunsNoCallbackAndChangesNothing) {
-  auto dev = makeDevice();
-  const BlockId id = dev->allocate();
-  fillBlock(*dev, id, 100);
-  FaultPolicy policy(47);
-  policy.crashOpNumber(IoOpKind::kRead, 1);
-  dev->setFaultPolicy(&policy);
-  const extmem::IoStats before = dev->stats();
+TEST(FaultSeam, ReadPowerCutRunsNoCallbackAndChangesNothing) {
+  FaultyFileOps shim(47);
+  BlockDevice dev(kSeamWords, fileStorageOptions(&shim));
+  const BlockId id = dev.allocate();
+  fillBlock(dev, id, 100);
+  shim.powerCutAfter(shim.syscalls() + 1);
+  const extmem::IoStats before = dev.stats();
 
   int calls = 0;
-  EXPECT_THROW(dev->withRead(id, [&](std::span<const Word>) { ++calls; }),
-               extmem::DeviceCrashed);
+  EXPECT_THROW(dev.withRead(id, [&](std::span<const Word>) { ++calls; }),
+               DeviceCrashed);
   EXPECT_EQ(calls, 0);
-  EXPECT_TRUE(dev->frozen());
-  EXPECT_EQ((dev->stats() - before).cost(), 0u);
+  EXPECT_TRUE(dev.frozen());
+  EXPECT_EQ((dev.stats() - before).cost(), 0u);
 
-  dev->thaw();
-  const std::vector<Word> after = dev->readCopy(id);
+  shim.restorePower();
+  dev.thaw();
+  const std::vector<Word> after = dev.readCopy(id);
   for (std::size_t i = 0; i < after.size(); ++i) {
     EXPECT_EQ(after[i], 100 + i) << "word " << i;
   }
 }
 
-TEST_P(FaultPolicySeamTest, OneShotTransientOnEachOpKindIsCountedOnce) {
-  auto dev = makeDevice();
-  const BlockId id = dev->allocate();
-  FaultPolicy policy(49);
-  policy.failOpNumber(IoOpKind::kRead, 1);
-  policy.failOpNumber(IoOpKind::kWrite, 1);
-  policy.failOpNumber(IoOpKind::kRmw, 1);
-  dev->setFaultPolicy(&policy);
+TEST(FaultSeam, OneShotTransientOnEachOpKindIsCountedOnce) {
+  FaultyFileOps shim(49);
+  BlockDevice dev(kSeamWords, fileStorageOptions(&shim));
+  const BlockId id = dev.allocate();
+  const std::uint64_t pwrites = shim.count(FileSyscall::kPwrite);
+  const std::uint64_t preads = shim.count(FileSyscall::kPread);
+  // The overwrite's pwrite, the rmw's pread and the read's pread (the
+  // rmw's retry is pread + 2) each fault once.
+  shim.failNth(FileSyscall::kPwrite, pwrites + 1, EAGAIN);
+  shim.failNth(FileSyscall::kPread, preads + 1, EAGAIN);
+  shim.failNth(FileSyscall::kPread, preads + 3, EAGAIN);
 
-  fillBlock(*dev, id, 100);
-  dev->withWrite(id, [](std::span<Word> data) { data[0] = 7; });
+  fillBlock(dev, id, 100);
+  dev.withWrite(id, [](std::span<Word> data) { data[0] = 7; });
   Word seen = 0;
-  dev->withRead(id, [&](std::span<const Word> data) { seen = data[0]; });
+  dev.withRead(id, [&](std::span<const Word> data) { seen = data[0]; });
   EXPECT_EQ(seen, 7u);
 
-  const extmem::IoStats stats = dev->stats();
-  EXPECT_EQ(stats.faults_injected, 3u);
+  const extmem::IoStats stats = dev.stats();
+  EXPECT_EQ(shim.faultsInjected(), 3u);
   EXPECT_EQ(stats.io_retries, 3u);
   EXPECT_EQ(stats.io_gave_up, 0u);
   EXPECT_EQ(stats.cost(), 3u);
-  EXPECT_EQ(policy.faultsInjected(), 3u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, FaultPolicySeamTest,
-    ::testing::Values(StorageOptions::Backend::kMemory,
-                      StorageOptions::Backend::kFile),
-    [](const ::testing::TestParamInfo<StorageOptions::Backend>& info) {
-      return std::string(info.param == StorageOptions::Backend::kMemory
-                             ? "mem"
-                             : "file");
-    });
 
 // ---------------------------------------------------------------------------
 // BlockCache degraded mode: quarantine on write-back failure
 // ---------------------------------------------------------------------------
 
 TEST(CacheQuarantine, FailedWritebackQuarantinesAndLandsAfterClear) {
-  BlockDevice dev(8, testing::testStorageOptions());
-  FaultPolicy policy(13);
+  FaultyFileOps shim(13);
+  BlockDevice dev(8, fileStorageOptions(&shim));
   extmem::MemoryBudget budget(0);
   BlockCache cache(dev, budget, 2, BlockCache::WritePolicy::kWriteBack,
                    extmem::ReplacementKind::kLru);
@@ -479,8 +531,7 @@ TEST(CacheQuarantine, FailedWritebackQuarantinesAndLandsAfterClear) {
   // Make every write to `a` fault (sticky transient exhausts the retry
   // budget), then force an eviction: capacity 2 is full, so reading a
   // third block must evict — and the LRU victim is `a`.
-  policy.failBlock(a);
-  dev.setFaultPolicy(&policy);
+  testing::failBlock(shim, dev, a, EAGAIN);
   cache.withRead(c, [](std::span<const Word>) {});
 
   EXPECT_GT(cache.writebackFailures(), 0u);
@@ -495,7 +546,7 @@ TEST(CacheQuarantine, FailedWritebackQuarantinesAndLandsAfterClear) {
   EXPECT_EQ(cache.quarantinedFrames(), 1u);
 
   // The fault clears; the next barrier lands the frame and un-quarantines.
-  policy.clear();
+  shim.clear();
   EXPECT_NO_THROW(cache.flush());
   EXPECT_EQ(cache.quarantinedFrames(), 0u);
   cache.invalidate(a);  // drop the clean frame, then read the device copy
@@ -505,8 +556,8 @@ TEST(CacheQuarantine, FailedWritebackQuarantinesAndLandsAfterClear) {
 }
 
 TEST(CacheQuarantine, EvictionMakesProgressPastQuarantinedFrames) {
-  BlockDevice dev(8, testing::testStorageOptions());
-  FaultPolicy policy(13);
+  FaultyFileOps shim(13);
+  BlockDevice dev(8, fileStorageOptions(&shim));
   extmem::MemoryBudget budget(0);
   BlockCache cache(dev, budget, 2, BlockCache::WritePolicy::kWriteBack,
                    extmem::ReplacementKind::kLru);
@@ -518,9 +569,8 @@ TEST(CacheQuarantine, EvictionMakesProgressPastQuarantinedFrames) {
   for (int i = 0; i < 6; ++i) ids.push_back(dev.allocate());
   cache.withOverwrite(ids[0], [](std::span<Word> data) { data[0] = 1; });
   cache.withOverwrite(ids[1], [](std::span<Word> data) { data[0] = 2; });
-  policy.failBlock(ids[0]);
-  policy.failBlock(ids[1]);
-  dev.setFaultPolicy(&policy);
+  testing::failBlock(shim, dev, ids[0], EAGAIN);
+  testing::failBlock(shim, dev, ids[1], EAGAIN);
 
   // Both resident frames quarantine; later reads still succeed (the cache
   // runs degraded: quarantined frames pin capacity, the rest of the
@@ -530,14 +580,14 @@ TEST(CacheQuarantine, EvictionMakesProgressPastQuarantinedFrames) {
   }
   EXPECT_EQ(cache.quarantinedFrames(), 2u);
 
-  policy.clear();
+  shim.clear();
   EXPECT_NO_THROW(cache.flush());
   EXPECT_EQ(cache.quarantinedFrames(), 0u);
 }
 
 TEST(CacheQuarantine, GiveUpEscalatesToPermanentAndCounts) {
-  BlockDevice dev(8, testing::testStorageOptions());
-  FaultPolicy policy(13);
+  FaultyFileOps shim(13);
+  BlockDevice dev(8, fileStorageOptions(&shim));
   extmem::MemoryBudget budget(0);
   BlockCache cache(dev, budget, 2, BlockCache::WritePolicy::kWriteBack,
                    extmem::ReplacementKind::kLru);
@@ -548,8 +598,8 @@ TEST(CacheQuarantine, GiveUpEscalatesToPermanentAndCounts) {
 
   const BlockId a = dev.allocate();
   cache.withOverwrite(a, [](std::span<Word> data) { data[0] = 111; });
-  policy.failBlock(a);  // sticky transient: every write-back attempt fails
-  dev.setFaultPolicy(&policy);
+  // Sticky transient: every write-back attempt fails.
+  testing::failBlock(shim, dev, a, EAGAIN);
 
   // Failures 1 and 2: the barrier reports the (transient-rooted) fault
   // but has not given up yet.
@@ -567,7 +617,7 @@ TEST(CacheQuarantine, GiveUpEscalatesToPermanentAndCounts) {
 
   // Give-up changes what the caller is told, not what the cache protects:
   // the data is retained and a cleared fault still lands it.
-  policy.clear();
+  shim.clear();
   EXPECT_NO_THROW(cache.flush());
   EXPECT_EQ(cache.quarantinedFrames(), 0u);
   cache.invalidate(a);
@@ -580,11 +630,8 @@ TEST(CacheQuarantine, GiveUpEscalatesToPermanentAndCounts) {
 // run's failure must keep the per-block outcome: only the frame the error
 // names is quarantined, and the rest of the run lands.
 TEST(CacheQuarantine, FailedRunPwriteQuarantinesOnlyTheNamedFrame) {
-  extmem::FaultyFileOps shim(/*seed=*/17);  // outlives the device
-  StorageOptions options = testing::testStorageOptions();
-  options.backend = StorageOptions::Backend::kFile;
-  options.file_ops = &shim;
-  BlockDevice dev(8, options);
+  FaultyFileOps shim(/*seed=*/17);  // outlives the device
+  BlockDevice dev(8, fileStorageOptions(&shim));
   extmem::MemoryBudget budget(0);
   BlockCache cache(dev, budget, 8, BlockCache::WritePolicy::kWriteBack,
                    extmem::ReplacementKind::kLru);
@@ -594,8 +641,8 @@ TEST(CacheQuarantine, FailedRunPwriteQuarantinesOnlyTheNamedFrame) {
   }
 
   const std::uint64_t writes = dev.stats().writes;
-  shim.failNth(extmem::FileSyscall::kPwrite,
-               shim.count(extmem::FileSyscall::kPwrite) + 1, EIO);
+  shim.failNth(FileSyscall::kPwrite, shim.count(FileSyscall::kPwrite) + 1,
+               EIO);
   try {
     cache.flush();
     FAIL() << "the failed pwrite did not surface";
@@ -618,12 +665,48 @@ TEST(CacheQuarantine, FailedRunPwriteQuarantinesOnlyTheNamedFrame) {
   EXPECT_EQ(dev.readCopy(0)[0], 100u);
 }
 
-// With a FaultPolicy installed a run is a loop of single-block writes, so
-// the policy sees the same accesses, in the same order, as block-by-block
-// write-backs would give it.
+// A run that spans two arena chunks is two pwrites. When the second one
+// fails, the error names the block it began at: the first chunk landed and
+// stays clean, and only that block's frame is quarantined.
+TEST(CacheQuarantine, FailedSecondChunkNamesItsFirstBlock) {
+  constexpr std::size_t kBlocks = 1030;  // 1,024 blocks per arena chunk
+  FaultyFileOps shim(/*seed=*/23);
+  BlockDevice dev(8, fileStorageOptions(&shim));
+  extmem::MemoryBudget budget(0);
+  BlockCache cache(dev, budget, kBlocks, BlockCache::WritePolicy::kWriteBack,
+                   extmem::ReplacementKind::kLru);
+  ASSERT_EQ(dev.allocateExtent(kBlocks), 0u);
+  for (BlockId id = 0; id < kBlocks; ++id) {
+    cache.withOverwrite(id, [&](std::span<Word> data) { data[0] = 100 + id; });
+  }
+
+  const std::uint64_t writes = dev.stats().writes;
+  shim.failNth(FileSyscall::kPwrite, shim.count(FileSyscall::kPwrite) + 2,
+               EIO);
+  try {
+    cache.flush();
+    FAIL() << "the failed pwrite did not surface";
+  } catch (const PermanentIoError& error) {
+    EXPECT_EQ(error.block(), 1024u);
+  }
+  EXPECT_EQ(cache.quarantinedFrames(), 1u);
+  EXPECT_EQ(cache.dirtyBlocks(), 1u);  // frames 0-1,023 and 1,025+ clean
+  EXPECT_EQ(cache.writebacks(), kBlocks - 1);
+  EXPECT_EQ(dev.stats().writes - writes, kBlocks);
+  EXPECT_EQ(dev.readCopy(1023)[0], 100u + 1023);
+  EXPECT_EQ(dev.readCopy(1025)[0], 100u + 1025);
+
+  EXPECT_NO_THROW(cache.flush());
+  EXPECT_EQ(cache.quarantinedFrames(), 0u);
+  EXPECT_EQ(dev.readCopy(1024)[0], 100u + 1024);
+}
+
+// A bad block inside a run: the pwrite stops short before it and the
+// resumed pwrite fails there, so the error names the bad block, the blocks
+// before it landed, and the rest of the run lands as a new run.
 TEST(CacheQuarantine, PolicyFaultInsideARunKeepsPerBlockOutcomes) {
-  BlockDevice dev(8, testing::testStorageOptions());
-  FaultPolicy policy(19);
+  FaultyFileOps shim(19);
+  BlockDevice dev(8, fileStorageOptions(&shim));
   extmem::MemoryBudget budget(0);
   BlockCache cache(dev, budget, 8, BlockCache::WritePolicy::kWriteBack,
                    extmem::ReplacementKind::kLru);
@@ -634,8 +717,7 @@ TEST(CacheQuarantine, PolicyFaultInsideARunKeepsPerBlockOutcomes) {
     cache.withOverwrite(first + i,
                         [&](std::span<Word> data) { data[0] = 500 + i; });
   }
-  policy.failBlock(ids[2], FaultPolicy::Severity::kPermanent);
-  dev.setFaultPolicy(&policy);
+  testing::failBlock(shim, dev, ids[2], EIO);
 
   const std::uint64_t writes = dev.stats().writes;
   try {
@@ -646,15 +728,14 @@ TEST(CacheQuarantine, PolicyFaultInsideARunKeepsPerBlockOutcomes) {
   }
   EXPECT_EQ(cache.quarantinedFrames(), 1u);
   EXPECT_EQ(cache.writebacks(), 4u);
-  // Five write accesses, one of them faulted before it counted.
-  EXPECT_EQ(policy.opCount(IoOpKind::kWrite), 5u);
-  EXPECT_EQ(dev.stats().writes - writes, 4u);
+  // One counted write per block, the failed one included.
+  EXPECT_EQ(dev.stats().writes - writes, 5u);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (i == 2) continue;
     EXPECT_EQ(dev.readCopy(ids[i])[0], 500 + i) << "block " << ids[i];
   }
 
-  policy.clear();
+  shim.clear();
   EXPECT_NO_THROW(cache.flush());
   EXPECT_EQ(cache.quarantinedFrames(), 0u);
   EXPECT_EQ(dev.readCopy(ids[2])[0], 502u);
@@ -665,24 +746,23 @@ TEST(CacheQuarantine, PolicyFaultInsideARunKeepsPerBlockOutcomes) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineFailStop, PermanentFaultLatchesAndResetRecovers) {
+  FaultyFileOps shim(17);
   TestRig rig(8);
-  FaultPolicy policy(17);
+  rig.useStorage(fileStorageOptions(&shim));
   GeneralConfig cfg;
   cfg.expected_n = 256;
   cfg.target_load = 0.5;
   auto table = makeTable(TableKind::kChaining, rig.context(), cfg);
-  rig.device->setFaultPolicy(&policy);
 
   IngestPipeline pipe(*table, {.batch_capacity = 16});
   const auto keys = distinctKeys(64);
   for (const auto k : keys) pipe.insert(k, k + 1);
   EXPECT_NO_THROW(pipe.drain());
 
-  // Arm a permanent fault on every further rmw: the next applied window
-  // fail-stops the pipeline.
-  policy.failOpNumber(IoOpKind::kRmw, policy.opCount(IoOpKind::kRmw) + 1,
-                      FaultPolicy::Severity::kPermanent,
-                      FaultPolicy::Durability::kSticky);
+  // Arm a permanent fault on every further pwrite: the next applied
+  // window fail-stops the pipeline.
+  shim.failNth(FileSyscall::kPwrite, shim.count(FileSyscall::kPwrite) + 1,
+               EIO, /*sticky=*/true);
   const auto more = distinctKeys(64, /*seed=*/99);
   EXPECT_THROW(
       {
@@ -696,7 +776,7 @@ TEST(PipelineFailStop, PermanentFaultLatchesAndResetRecovers) {
   EXPECT_THROW(pipe.flush(), PermanentIoError);
 
   // The fault clears; reset() re-admits traffic.
-  policy.clear();
+  shim.clear();
   pipe.reset();
   EXPECT_NO_THROW({
     pipe.insert(12345, 1);
@@ -706,15 +786,15 @@ TEST(PipelineFailStop, PermanentFaultLatchesAndResetRecovers) {
 }
 
 TEST(PipelineFailStop, PendingLookupFuturesAllResolveOnWorkerFault) {
+  FaultyFileOps shim(19);
   TestRig rig(8);
-  FaultPolicy policy(19);
+  rig.useStorage(fileStorageOptions(&shim));
   GeneralConfig cfg;
   cfg.expected_n = 256;
   cfg.target_load = 0.5;
   auto table = makeTable(TableKind::kChaining, rig.context(), cfg);
-  policy.failOpNumber(IoOpKind::kRmw, 1, FaultPolicy::Severity::kPermanent,
-                      FaultPolicy::Durability::kSticky);
-  rig.device->setFaultPolicy(&policy);
+  shim.failNth(FileSyscall::kPwrite, shim.count(FileSyscall::kPwrite) + 1,
+               EIO, /*sticky=*/true);
 
   IngestPipeline pipe(*table, {.batch_capacity = 4});
   std::vector<std::future<std::optional<std::uint64_t>>> futures;
@@ -741,7 +821,7 @@ TEST(PipelineFailStop, PendingLookupFuturesAllResolveOnWorkerFault) {
   }
 
   // reset() discards staged ops, fails leftover lookups, clears the latch.
-  policy.clear();
+  shim.clear();
   pipe.reset();
   EXPECT_NO_THROW({
     pipe.insert(7777, 8);
@@ -756,13 +836,12 @@ TEST(PipelineFailStop, WalAppendFailureNeverReachesTheTable) {
   cfg.expected_n = 256;
   cfg.target_load = 0.5;
   auto table = makeTable(TableKind::kChaining, rig.context(), cfg);
-  // The log device refuses every write, so no record ever becomes durable.
-  FaultPolicy policy(23);
-  policy.failOpNumber(IoOpKind::kWrite, 1, FaultPolicy::Severity::kPermanent,
-                      FaultPolicy::Durability::kSticky);
+  // The log file refuses every write, so no record ever becomes durable.
+  FaultyFileOps shim(23);
   BlockDevice wal_device(rig.device->wordsPerBlock(),
-                         testing::testStorageOptions());
-  wal_device.setFaultPolicy(&policy);
+                         fileStorageOptions(&shim));
+  shim.failNth(FileSyscall::kPwrite, shim.count(FileSyscall::kPwrite) + 1,
+               EIO, /*sticky=*/true);
   durability::WalWriter wal(wal_device);
 
   IngestPipeline pipe(*table, {.batch_capacity = 4, .wal = &wal});
@@ -787,14 +866,15 @@ TEST(PipelineFailStop, WalAppendFailureNeverReachesTheTable) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardIsolation, FaultedShardLatchesWhileHealthyShardsServe) {
+  FaultyFileOps shim(23);
   TestRig rig(8);
-  FaultPolicy policy(23);
   tables::ShardedTableConfig config;
   config.shards = 4;
   config.inner = TableKind::kChaining;
   config.threads = 2;
   config.inner_config.expected_n = 256;
   config.inner_config.target_load = 0.5;
+  config.storage = fileStorageOptions(&shim);
   ShardedTable table(rig.context(), config);
 
   const auto keys = distinctKeys(256);
@@ -802,11 +882,12 @@ TEST(ShardIsolation, FaultedShardLatchesWhileHealthyShardsServe) {
   for (const auto k : keys) ops.push_back(Op::insertOp(k, k + 1));
   table.applyBatch(ops);
 
-  // Arm a sticky permanent fault on shard 0's next rmw; the other shards
-  // keep clean devices.
-  policy.failOpNumber(IoOpKind::kRmw, 1, FaultPolicy::Severity::kPermanent,
-                      FaultPolicy::Durability::kSticky);
-  table.shardDevice(0).setFaultPolicy(&policy);
+  // Arm a sticky permanent fault on shard 0's next pwrite; the other
+  // shards' files stay clean.
+  const int shard0 = fileOf(table.shardDevice(0));
+  shim.failNth(FileSyscall::kPwrite,
+               shim.count(FileSyscall::kPwrite, shard0) + 1, EIO,
+               /*sticky=*/true, shard0);
 
   std::vector<Op> more;
   for (const auto k : distinctKeys(256, /*seed=*/31)) {
@@ -831,9 +912,9 @@ TEST(ShardIsolation, FaultedShardLatchesWhileHealthyShardsServe) {
   EXPECT_GT(served, keys.size() / 2);  // ~3/4 of keys live on healthy shards
 
   // Single ops routed to the faulted shard fail fast WITHOUT touching it:
-  // the op counters on its device's policy stay put.
-  const auto reads_before = policy.opCount(IoOpKind::kRead);
-  const auto rmws_before = policy.opCount(IoOpKind::kRmw);
+  // its file's syscall counters stay put.
+  const auto reads_before = shim.count(FileSyscall::kPread, shard0);
+  const auto writes_before = shim.count(FileSyscall::kPwrite, shard0);
   std::size_t failed_fast = 0;
   for (const auto k : keys) {
     try {
@@ -843,11 +924,11 @@ TEST(ShardIsolation, FaultedShardLatchesWhileHealthyShardsServe) {
     }
   }
   EXPECT_GT(failed_fast, 0u);
-  EXPECT_EQ(policy.opCount(IoOpKind::kRead), reads_before);
-  EXPECT_EQ(policy.opCount(IoOpKind::kRmw), rmws_before);
+  EXPECT_EQ(shim.count(FileSyscall::kPread, shard0), reads_before);
+  EXPECT_EQ(shim.count(FileSyscall::kPwrite, shard0), writes_before);
 
   // The fault clears; clearShardErrors() re-admits the shard.
-  policy.clear();
+  shim.clear();
   table.clearShardErrors();
   EXPECT_EQ(table.failedShardCount(), 0u);
   EXPECT_NO_THROW(table.applyBatch(more));
@@ -886,12 +967,10 @@ TEST(FlightRecorder, PermanentIoErrorGiveUpDumps) {
   obs::FlightRecorder::arm(options);
   const auto dumps_before = obs::FlightRecorder::dumpCount();
 
-  BlockDevice dev(8, testing::testStorageOptions());
+  FaultyFileOps shim(29);
+  BlockDevice dev(8, fileStorageOptions(&shim));
   const BlockId id = dev.allocate();
-  FaultPolicy policy(29);
-  policy.failBlock(id, FaultPolicy::Severity::kPermanent,
-                   FaultPolicy::Durability::kSticky);
-  dev.setFaultPolicy(&policy);
+  testing::failBlock(shim, dev, id, EIO);
   EXPECT_THROW(dev.withRead(id, [](std::span<const Word>) {}),
                PermanentIoError);
   obs::FlightRecorder::disarm();
@@ -921,9 +1000,10 @@ TEST(FlightRecorder, RingBufferKeepsTheMostRecentSpans) {
 
 // ---------------------------------------------------------------------------
 // Capstone: chaos equivalence sweep. Every kind (+ the sharded façade) in
-// pipelined + cached + arbitrated mode, under a seeded transient-fault
-// schedule, must produce the bit-exact lookup digest of the fault-free
-// run — and the retry counters must prove the schedule actually fired.
+// pipelined + cached + arbitrated mode on files, under a seeded
+// transient-fault schedule drawn per file, must produce the bit-exact
+// lookup digest of the fault-free run — and the retry counters must prove
+// the schedule actually fired.
 // Both arms also answer exactly the AckLedger's fold of the whole op
 // stream (last op per key wins), which catches a lost or duplicated op
 // even when it hits both arms alike and leaves their digests equal.
@@ -953,10 +1033,10 @@ struct ChaosOutcome {
 ChaosOutcome chaosRun(TableKind kind, std::uint64_t seed, bool faulted) {
   SCOPED_TRACE(::testing::Message()
                << "seed=" << seed << (faulted ? " faulted" : " clean"));
+  FaultyFileOps shim(seed);
+  const StorageOptions storage = fileStorageOptions(&shim);
   TestRig rig(kChaosB, /*memory_words=*/0, 42);
-  // Declared before the cache and table: devices consult the policies
-  // during the destructors' flush/free walks.
-  std::vector<std::unique_ptr<FaultPolicy>> policies;
+  rig.useStorage(storage);
   std::optional<BlockCache> cache;
 
   GeneralConfig cfg;
@@ -970,6 +1050,7 @@ ChaosOutcome chaosRun(TableKind kind, std::uint64_t seed, bool faulted) {
   cfg.shard_threads = 2;
   cfg.shard_cache_frames = 8;
   cfg.shard_cache_write_back = true;
+  cfg.shard_storage = storage;
   auto table = makeTable(kind, rig.context(), cfg);
 
   // Cached: the sharded façade auto-attaches per-shard caches; everyone
@@ -983,25 +1064,25 @@ ChaosOutcome chaosRun(TableKind kind, std::uint64_t seed, bool faulted) {
     table->attachCache(&*cache);
   }
 
-  // Seeded transient chaos on every device the table touches. With
-  // p = 0.02 per attempt and 8 attempts the chance of an escape is ~1e-14
-  // per op: the faulted run must converge to the fault-free contents.
-  const auto arm = [&](BlockDevice& dev, std::uint64_t stream) {
-    auto policy = std::make_unique<FaultPolicy>(deriveSeed(seed, stream));
-    policy->setFailureProbability(0.02);
+  // Seeded transient chaos on every file the table touches, each drawing
+  // from its own stream. With p = 0.02 per syscall and 8 attempts the
+  // chance of an escape is ~1e-14 per access: the faulted run must
+  // converge to the fault-free contents.
+  const auto arm = [&](BlockDevice& dev) {
     RetryPolicy rp;
     rp.max_attempts = 8;
     dev.setRetryPolicy(rp);
-    dev.setFaultPolicy(policy.get());
-    policies.push_back(std::move(policy));
+    for (const auto sc : {FileSyscall::kPread, FileSyscall::kPwrite}) {
+      shim.setErrnoProbability(sc, 0.02, EAGAIN, fileOf(dev));
+    }
   };
   if (faulted) {
     if (sharded != nullptr) {
       for (std::size_t s = 0; s < sharded->shardCount(); ++s) {
-        arm(sharded->shardDevice(s), 100 + s);
+        arm(sharded->shardDevice(s));
       }
     } else {
-      arm(*rig.device, 100);
+      arm(*rig.device);
     }
   }
 
@@ -1068,14 +1149,10 @@ ChaosOutcome chaosRun(TableKind kind, std::uint64_t seed, bool faulted) {
                                std::numeric_limits<std::uint64_t>::max(),
                                universe);
   const auto io = table->ioStats();
-  out.faults = io.faults_injected;
+  out.faults = shim.faultsInjected();
   out.retries = io.io_retries;
   out.gave_up = io.io_gave_up;
-  if (faulted) {
-    std::uint64_t injected = 0;
-    for (const auto& policy : policies) injected += policy->faultsInjected();
-    EXPECT_EQ(injected, out.faults);  // device stats agree with the policy
-  }
+  shim.clear();  // the teardown's flush and free walks run fault-free
   return out;
 }
 
@@ -1108,14 +1185,15 @@ INSTANTIATE_TEST_SUITE_P(
 // resolved, the faulted shard latches, and the healthy shards keep
 // serving through the façade.
 TEST(ChaosPermanent, PipelineFailStopsAndHealthyShardsServe) {
+  FaultyFileOps shim(37);
   TestRig rig(kChaosB, /*memory_words=*/0, 42);
-  FaultPolicy policy(37);
   tables::ShardedTableConfig config;
   config.shards = 4;
   config.inner = TableKind::kChaining;
   config.threads = 2;
   config.inner_config.expected_n = kChaosUniverse;
   config.inner_config.target_load = 0.5;
+  config.storage = fileStorageOptions(&shim);
   ShardedTable table(rig.context(), config);
 
   const auto universe = distinctKeys(kChaosUniverse, 7);
@@ -1126,10 +1204,11 @@ TEST(ChaosPermanent, PipelineFailStopsAndHealthyShardsServe) {
     }
     pipe.drain();
 
-    // Shard 2 goes permanently bad mid-stream.
-    policy.failOpNumber(IoOpKind::kRmw, 1, FaultPolicy::Severity::kPermanent,
-                        FaultPolicy::Durability::kSticky);
-    table.shardDevice(2).setFaultPolicy(&policy);
+    // Shard 2's file goes permanently bad mid-stream.
+    const int shard2 = fileOf(table.shardDevice(2));
+    shim.failNth(FileSyscall::kPwrite,
+                 shim.count(FileSyscall::kPwrite, shard2) + 1, EIO,
+                 /*sticky=*/true, shard2);
 
     std::vector<std::future<std::optional<std::uint64_t>>> lookups;
     try {
@@ -1163,7 +1242,7 @@ TEST(ChaosPermanent, PipelineFailStopsAndHealthyShardsServe) {
   EXPECT_GT(served, universe.size() / 2);
 
   // Recovery: fault cleared, shard re-admitted, pipeline traffic resumes.
-  policy.clear();
+  shim.clear();
   table.clearShardErrors();
   IngestPipeline pipe(table, {.batch_capacity = 32});
   EXPECT_NO_THROW({

@@ -45,18 +45,6 @@ using extmem::Word;
 constexpr std::size_t kWords = 32;
 constexpr std::size_t kBlockBytes = kWords * sizeof(Word);
 
-StorageOptions fileOptions() {
-  StorageOptions options = testing::testStorageOptions();
-  options.backend = StorageOptions::Backend::kFile;
-  return options;
-}
-
-StorageOptions shimOptions(FaultyFileOps& shim) {
-  StorageOptions options = fileOptions();
-  options.file_ops = &shim;
-  return options;
-}
-
 std::vector<Word> pattern(std::uint64_t tag) {
   std::vector<Word> words(kWords);
   for (std::size_t i = 0; i < kWords; ++i) {
@@ -78,7 +66,7 @@ void fillBlock(BlockDevice& device, BlockId id, std::uint64_t tag) {
 
 TEST(FileStorage, MemAndFileDevicesStayByteIdentical) {
   BlockDevice mem(kWords);
-  BlockDevice file(kWords, fileOptions());
+  BlockDevice file(kWords, testing::fileStorageOptions());
   ASSERT_FALSE(mem.storagePersistent());
   ASSERT_TRUE(file.storagePersistent());
 
@@ -121,7 +109,7 @@ TEST(FileStorage, BackendIdentityIsReported) {
   EXPECT_EQ(mem.storageName(), "mem");
   EXPECT_FALSE(mem.storagePersistent());
 
-  BlockDevice file(kWords, fileOptions());
+  BlockDevice file(kWords, testing::fileStorageOptions());
   EXPECT_TRUE(file.storageName() == "file" ||
               file.storageName() == "file+direct");
   const auto* fs = dynamic_cast<const FileStorage*>(&file.storage());
@@ -131,7 +119,7 @@ TEST(FileStorage, BackendIdentityIsReported) {
 }
 
 TEST(FileStorage, DirectIoRequestReportsWhatEngaged) {
-  StorageOptions options = fileOptions();
+  StorageOptions options = testing::fileStorageOptions();
   options.direct_io = true;
   // Best effort by contract: tmpfs refuses O_DIRECT and the constructor
   // falls back to buffered I/O instead of failing. Either way the device
@@ -162,7 +150,7 @@ TEST(FileStorage, DirectIoRequestReportsWhatEngaged) {
 }
 
 TEST(FileStorage, FreshAndReusedBlocksReadZero) {
-  BlockDevice device(kWords, fileOptions());
+  BlockDevice device(kWords, testing::fileStorageOptions());
   const BlockId a = device.allocate();
   EXPECT_EQ(device.readCopy(a), std::vector<Word>(kWords, 0));
   fillBlock(device, a, 0xAA);
@@ -180,7 +168,7 @@ TEST(FileStorage, FreshAndReusedBlocksReadZero) {
 
 TEST(FileStorage, PermanentErrnoSurfacesAsTypedError) {
   FaultyFileOps shim(/*seed=*/1);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   const BlockId id = device.allocate();
   fillBlock(device, id, 0x01);
 
@@ -209,7 +197,7 @@ TEST(FileStorage, PermanentErrnoSurfacesAsTypedError) {
 
 TEST(FileStorage, TransientErrnoIsRetriedToSuccess) {
   FaultyFileOps shim(/*seed=*/2);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   const BlockId id = device.allocate();
 
   // One EAGAIN, then clean: the device ladder must absorb it invisibly.
@@ -223,7 +211,7 @@ TEST(FileStorage, TransientErrnoIsRetriedToSuccess) {
 
 TEST(FileStorage, TransientScheduleExhaustsIntoTransientError) {
   FaultyFileOps shim(/*seed=*/3);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   const BlockId id = device.allocate();
 
   shim.failNth(FileSyscall::kPwrite, shim.count(FileSyscall::kPwrite) + 1,
@@ -243,7 +231,7 @@ TEST(FileStorage, TransientScheduleExhaustsIntoTransientError) {
 
 TEST(FileStorage, EintrStormsAbsorbedBelowTheLadder) {
   FaultyFileOps shim(/*seed=*/4);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   const BlockId id = device.allocate();
 
   // EINTR is handled INSIDE the syscall resume loops — it never becomes
@@ -265,7 +253,7 @@ TEST(FileStorage, EintrStormsAbsorbedBelowTheLadder) {
 
 TEST(FileStorage, ShortTransfersResume) {
   FaultyFileOps shim(/*seed=*/5);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   const BlockId id = device.allocate();
 
   // A 8-byte short write and a 24-byte short read: the resume loops must
@@ -284,7 +272,7 @@ TEST(FileStorage, ShortTransfersResume) {
 
 TEST(FileStorage, SyncCountsBarriers) {
   FaultyFileOps shim(/*seed=*/6);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   const std::uint64_t before = shim.count(FileSyscall::kFsync);
   EXPECT_EQ(device.stats().fsyncs, 0u);
   device.sync();
@@ -297,7 +285,7 @@ TEST(FileStorage, SyncCountsBarriers) {
 
 TEST(FileStorage, FailedSyncIsNeverTransient) {
   FaultyFileOps shim(/*seed=*/7);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   // Even a "retryable" errno on fsync must surface permanent: the kernel
   // may already have dropped the dirty pages, so re-running the barrier
   // cannot certify the data (fsyncgate semantics).
@@ -316,7 +304,7 @@ TEST(FileStorage, FailedSyncIsNeverTransient) {
 TEST(FileStorage, PowerCutDropsExactlyTheUnsyncedBytes) {
   FaultyFileOps shim(/*seed=*/8);
   shim.enableWriteBuffering();  // the page-cache model
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   const BlockId synced = device.allocate();
   const BlockId unsynced = device.allocate();
 
@@ -342,7 +330,7 @@ TEST(FileStorage, PowerCutDropsExactlyTheUnsyncedBytes) {
 TEST(FileStorage, PowerCutMidWriteKeepsOnlyTheTornPrefix) {
   FaultyFileOps shim(/*seed=*/9);
   shim.enableWriteBuffering();
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   const BlockId id = device.allocate();
   fillBlock(device, id, 0x61);
   device.sync();
@@ -376,7 +364,7 @@ constexpr std::size_t kRunBlocks = 1100;
 
 TEST(FileStorage, FlushWritesEachDirtyRunWithOnePwrite) {
   FaultyFileOps shim(/*seed=*/10);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   ASSERT_EQ(device.allocateExtent(kRunBlocks), 0u);
   extmem::MemoryBudget budget(0);
   extmem::BlockCache cache(device, budget, kRunBlocks,
@@ -410,7 +398,7 @@ TEST(FileStorage, FlushWritesEachDirtyRunWithOnePwrite) {
 
 TEST(FileStorage, ImageRestoreStoresRunsAndRoundTrips) {
   FaultyFileOps shim(/*seed=*/11);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   ASSERT_EQ(device.allocateExtent(kRunBlocks), 0u);
   for (BlockId id = 0; id < kRunBlocks; ++id) fillBlock(device, id, id + 1);
   const BlockDevice::Image image = device.captureImage();
@@ -443,7 +431,7 @@ TEST(WalFileTornTail, RandomizedPowerCutsNeverLoseAckedRecords) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
     FaultyFileOps shim(seed);
     shim.enableWriteBuffering();
-    BlockDevice device(kWords, shimOptions(shim));
+    BlockDevice device(kWords, testing::fileStorageOptions(&shim));
     WalWriter wal(device);
 
     // Arm a cut at a random syscall with a random torn prefix of the
@@ -496,7 +484,7 @@ TEST(WalFileTornTail, DeterministicMidWordTearTruncatesCleanly) {
   // the file and the syscall reports EIO — a sector torn mid-transfer,
   // not a power loss. The writer poisons; the reader must truncate.
   FaultyFileOps shim(/*seed=*/42);
-  BlockDevice device(kWords, shimOptions(shim));
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   WalWriter wal(device);
 
   for (std::uint64_t i = 0; i < 10; ++i) {

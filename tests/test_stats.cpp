@@ -77,7 +77,6 @@ constexpr IoCounter kIoCounters[] = {
     {"cache_writebacks", &extmem::IoStats::cache_writebacks},
     {"cache_ghost_hits", &extmem::IoStats::cache_ghost_hits},
     {"cache_bypass_reads", &extmem::IoStats::cache_bypass_reads},
-    {"faults_injected", &extmem::IoStats::faults_injected},
     {"io_retries", &extmem::IoStats::io_retries},
     {"io_gave_up", &extmem::IoStats::io_gave_up},
     {"fsyncs", &extmem::IoStats::fsyncs},

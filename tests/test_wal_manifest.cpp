@@ -1,6 +1,6 @@
 // Durability primitives in isolation: the block-framed WAL (round-trip,
 // records straddling block boundaries, torn-tail truncation, LSN fencing
-// across reset, threaded group commit) and the manifest superblock pair
+// across reset, threaded appends) and the manifest superblock pair
 // (slot alternation, newest-valid-wins, torn header/payload falling back
 // to the older slot, both-corrupt as the unrecoverable signal). The
 // end-to-end crash sweeps live in test_crash_recovery.cpp; this file pins
@@ -17,6 +17,7 @@
 #include "durability/wal.h"
 #include "extmem/block_device.h"
 #include "extmem/fault.h"
+#include "extmem/faulty_file_ops.h"
 #include "obs/flight_recorder.h"
 #include "table_test_util.h"
 #include "tables/factory.h"
@@ -32,8 +33,8 @@ using durability::WalLog;
 using durability::WalReader;
 using durability::WalWriter;
 using extmem::BlockDevice;
-using extmem::FaultPolicy;
-using extmem::IoOpKind;
+using extmem::FaultyFileOps;
+using extmem::FileSyscall;
 using extmem::Word;
 using tables::Op;
 
@@ -101,25 +102,26 @@ TEST(Wal, RecordStraddlingBlocksRoundTrips) {
 }
 
 TEST(Wal, TornTailTruncatesToTheDurablePrefix) {
-  // Crash the second tail-block write with only 3 of its words persisting:
-  // the block keeps a valid frame header but the record inside it tears,
-  // so the reader must keep record 1 and truncate the tail.
-  BlockDevice device(8, testing::testStorageOptions());
-  FaultPolicy policy(1);
+  // Cut the power at the second tail-block write with only 3 of its words
+  // persisting: the block keeps a valid frame header but the record
+  // inside it tears, so the reader must keep record 1 and truncate the
+  // tail.
+  FaultyFileOps shim(1);
+  BlockDevice device(8, testing::fileStorageOptions(&shim));
   WalWriter wal(device);
   wal.append(makeOps(1, 1));  // 7 words: exactly one block's payload
 
-  policy.crashOpNumber(IoOpKind::kWrite, 1, /*torn_words=*/3);
-  device.setFaultPolicy(&policy);
+  shim.powerCutAtPwrite(shim.count(FileSyscall::kPwrite) + 1,
+                        /*torn_bytes=*/3 * sizeof(Word));
   EXPECT_THROW(wal.append(makeOps(1, 2)), extmem::DeviceCrashed);
-  EXPECT_EQ(policy.crashesFired(), 1u);
+  EXPECT_TRUE(shim.powerCutFired());
   EXPECT_TRUE(device.frozen());
 
   // The writer is poisoned until reset() — the record was never durable.
   EXPECT_EQ(wal.durableLsn(), 1u);
   EXPECT_THROW(wal.append(makeOps(1, 3)), extmem::DeviceCrashed);
 
-  device.setFaultPolicy(nullptr);
+  shim.restorePower();
   device.thaw();
   const WalLog log = WalReader(device).readAll();
   EXPECT_TRUE(log.torn_tail);
@@ -132,18 +134,18 @@ TEST(Wal, TornWriteInsideAStraddlingRecordKeepsThePrefix) {
   // Record 2 spans blocks; crash the write of its SECOND block so the
   // record's head lands durable but its tail does not — the checksum must
   // reject the half-record and the scan must stop there.
-  BlockDevice device(8, testing::testStorageOptions());
-  FaultPolicy policy(2);
+  FaultyFileOps shim(2);
+  BlockDevice device(8, testing::fileStorageOptions(&shim));
   WalWriter wal(device);
   wal.append(makeOps(1, 1));  // fills block 1 exactly
 
   // A 3-op record rewrites the new tail block (write 1) and overflows
   // into another (write 2); tear that second write mid-block.
-  policy.crashOpNumber(IoOpKind::kWrite, 2, /*torn_words=*/4);
-  device.setFaultPolicy(&policy);
+  shim.powerCutAtPwrite(shim.count(FileSyscall::kPwrite) + 2,
+                        /*torn_bytes=*/4 * sizeof(Word));
   EXPECT_THROW(wal.append(makeOps(3, 2)), extmem::DeviceCrashed);
 
-  device.setFaultPolicy(nullptr);
+  shim.restorePower();
   device.thaw();
   const WalLog log = WalReader(device).readAll();
   EXPECT_TRUE(log.torn_tail);
@@ -201,7 +203,7 @@ TEST(Wal, ThreadedAppendsGroupCommitWithoutLosingRecords) {
     EXPECT_EQ(log.records[i].lsn, i + 1);  // contiguous, no gaps
   }
   // Every appended record arrived exactly once (order across threads is
-  // whatever the group commits chose).
+  // whichever thread took the writer's mutex first).
   std::vector<std::uint64_t> salts;
   for (const auto& record : log.records) {
     ASSERT_EQ(record.ops.size(), 2u);
