@@ -132,7 +132,16 @@ bool BlockDevice::isAllocated(BlockId id) const noexcept {
 }
 
 void BlockDevice::ensureBacking(BlockId last_id) {
-  storage_->ensureCapacity(last_id + 1);
+  // Growing a file is a backend call like any load or store, so it runs
+  // in the one retry ladder; re-issuing it to the same length is
+  // idempotent. Its errors name no block.
+  if (storage_persistent_) {
+    retryBackend(IoOpKind::kWrite, kInvalidBlock, [&](std::uint32_t) {
+      storage_->ensureCapacity(last_id + 1);
+    });
+  } else {
+    storage_->ensureCapacity(last_id + 1);
+  }
   if (allocated_.size() < (last_id + 1)) allocated_.resize(last_id + 1, 0);
 }
 
@@ -168,9 +177,11 @@ BlockId BlockDevice::allocateExtent(std::size_t count) {
     markAllocated(first, count, /*reused=*/true);
     return first;
   }
+  // Back the extent before claiming its ids: a failed grow leaves the
+  // device as it was.
   const BlockId first = next_id_;
+  ensureBacking(first + count - 1);
   next_id_ += count;
-  ensureBacking(next_id_ - 1);
   markAllocated(first, count, /*reused=*/false);
   return first;
 }

@@ -36,9 +36,10 @@
 // and counts its write. A DeviceCrashed (a power cut under the file
 // backend, see extmem/faulty_file_ops.h) freezes the device. inspect(),
 // allocation, free and the image calls add nothing to cost(), yet the
-// loads of inspect() and captureImage() and the stores of restoreImage()
-// and of a reused id's scrub run in the same ladder. MemStorage cannot
-// fail, so on it an access is one branch plus the backend call.
+// loads of inspect() and captureImage(), the stores of restoreImage() and
+// of a reused id's scrub, and the file growth behind a fresh extent run
+// in the same ladder. MemStorage cannot fail, so on it an access is one
+// branch plus the backend call.
 #pragma once
 
 #include <algorithm>
@@ -85,7 +86,8 @@ class BlockDevice {
   BlockId allocate();
 
   /// Allocate `count` contiguous zero-initialized blocks; returns the first
-  /// id. Contiguity is in the id space (computed addressing).
+  /// id. Contiguity is in the id space (computed addressing). An IoError
+  /// from growing the backing file leaves the device as it was.
   BlockId allocateExtent(std::size_t count);
 
   void free(BlockId id);

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "extmem/block_device.h"  // kInvalidBlock
+
 namespace exthash::extmem {
 
 const char* ioOpKindName(IoOpKind op) noexcept {
@@ -22,7 +24,11 @@ std::string describe(IoOpKind op, BlockId block, bool transient,
                      std::uint32_t attempts, const std::string& detail) {
   std::ostringstream os;
   os << (transient ? "transient" : "permanent") << " " << ioOpKindName(op)
-     << " fault on block " << block << " (attempt " << attempts << ")";
+     << " fault on ";
+  // Growing a file, syncing it and opening it concern no one block.
+  if (block == kInvalidBlock) os << "no block";
+  else os << "block " << block;
+  os << " (attempt " << attempts << ")";
   if (!detail.empty()) os << ": " << detail;
   return os.str();
 }

@@ -36,7 +36,9 @@ const char* ioOpKindName(IoOpKind op) noexcept;
 /// file-backed access failed with (0 when no syscall failed);
 /// file-backed errors put its symbolic name + strerror text into the
 /// message ("permanent write fault on block 7 (attempt 4): EIO —
-/// Input/output error (pwrite)").
+/// Input/output error (pwrite)"). A failure no one block owns — growing,
+/// syncing or opening a file — carries kInvalidBlock, and its message
+/// says "no block".
 class IoError : public std::runtime_error {
  public:
   IoError(IoOpKind op, BlockId block, bool transient, std::uint32_t attempts,

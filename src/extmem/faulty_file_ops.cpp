@@ -307,6 +307,38 @@ ssize_t FaultyFileOps::pwrite(int fd, const void* buf, std::size_t count,
   return static_cast<ssize_t>(n_bytes);
 }
 
+bool FaultyFileOps::writeBackLocked(int fd) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    PendingWrite& w = pending_[i];
+    if (w.fd != fd) {
+      if (kept != i) pending_[kept] = std::move(w);
+      ++kept;
+      continue;
+    }
+    std::size_t done = 0;
+    while (done < w.data.size()) {
+      const ssize_t r =
+          inner_->pwrite(fd, w.data.data() + done, w.data.size() - done,
+                         w.offset + static_cast<off_t>(done));
+      if (r <= 0) {
+        // Writeback failed: keep the unflushed tail pending and report
+        // the failure (fsyncgate semantics are the CALLER's problem).
+        for (std::size_t j = i; j < pending_.size(); ++j) {
+          if (kept != j) pending_[kept] = std::move(pending_[j]);
+          ++kept;
+        }
+        pending_.resize(kept);
+        if (r == 0) errno = EIO;
+        return false;
+      }
+      done += static_cast<std::size_t>(r);
+    }
+  }
+  pending_.resize(kept);
+  return true;
+}
+
 int FaultyFileOps::fsync(int fd) {
   std::lock_guard<std::mutex> lock(mutex_);
   const int err = gate(FileSyscall::kFsync, nullptr, 0, fd, 0);
@@ -314,38 +346,29 @@ int FaultyFileOps::fsync(int fd) {
     errno = err;
     return -1;
   }
-  if (buffering_) {
-    // Write back this fd's pending buffers in issue order, then barrier.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      PendingWrite& w = pending_[i];
-      if (w.fd != fd) {
-        if (kept != i) pending_[kept] = std::move(w);
-        ++kept;
-        continue;
-      }
-      std::size_t done = 0;
-      while (done < w.data.size()) {
-        const ssize_t r =
-            inner_->pwrite(fd, w.data.data() + done, w.data.size() - done,
-                           w.offset + static_cast<off_t>(done));
-        if (r <= 0) {
-          // Writeback failed: keep the unflushed tail pending and report
-          // the failure (fsyncgate semantics are the CALLER's problem).
-          for (std::size_t j = i; j < pending_.size(); ++j) {
-            if (kept != j) pending_[kept] = std::move(pending_[j]);
-            ++kept;
-          }
-          pending_.resize(kept);
-          if (r == 0) errno = EIO;
-          return -1;
-        }
-        done += static_cast<std::size_t>(r);
-      }
-    }
-    pending_.resize(kept);
-  }
+  if (!writeBackLocked(fd)) return -1;
   return inner_->fsync(fd);
+}
+
+int FaultyFileOps::close(int fd) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // The kernel writes a closed file's dirty pages back; a cut that already
+  // fired has dropped them. A tail whose write-back fails dies with the
+  // file.
+  const bool written = writeBackLocked(fd);
+  const int err = errno;
+  std::erase_if(pending_, [fd](const PendingWrite& w) { return w.fd == fd; });
+  // The fd is free for reuse: the file that gets it next starts clean.
+  scopes_.erase(fd);
+  std::erase_if(triggers_, [fd](const Trigger& t) { return t.fd == fd; });
+  std::erase_if(bad_ranges_, [fd](const BadRange& r) { return r.fd == fd; });
+  if (cut_.fd == fd) cut_ = PowerCut{};
+  const int rc = inner_->close(fd);
+  if (!written) {
+    errno = err;
+    return -1;
+  }
+  return rc;
 }
 
 int FaultyFileOps::fallocate(int fd, off_t offset, off_t len) {

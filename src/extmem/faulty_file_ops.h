@@ -29,10 +29,12 @@
 // nth counts only that file's syscalls, and a scoped probability draws
 // from that file's own seeded stream, so a shard's schedule does not
 // depend on how other threads' syscalls interleave with it. Files are
-// known by fd alone: scope a script after its file is open. A file that
-// reuses a closed file's fd continues its counters and stream, and its
-// reads overlay the closed file's unsynced buffered writes; only a power
-// cut clears those.
+// known by fd alone: scope a script after its file is open. close(fd)
+// ends a file: its unsynced buffered writes go to the inner layer, as the
+// kernel writes back a closed file's dirty pages (a cut that already
+// fired has dropped them), and its counters, stream, bad ranges and
+// scoped scripts are forgotten, so a file that reuses the fd starts
+// clean. close is neither counted nor failed.
 //
 // Write buffering (enableWriteBuffering) is the page-cache model that
 // makes fsync discipline testable: pwrites are held in order per fd and
@@ -123,6 +125,7 @@ class FaultyFileOps final : public FileOps {
                  off_t offset) override;
   int fsync(int fd) override;
   int fallocate(int fd, off_t offset, off_t len) override;
+  int close(int fd) override;
 
  private:
   struct Trigger {
@@ -183,6 +186,10 @@ class FaultyFileOps final : public FileOps {
   static int draw(Scope& s, std::size_t k);
   void dieLocked();
   ssize_t bufferedPread(int fd, void* buf, std::size_t count, off_t offset);
+  /// Hands `fd`'s unsynced writes to the inner layer in issue order. A
+  /// failed write-back keeps the unwritten tail pending and returns false
+  /// with errno set.
+  bool writeBackLocked(int fd);
 
   mutable std::mutex mutex_;
   FileOps* inner_;

@@ -126,6 +126,8 @@ class RealFileOps final : public FileOps {
 
 }  // namespace
 
+int FileOps::close(int fd) { return ::close(fd); }
+
 FileOps& realFileOps() {
   static RealFileOps ops;
   return ops;

@@ -11,7 +11,7 @@
 // production.
 //
 // Conventions match POSIX: pread/pwrite return the byte count or -1 with
-// errno set; fsync/fallocate return 0 or -1 with errno set. fsync means
+// errno set; fsync/fallocate/close return 0 or -1 with errno set. fsync means
 // fdatasync-strength (data + size durable); fallocate means
 // posix_fallocate (extend and reserve [0, len)).
 #pragma once
@@ -23,7 +23,7 @@
 
 namespace exthash::extmem {
 
-/// The four syscalls FileStorage issues, in shim-script vocabulary.
+/// The syscalls a shim script can fail, in shim-script vocabulary.
 enum class FileSyscall : std::uint8_t { kPread, kPwrite, kFsync, kFallocate };
 
 const char* fileSyscallName(FileSyscall sc) noexcept;
@@ -58,6 +58,10 @@ class FileOps {
   virtual int fsync(int fd) = 0;
   /// posix_fallocate semantics over [offset, offset+len).
   virtual int fallocate(int fd, off_t offset, off_t len) = 0;
+  /// close(2). A layer that keeps per-file state (FaultyFileOps) learns
+  /// here that the fd is free for reuse. Defaults to the kernel's close,
+  /// so a decorator that only observes the transfers need not forward it.
+  virtual int close(int fd);
 };
 
 /// The kernel. Stateless and shared.

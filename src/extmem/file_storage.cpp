@@ -81,7 +81,7 @@ FileStorage::FileStorage(std::size_t words_per_block, std::string path,
                                : block_bytes;
   if (direct_active_) {
     if (::posix_memalign(&bounce_, kDirectAlign, slot_bytes_) != 0) {
-      ::close(fd_);
+      ops_->close(fd_);
       fd_ = -1;
       throwErrno(IoOpKind::kWrite, kInvalidBlock, ENOMEM, "posix_memalign");
     }
@@ -102,11 +102,11 @@ FileStorage::FileStorage(std::size_t words_per_block, std::string path,
                ++eintr < kEintrBudget) {
         }
       } catch (...) {
-        ::close(dfd);
+        ops_->close(dfd);
         throw;
       }
       const int err = errno;
-      ::close(dfd);
+      ops_->close(dfd);
       if (rc < 0) {
         throwErrno(IoOpKind::kWrite, kInvalidBlock, err, "fsync(dir)");
       }
@@ -116,7 +116,7 @@ FileStorage::FileStorage(std::size_t words_per_block, std::string path,
 
 FileStorage::~FileStorage() {
   if (bounce_ != nullptr) ::free(bounce_);
-  if (fd_ >= 0) ::close(fd_);
+  if (fd_ >= 0) ops_->close(fd_);
   if (options_.unlink_on_close && !path_.empty()) ::unlink(path_.c_str());
 }
 

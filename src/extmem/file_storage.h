@@ -24,6 +24,8 @@
 //     carry the errno name + strerror text in the message.
 //   - sync() is fdatasync; creation of a fresh file is followed by an
 //     fsync of its parent directory, so the directory entry survives too
+//   - the file and the directory are closed through FileOps::close, so a
+//     shim forgets a closed file before another one can reuse its fd
 //   - a scripted PowerLoss (faulty_file_ops.h) is converted to
 //     DeviceCrashed at this boundary, which freezes the owning device.
 //

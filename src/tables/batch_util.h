@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -18,6 +19,7 @@
 
 #include "extmem/block_device.h"
 #include "extmem/bucket_page.h"
+#include "extmem/memory_budget.h"
 #include "extmem/record.h"
 #include "tables/hash_table.h"
 
@@ -26,13 +28,39 @@ namespace exthash::tables::batch {
 /// (bucket, original index) pairs sorted by bucket, original order
 /// preserved within a bucket — the grouping that turns k ops against one
 /// block extent into one read-modify-write.
+///
+/// A stable LSD radix sort with one counting pass per byte that is not the
+/// same in every bucket of the batch. The pairs start in index order, so
+/// the result is exactly the (bucket, index) order a comparison sort of
+/// the pairs gives, and the block-visit order — with every cache decision
+/// and counted I/O behind it — does not depend on how it is computed. The
+/// pass's second buffer, as large as the result, is charged to `memory`
+/// while it lives.
 template <class BucketOf>
 std::vector<std::pair<std::uint64_t, std::size_t>> orderByBucket(
-    std::size_t n, BucketOf&& bucket_of) {
-  std::vector<std::pair<std::uint64_t, std::size_t>> order;
+    extmem::MemoryBudget& memory, std::size_t n, BucketOf&& bucket_of) {
+  using Entry = std::pair<std::uint64_t, std::size_t>;
+  std::vector<Entry> order;
   order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) order.emplace_back(bucket_of(i), i);
-  std::sort(order.begin(), order.end());
+  // The bits in which some bucket differs from the first.
+  std::uint64_t varying = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    order.emplace_back(bucket_of(i), i);
+    varying |= order.front().first ^ order.back().first;
+  }
+  if (varying == 0) return order;
+
+  extmem::MemoryCharge scratch(memory, 2 * n);
+  std::vector<Entry> buffer(n);
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    std::array<std::size_t, 256> next{};
+    for (const Entry& e : order) ++next[(e.first >> shift) & 0xff];
+    std::size_t start = 0;
+    for (std::size_t& slot : next) start += std::exchange(slot, start);
+    for (const Entry& e : order) buffer[next[(e.first >> shift) & 0xff]++] = e;
+    order.swap(buffer);
+  }
   return order;
 }
 

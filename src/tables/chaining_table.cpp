@@ -269,11 +269,13 @@ void ChainingHashTable::applyOpsToBucket(std::uint64_t bucket,
 
 void ChainingHashTable::applyBatch(std::span<const Op> ops) {
   EXTHASH_CHECK(!destroyed_);
-  const auto order = batch::orderByBucket(
-      ops.size(), [&](std::size_t i) { return bucketOf(ops[i].key); });
   // The grouping index is merge scratch, charged like every other
   // in-memory working set.
   extmem::MemoryCharge scratch(*ctx_.memory, 2 * ops.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, ops.size(), [&](std::size_t i) {
+        return bucketOf(ops[i].key);
+      });
 
   std::vector<Op> group;
   batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,
@@ -295,9 +297,11 @@ void ChainingHashTable::lookupBatch(std::span<const std::uint64_t> keys,
                                     std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(!destroyed_);
   EXTHASH_CHECK(keys.size() == out.size());
-  const auto order = batch::orderByBucket(
-      keys.size(), [&](std::size_t i) { return bucketOf(keys[i]); });
   extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, keys.size(), [&](std::size_t i) {
+        return bucketOf(keys[i]);
+      });
 
   std::vector<std::size_t> pending;
   batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,

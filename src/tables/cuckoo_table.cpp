@@ -190,9 +190,9 @@ void CuckooHashTable::applyBatch(std::span<const Op> ops) {
   std::vector<std::size_t> second_phase;
   second_phase.reserve(pending.size());
   {
-    const auto order = batch::orderByBucket(pending.size(), [&](std::size_t k) {
-      return bucket1(ops[pending[k]].key);
-    });
+    const auto order = batch::orderByBucket(
+        *ctx_.memory, pending.size(),
+        [&](std::size_t k) { return bucket1(ops[pending[k]].key); });
     batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,
                                    std::size_t j) {
       ctx_.device->withWrite(extent_ + bucket, [&](std::span<Word> data) {
@@ -222,10 +222,9 @@ void CuckooHashTable::applyBatch(std::span<const Op> ops) {
   std::vector<std::size_t> deferred;
   std::unordered_set<std::uint64_t> deferred_keys;
   {
-    const auto order =
-        batch::orderByBucket(second_phase.size(), [&](std::size_t k) {
-          return bucket2(ops[second_phase[k]].key);
-        });
+    const auto order = batch::orderByBucket(
+        *ctx_.memory, second_phase.size(),
+        [&](std::size_t k) { return bucket2(ops[second_phase[k]].key); });
     batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,
                                    std::size_t j) {
       ctx_.device->withWrite(extent_ + bucket, [&](std::span<Word> data) {
@@ -284,9 +283,9 @@ void CuckooHashTable::lookupBatch(std::span<const std::uint64_t> keys,
   const auto probeGrouped = [&](const std::vector<std::size_t>& indices,
                                 auto&& bucket_of,
                                 std::vector<std::size_t>* misses) {
-    const auto order = batch::orderByBucket(indices.size(), [&](std::size_t k) {
-      return bucket_of(keys[indices[k]]);
-    });
+    const auto order = batch::orderByBucket(
+        *ctx_.memory, indices.size(),
+        [&](std::size_t k) { return bucket_of(keys[indices[k]]); });
     batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,
                                    std::size_t j) {
       ctx_.device->withRead(

@@ -184,10 +184,11 @@ void ExtendibleHashTable::applyBatch(std::span<const Op> ops) {
   // independent: splitting one bucket never re-routes keys of another, so
   // the grouping stays valid even when a group's overflow falls back to
   // the splitting serial path.
-  const auto order = batch::orderByBucket(ops.size(), [&](std::size_t i) {
-    return static_cast<std::uint64_t>(directory_[dirIndex(ops[i].key)]);
-  });
   extmem::MemoryCharge scratch(*ctx_.memory, 2 * ops.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, ops.size(), [&](std::size_t i) {
+        return static_cast<std::uint64_t>(directory_[dirIndex(ops[i].key)]);
+      });
 
   std::vector<Op> deferred;
   batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,
@@ -242,10 +243,11 @@ void ExtendibleHashTable::lookupBatch(
     std::span<const std::uint64_t> keys,
     std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(keys.size() == out.size());
-  const auto order = batch::orderByBucket(keys.size(), [&](std::size_t i) {
-    return static_cast<std::uint64_t>(directory_[dirIndex(keys[i])]);
-  });
   extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, keys.size(), [&](std::size_t i) {
+        return static_cast<std::uint64_t>(directory_[dirIndex(keys[i])]);
+      });
 
   batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,
                                  std::size_t j) {

@@ -165,8 +165,11 @@ void JensenPaghTable::applyBatch(std::span<const Op> ops) {
   // filling up — are forwarded, still in order, to the overflow table's
   // own grouped applyBatch. Buckets partition keys, so cross-group order
   // is irrelevant and the result matches the serial replay exactly.
-  const auto order = batch::orderByBucket(
-      ops.size(), [&](std::size_t i) { return bucketOf(ops[i].key); });
+  extmem::MemoryCharge scratch(*ctx_.memory, 2 * ops.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, ops.size(), [&](std::size_t i) {
+        return bucketOf(ops[i].key);
+      });
   std::vector<Op> overflow_ops;
   std::size_t g = 0;
   while (g < order.size()) {
@@ -242,8 +245,11 @@ void JensenPaghTable::lookupBatch(std::span<const std::uint64_t> keys,
   // One read per distinct primary bucket; only keys that miss a FLAGGED
   // bucket consult the overflow table (a miss in an un-overflowed bucket
   // ends the query at one I/O, same as the serial probe).
-  const auto order = batch::orderByBucket(
-      keys.size(), [&](std::size_t i) { return bucketOf(keys[i]); });
+  extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, keys.size(), [&](std::size_t i) {
+        return bucketOf(keys[i]);
+      });
   std::vector<std::size_t> to_overflow;
   batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t begin,
                                  std::size_t end) {

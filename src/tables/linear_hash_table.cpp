@@ -336,9 +336,11 @@ bool LinearHashTable::erase(std::uint64_t key) {
 void LinearHashTable::applyBatch(std::span<const Op> ops) {
   // Group under the addressing in force now; splits are deferred to the
   // end of the batch so the precomputed buckets stay valid throughout.
-  const auto order = batch::orderByBucket(
-      ops.size(), [&](std::size_t i) { return bucketOf(ops[i].key); });
   extmem::MemoryCharge scratch(*ctx_.memory, 2 * ops.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, ops.size(), [&](std::size_t i) {
+        return bucketOf(ops[i].key);
+      });
 
   std::vector<Op> group;
   batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,
@@ -363,9 +365,11 @@ void LinearHashTable::applyBatch(std::span<const Op> ops) {
 void LinearHashTable::lookupBatch(std::span<const std::uint64_t> keys,
                                   std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(keys.size() == out.size());
-  const auto order = batch::orderByBucket(
-      keys.size(), [&](std::size_t i) { return bucketOf(keys[i]); });
   extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, keys.size(), [&](std::size_t i) {
+        return bucketOf(keys[i]);
+      });
 
   std::vector<std::size_t> pending;
   batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,

@@ -161,9 +161,11 @@ void LinearProbingHashTable::applyBatch(std::span<const Op> ops) {
     }
     return;
   }
-  const auto order = batch::orderByBucket(
-      ops.size(), [&](std::size_t i) { return homeBucket(ops[i].key); });
   extmem::MemoryCharge scratch(*ctx_.memory, 2 * ops.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, ops.size(), [&](std::size_t i) {
+        return homeBucket(ops[i].key);
+      });
 
   // One rmw per touched home block resolves every op whose probe run is
   // that single block. Ops that must look past an overflowed home block
@@ -243,9 +245,11 @@ void LinearProbingHashTable::lookupBatch(
     std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(keys.size() == out.size());
   const std::uint64_t d = config_.bucket_count;
-  const auto order = batch::orderByBucket(
-      keys.size(), [&](std::size_t i) { return homeBucket(keys[i]); });
   extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
+  const auto order =
+      batch::orderByBucket(*ctx_.memory, keys.size(), [&](std::size_t i) {
+        return homeBucket(keys[i]);
+      });
 
   // One probe-run walk per home bucket: each visited block is read once
   // and answers every still-pending key of the group. The walk ends at

@@ -12,11 +12,14 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "extmem/memory_budget.h"
 #include "table_test_util.h"
+#include "tables/batch_util.h"
 #include "tables/factory.h"
 #include "tables/sharded_table.h"
 
@@ -265,6 +268,53 @@ std::vector<Op> insertOps(std::size_t n) {
     ops.push_back(Op::insertOp(keys[i], i + 1));
   }
   return ops;
+}
+
+// The grouping every bucketed batch path shares: ascending bucket, batch
+// order within a bucket — exactly a comparison sort of the (bucket, index)
+// pairs, whatever the batch size and however many bucket bytes vary. The
+// radix pass's second buffer is charged only while it lives.
+TEST(BatchUtil, OrderByBucketMatchesSortReference) {
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  std::mt19937_64 rng(22);
+  for (const std::size_t n : {0, 1, 2, 255, 256, 4096}) {
+    std::vector<std::pair<const char*, std::vector<std::uint64_t>>> cases;
+    const auto add = [&](const char* name, auto&& bucket) {
+      std::vector<std::uint64_t> buckets(n);
+      for (std::size_t i = 0; i < n; ++i) buckets[i] = bucket(i);
+      cases.emplace_back(name, std::move(buckets));
+    };
+    // Uniform buckets below 1, 255, 3,691 (the thm2-ingest benchmark's
+    // Ĥ), 2^20 and 2^40: zero, one, two, three and five low bytes vary.
+    for (const std::uint64_t range :
+         {std::uint64_t{1}, std::uint64_t{255}, std::uint64_t{3691},
+          std::uint64_t{1} << 20, std::uint64_t{1} << 40}) {
+      add("uniform", [&](std::size_t) { return rng() % range; });
+    }
+    add("full 64-bit", [&](std::size_t i) {
+      return i % 5 == 0 ? kTop : i % 7 == 0 ? 0 : rng();
+    });
+    add("all equal", [&](std::size_t) { return kTop; });
+    add("ascending", [&](std::size_t i) { return i; });
+    add("descending", [&](std::size_t i) { return kTop - i; });
+    add("descending, high bytes",
+        [&](std::size_t i) { return (n - i) << 40; });
+
+    for (const auto& [name, buckets] : cases) {
+      std::vector<std::pair<std::uint64_t, std::size_t>> expected;
+      for (std::size_t i = 0; i < n; ++i) expected.emplace_back(buckets[i], i);
+      std::sort(expected.begin(), expected.end());
+      extmem::MemoryBudget memory;
+      const auto order = batch::orderByBucket(
+          memory, n, [&](std::size_t i) { return buckets[i]; });
+      EXPECT_EQ(order, expected) << name << ", n=" << n;
+      const bool varies =
+          std::any_of(buckets.begin(), buckets.end(),
+                      [&](std::uint64_t b) { return b != buckets.front(); });
+      EXPECT_EQ(memory.peak(), varies ? 2 * n : 0) << name << ", n=" << n;
+      EXPECT_EQ(memory.used(), 0u) << name << ", n=" << n;
+    }
+  }
 }
 
 std::uint64_t costOf(TableKind kind, std::size_t b, std::size_t n,

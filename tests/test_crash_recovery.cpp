@@ -136,9 +136,9 @@ RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
                           const CrashPoint& point) {
   FaultyFileOps shim(seed);  // declared first: outlives every device
   const bool cut = point.target != CrashTarget::kNone;
-  // Only a cut clears the page cache; without one, buffered writes of
-  // closed shard files would outlive them under a reused fd.
-  if (cut) shim.enableWriteBuffering();
+  // The page-cache model in every episode: a closed file's unsynced
+  // writes are written back, so only the cut loses bytes.
+  shim.enableWriteBuffering();
   const StorageOptions storage = testing::fileStorageOptions(&shim);
 
   testing::TestRig rig(8);

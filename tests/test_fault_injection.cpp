@@ -1,8 +1,8 @@
 // Fault injection + end-to-end I/O error resilience.
 //
 // Layer by layer: the FaultyFileOps shim's determinism and trigger
-// semantics (file scoping, bad byte ranges) and the typed IoError
-// taxonomy; the device-level retry loop (transient absorbed, budgets
+// semantics (file scoping, bad byte ranges, closed files) and the typed
+// IoError taxonomy; the device-level retry loop (transient absorbed, budgets
 // exhausted, permanent escaping immediately) with its IoStats counters;
 // the device's fault seam on files (metadata paths add no cost; what a
 // power cut in a read, an rmw or an overwrite leaves); BlockCache
@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <memory>
@@ -186,6 +188,53 @@ TEST(FaultyFileOps, BadRangeFailsInsideAndCutsShortBelow) {
   EXPECT_EQ(shim.faultsInjected(), 3u);
   shim.clear();
   EXPECT_EQ(shim.pwrite(3, buf, 64, 100), 64);
+}
+
+// close(fd) ends a file in the shim: a file that reuses the fd reads its
+// own bytes, counts its own syscalls and is aimed at by no script left
+// over from the closed one.
+TEST(FaultyFileOps, ReusedFdStartsClean) {
+  constexpr std::size_t kWords = 8;
+  FaultyFileOps shim(/*seed=*/14);
+  shim.enableWriteBuffering();
+  int fd = -1;
+  {
+    BlockDevice a(kWords, fileStorageOptions(&shim));
+    a.writeCopy(a.allocate(), std::vector<Word>(kWords, 0xdead));  // unsynced
+    fd = fileOf(a);
+    shim.failNth(FileSyscall::kPread, 1, EIO, /*sticky=*/true, fd);
+    shim.failRange(fd, 0, 1 << 20, EIO);
+  }
+  BlockDevice b(kWords, fileStorageOptions(&shim));
+  ASSERT_EQ(fileOf(b), fd) << "B got a fresh fd: nothing is reused";
+  EXPECT_EQ(shim.count(FileSyscall::kPwrite, fd), 0u);
+  const BlockId id = b.allocate();
+  ASSERT_EQ(id, 0u);
+  EXPECT_EQ(b.readCopy(id), std::vector<Word>(kWords, 0));
+  EXPECT_EQ(shim.faultsInjected(), 0u);
+}
+
+// The kernel writes a closed file's dirty pages back: closing without a
+// sync loses nothing unless the power fails first.
+TEST(FaultyFileOps, CloseWritesBackUnsyncedWrites) {
+  constexpr std::size_t kWords = 8;
+  const std::string path = ::testing::TempDir() + "/close_writes_back.blocks";
+  FaultyFileOps shim(/*seed=*/15);
+  shim.enableWriteBuffering();
+  {
+    BlockDevice device(kWords, std::make_unique<extmem::FileStorage>(
+                                   kWords, path,
+                                   extmem::FileStorageOptions{
+                                       .unlink_on_close = false,
+                                       .ops = &shim}));
+    device.writeCopy(device.allocate(), std::vector<Word>(kWords, 0xdead));
+  }
+  std::vector<Word> on_disk(kWords);
+  std::ifstream file(path, std::ios::binary);
+  file.read(reinterpret_cast<char*>(on_disk.data()),
+            static_cast<std::streamsize>(kWords * sizeof(Word)));
+  EXPECT_EQ(on_disk, std::vector<Word>(kWords, 0xdead));
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

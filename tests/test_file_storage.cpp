@@ -229,6 +229,46 @@ TEST(FileStorage, TransientScheduleExhaustsIntoTransientError) {
   EXPECT_EQ(device.stats().io_gave_up, 1u);
 }
 
+// Growing the file is a backend call like any store: one EAGAIN from
+// fallocate is retried, not surfaced (the first allocate grows the file).
+TEST(FileStorage, TransientFallocateIsRetriedToSuccess) {
+  FaultyFileOps shim(/*seed=*/16);
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
+  shim.failNth(FileSyscall::kFallocate, 1, EAGAIN);
+  const BlockId id = device.allocate();
+  EXPECT_EQ(id, 0u);
+  EXPECT_EQ(device.stats().io_retries, 1u);
+  EXPECT_EQ(device.stats().io_gave_up, 0u);
+  fillBlock(device, id, 0x61);
+  EXPECT_EQ(device.readCopy(id), pattern(0x61));
+}
+
+TEST(FileStorage, StickyFallocateFaultExhaustsTheLadderOnNoBlock) {
+  FaultyFileOps shim(/*seed=*/17);
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
+  shim.failNth(FileSyscall::kFallocate, 1, EAGAIN, /*sticky=*/true);
+  try {
+    device.allocate();
+    FAIL() << "sticky EAGAIN on fallocate did not exhaust the budget";
+  } catch (const TransientIoError& error) {
+    EXPECT_EQ(error.posixErrno(), EAGAIN);
+    EXPECT_EQ(error.block(), extmem::kInvalidBlock);
+    EXPECT_EQ(error.attempts(), device.retryPolicy().max_attempts);
+    const std::string what = error.what();
+    EXPECT_NE(what.find("on no block"), std::string::npos) << what;
+    EXPECT_EQ(what.find(std::to_string(extmem::kInvalidBlock)),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(device.stats().io_retries,
+            device.retryPolicy().max_attempts - 1u);
+  EXPECT_EQ(device.stats().io_gave_up, 1u);
+  // The failed grow claimed no id.
+  shim.clear();
+  EXPECT_EQ(device.allocate(), 0u);
+  EXPECT_EQ(device.blocksInUse(), 1u);
+}
+
 TEST(FileStorage, EintrStormsAbsorbedBelowTheLadder) {
   FaultyFileOps shim(/*seed=*/4);
   BlockDevice device(kWords, testing::fileStorageOptions(&shim));
