@@ -155,7 +155,8 @@ std::uint64_t referenceChecksum(const OpPlan& plan, std::size_t n,
 
 SplitResult runSplit(const OpPlan& plan, std::size_t n, std::size_t b,
                      std::size_t total_frames, std::size_t cache_frames0,
-                     bool adaptive, std::uint64_t seed) {
+                     bool adaptive, std::uint64_t seed,
+                     obs::MetricsRegistry& metrics) {
   bench::Rig rig(b, /*memory_words=*/0, deriveSeed(seed, 11));
   const std::size_t wpb = rig.device->wordsPerBlock();
   // Exchange rate at pipeline depth 1: one frame's words as staging slots
@@ -239,6 +240,9 @@ SplitResult runSplit(const OpPlan& plan, std::size_t n, std::size_t b,
   r.cache_frames_final = cache.capacityBlocks();
   r.staging_slots_final = pipe.config().batch_capacity;
   r.checksum = bench::contentChecksum(*table, plan.universe);
+  table->collect(metrics);
+  pipe.collect(metrics);
+  if (arb) arb->collect(metrics);
   return r;
 }
 
@@ -267,8 +271,8 @@ int main(int argc, char** argv) {
                      "write a Chrome trace_event JSON of the run here "
                      "(open at ui.perfetto.dev)");
   args.addStringFlag("metrics", "",
-                     "write a Prometheus-format metrics snapshot here "
-                     "(families need -DEXTHASH_TELEMETRY=ON)");
+                     "write a Prometheus-format metrics snapshot of every "
+                     "split's device, cache, pipeline and arbiter here");
   if (!args.parse(argc, argv)) return 0;
   const std::size_t n = args.getUint("n");
   const std::size_t b = args.getUint("b");
@@ -279,10 +283,9 @@ int main(int argc, char** argv) {
   const std::string metrics_file = args.getString("metrics");
   EXTHASH_CHECK_MSG(frames >= 8, "need at least 8 frame-equivalents");
 
-  // Asking for either sink is an explicit opt-in: arm the runtime latch so
-  // telemetry builds populate the instrumentation sites without also
-  // needing the EXTHASH_TELEMETRY environment variable.
-  if (!trace_file.empty() || !metrics_file.empty()) obs::setEnabled(true);
+  // Every split collects its stack's metrics here after its final drain;
+  // counters add up across splits.
+  obs::MetricsRegistry metrics;
   std::optional<obs::TraceSession> trace;
   if (!trace_file.empty()) {
     trace.emplace();
@@ -362,13 +365,15 @@ int main(int argc, char** argv) {
       obs::TraceSpan split_span("static-split", "bench");
       split_span.arg("cache_frames", static_cast<double>(cf));
       rows.push_back({splitLabel(cf, frames),
-                      runSplit(plan, n, b, frames, cf, false, w.seed),
+                      runSplit(plan, n, b, frames, cf, false, w.seed,
+                               metrics),
                       false});
     }
     {
       obs::TraceSpan split_span("adaptive-split", "bench");
       rows.push_back({"adaptive",
-                      runSplit(plan, n, b, frames, frames / 2, true, w.seed),
+                      runSplit(plan, n, b, frames, frames / 2, true, w.seed,
+                               metrics),
                       true});
     }
 
@@ -430,7 +435,7 @@ int main(int argc, char** argv) {
   }
   if (!metrics_file.empty()) {
     std::ofstream os(metrics_file, std::ios::trunc);
-    obs::dumpMetrics(os);
+    metrics.dump(os);
     std::cout << "metrics snapshot: " << metrics_file << "\n";
   }
 

@@ -107,13 +107,13 @@ RunResult runProtocol(Protocol protocol, const CacheSpec& cache,
                       const std::vector<std::uint64_t>& universe,
                       std::size_t batch, std::size_t depth, std::size_t b,
                       std::size_t cache_frames, std::uint64_t seed,
-                      const extmem::StorageOptions& storage) {
+                      const extmem::StorageOptions& storage,
+                      obs::MetricsRegistry& metrics) {
   bench::Rig rig(b, /*memory_words=*/0, deriveSeed(seed, 11), storage);
   auto table = makeTableFor(rig, kind_name, keys.size(), cache, cache_frames,
                             storage);
 
   RunResult r;
-  // Direct (non-macro) span so --trace output is non-empty in every build.
   obs::TraceSpan run_span("protocol-run", "bench");
   run_span.arg("keys", static_cast<double>(keys.size()));
   auto fillLatency = [&](const obs::LatencyHistogram& hist) {
@@ -133,6 +133,7 @@ RunResult runProtocol(Protocol protocol, const CacheSpec& cache,
     }
     pipe.drain();  // flush barrier: dirty shard frames are charged here
     r.coalesced = pipe.stats().ops_coalesced;
+    pipe.collect(metrics);
     fillLatency(pipe.applyLatency());
   } else {
     const std::size_t chunk = protocol == Protocol::kSerial ? 1 : batch;
@@ -163,6 +164,7 @@ RunResult runProtocol(Protocol protocol, const CacheSpec& cache,
                       static_cast<double>(keys.size());
   r.size = table->size();
   r.checksum = bench::contentChecksum(*table, universe);
+  table->collect(metrics);
   return r;
 }
 
@@ -192,8 +194,8 @@ int main(int argc, char** argv) {
                      "write a Chrome trace_event JSON of the run here "
                      "(open at ui.perfetto.dev)");
   args.addStringFlag("metrics", "",
-                     "write a Prometheus-format metrics snapshot here "
-                     "(families need -DEXTHASH_TELEMETRY=ON)");
+                     "write a Prometheus-format metrics snapshot of every "
+                     "run's devices, caches, shards and pipelines here");
   if (!args.parse(argc, argv)) return 0;
   const std::size_t n = args.getUint("n");
   const std::size_t b = args.getUint("b");
@@ -207,10 +209,9 @@ int main(int argc, char** argv) {
   const std::string trace_file = args.getString("trace");
   const std::string metrics_file = args.getString("metrics");
 
-  // Asking for either sink is an explicit opt-in: arm the runtime latch so
-  // telemetry builds populate the instrumentation sites without also
-  // needing the EXTHASH_TELEMETRY environment variable.
-  if (!trace_file.empty() || !metrics_file.empty()) obs::setEnabled(true);
+  // Every run collects its stack's metrics here at its final barrier;
+  // counters add up across runs.
+  obs::MetricsRegistry metrics;
   std::optional<obs::TraceSession> trace;
   if (!trace_file.empty()) {
     trace.emplace();
@@ -289,7 +290,8 @@ int main(int argc, char** argv) {
       for (const auto& combo : combos) {
         results.push_back(
             runProtocol(combo.first, combo.second, kind, keys, universe,
-                        batch, depth, b, cache_frames, seed, storage));
+                        batch, depth, b, cache_frames, seed, storage,
+                        metrics));
       }
       const RunResult& serial = results[0];  // combos[0] is serial/uncached
       for (std::size_t c = 0; c < combos.size(); ++c) {
@@ -327,7 +329,7 @@ int main(int argc, char** argv) {
   }
   if (!metrics_file.empty()) {
     std::ofstream os(metrics_file, std::ios::trunc);
-    obs::dumpMetrics(os);
+    metrics.dump(os);
     std::cout << "metrics snapshot: " << metrics_file << "\n";
   }
   std::cout << "\nReading the table: 'batched' buys counted I/O (grouped "

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "durability/wal.h"  // walChecksum
-#include "obs/metrics.h"
 #include "util/assert.h"
 
 namespace exthash::durability {
@@ -90,7 +89,6 @@ std::uint64_t ManifestPair::write(std::uint64_t durable_lsn,
   payload_[slot] = SlotExtent{payload_first, blocks};
   last_version_ = version;
   ++writes_;
-  EXTHASH_OBS_COUNT("exthash_manifest_writes_total", 1);
   return version;
 }
 

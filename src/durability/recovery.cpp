@@ -43,7 +43,6 @@ std::uint64_t DurabilityManager::checkpointAt(
   const std::uint64_t committed = manifest_.write(durable_lsn, meta);
   EXTHASH_CHECK(committed == version);
   ++checkpoints_;
-  EXTHASH_OBS_COUNT("exthash_checkpoints_total", 1);
   return version;
 }
 
@@ -125,10 +124,26 @@ RecoveryResult DurabilityManager::recover(tables::ExternalHashTable& fresh) {
     throw;
   }
   ++recoveries_;
-  EXTHASH_OBS_COUNT("exthash_recoveries_total", 1);
-  EXTHASH_OBS_COUNT("exthash_recovery_replayed_records_total",
-                    static_cast<std::int64_t>(result.replayed_records));
+  replayed_records_ += result.replayed_records;
   return result;
+}
+
+void DurabilityManager::collect(obs::MetricsRegistry& registry) const {
+  registry.counter("exthash_wal_records_total").inc(wal_.recordsAppended());
+  registry.counter("exthash_wal_block_writes_total")
+      .inc(wal_.blocksWritten());
+  registry.counter("exthash_manifest_writes_total")
+      .inc(manifest_.checkpointsWritten());
+  registry.counter("exthash_checkpoints_total").inc(checkpoints_);
+  registry.counter("exthash_recoveries_total").inc(recoveries_);
+  registry.counter("exthash_recovery_replayed_records_total")
+      .inc(replayed_records_);
+  obs::MetricsRegistry wal_device;
+  obs::MetricsRegistry manifest_device;
+  wal_device_.collect(wal_device);
+  manifest_device_.collect(manifest_device);
+  registry.merge(wal_device, "device=\"wal\"");
+  registry.merge(manifest_device, "device=\"manifest\"");
 }
 
 }  // namespace exthash::durability

@@ -106,8 +106,20 @@ class DurabilityManager {
   /// device trapped on a crash point.
   void freezeAll(tables::ExternalHashTable& table);
 
+  const ManifestPair& manifest() const noexcept { return manifest_; }
   std::uint64_t checkpointsTaken() const noexcept { return checkpoints_; }
   std::uint64_t recoveriesCompleted() const noexcept { return recoveries_; }
+  /// WAL records replayed by every completed recover() so far.
+  std::uint64_t replayedRecords() const noexcept { return replayed_records_; }
+
+  /// Add the durability counters to `registry` (obs/metrics.h): the WAL's
+  /// exthash_wal_{records,block_writes}_total, the manifest's
+  /// exthash_manifest_writes_total, exthash_checkpoints_total,
+  /// exthash_recoveries_total and exthash_recovery_replayed_records_total,
+  /// plus the WAL and manifest devices' counters labelled device="wal" /
+  /// device="manifest". Takes the WAL writer's mutex: call it at a
+  /// quiescent point, never from a fatal path inside an append.
+  void collect(obs::MetricsRegistry& registry) const;
 
  private:
   /// Checkpoint with an explicit durable-LSN stamp (recover() must stamp
@@ -131,6 +143,7 @@ class DurabilityManager {
   std::array<ImageSlot, 2> images_;
   std::uint64_t checkpoints_ = 0;
   std::uint64_t recoveries_ = 0;
+  std::uint64_t replayed_records_ = 0;
 };
 
 }  // namespace exthash::durability

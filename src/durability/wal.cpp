@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "util/assert.h"
 #include "util/random.h"
 
@@ -77,7 +76,6 @@ void WalWriter::flushTailBlock() {
     std::copy(tail_block_.begin(), tail_block_.end(), data.begin());
   });
   ++blocks_written_;
-  EXTHASH_OBS_COUNT("exthash_wal_block_writes_total", 1);
 }
 
 void WalWriter::appendWordsLocked(std::span<const Word> words) {
@@ -121,7 +119,6 @@ std::uint64_t WalWriter::append(std::span<const tables::Op> ops) {
   }
   durable_lsn_ = lsn;
   ++records_appended_;
-  EXTHASH_OBS_COUNT("exthash_wal_records_total", 1);
   return lsn;
 }
 

@@ -3,37 +3,14 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/assert.h"
 
 namespace exthash::extmem {
 
 namespace {
-// Occupancy/dirty gauges are point-in-time: sampling them every access
-// would dominate the hit path, so a telemetry build snapshots every
-// kObsSamplePeriod fetch-path accesses (and at every eviction, which is
-// when occupancy actually changes shape).
-[[maybe_unused]] constexpr std::uint64_t kObsSamplePeriod = 1024;
-
 // Slab chunks hold about this many bytes of frames (at least one frame).
 constexpr std::size_t kChunkBytes = 64 * 1024;
 }  // namespace
-
-// Gauge + trace-counter snapshot of the cache's occupancy shape. Compiles
-// to nothing without EXTHASH_TELEMETRY_MODE (the call sites below keep
-// the sampling-clock increment, one untimed uint64 add).
-#ifdef EXTHASH_TELEMETRY_MODE
-void BlockCache::obsSampleGauges() const {
-  EXTHASH_OBS_GAUGE("exthash_cache_resident_frames", residentBlocks());
-  EXTHASH_OBS_GAUGE("exthash_cache_capacity_frames", capacity_blocks_);
-  EXTHASH_OBS_GAUGE("exthash_cache_dirty_frames", dirty_blocks_);
-  if (obs::enabled()) {
-    obs::traceCounter("cache resident",
-                      static_cast<double>(residentBlocks()));
-    obs::traceCounter("cache dirty", static_cast<double>(dirty_blocks_));
-  }
-}
-#endif
 
 BlockCache::BlockCache(BlockDevice& device, MemoryBudget& budget,
                        std::size_t capacity_blocks, WritePolicy policy,
@@ -143,13 +120,9 @@ std::uint32_t BlockCache::admit(BlockId id, Index ghost, bool dirty,
 }
 
 std::uint32_t BlockCache::fetch(BlockId id, bool mark_dirty) {
-#ifdef EXTHASH_TELEMETRY_MODE
-  if (++obs_accesses_ % kObsSamplePeriod == 0) obsSampleGauges();
-#endif
   const Index i = dir_.find(id);
   if (i != CacheDirectory::kNil && dir_[i].resident()) {
     ++hits_;
-    EXTHASH_OBS_COUNT("exthash_cache_hits_total", 1);
     replacement_.onHit(i);
     Entry& entry = dir_[i];
     if (mark_dirty) markDirty(entry);
@@ -157,7 +130,6 @@ std::uint32_t BlockCache::fetch(BlockId id, bool mark_dirty) {
   }
 
   ++misses_;
-  EXTHASH_OBS_COUNT("exthash_cache_misses_total", 1);
   return admit(id, i, mark_dirty, [&](Word* frame) {
     device_.withRead(id, [&](std::span<const Word> data) {
       std::copy(data.begin(), data.end(), frame);
@@ -171,7 +143,6 @@ std::uint32_t BlockCache::installZeroed(BlockId id) {
   // hit telemetry counts; the policy still sees a non-resident install as
   // a miss-admission so its queues mirror residency.
   ++hits_;
-  EXTHASH_OBS_COUNT("exthash_cache_hits_total", 1);
   const Index i = dir_.find(id);
   if (i != CacheDirectory::kNil && dir_[i].resident()) {
     replacement_.onHit(i);
@@ -187,12 +158,9 @@ std::uint32_t BlockCache::installZeroed(BlockId id) {
 
 void BlockCache::quarantine(Entry& entry) {
   ++writeback_failures_;
-  EXTHASH_OBS_COUNT("exthash_cache_writeback_failures_total", 1);
   if (!entry.quarantined) {
     entry.quarantined = true;
     ++quarantined_frames_;
-    EXTHASH_OBS_GAUGE("exthash_cache_quarantined_frames",
-                      quarantined_frames_);
   }
   // Give-up endgame: N consecutive failures escalate the NEXT flush
   // barrier to a PermanentIoError (see the header). Counted once per
@@ -200,7 +168,6 @@ void BlockCache::quarantine(Entry& entry) {
   if (++entry.failures >= give_up_threshold_ && !entry.gave_up) {
     entry.gave_up = true;
     ++quarantine_gave_up_;
-    EXTHASH_OBS_COUNT("exthash_cache_quarantine_gave_up_total", 1);
   }
 }
 
@@ -210,7 +177,6 @@ void BlockCache::writeFrame(BlockId id, std::uint32_t slot) {
     std::copy_n(frame, words_per_block_, data.begin());
   });
   ++writebacks_;
-  EXTHASH_OBS_COUNT("exthash_cache_writebacks_total", 1);
 }
 
 void BlockCache::markClean(Entry& entry) {
@@ -254,7 +220,7 @@ bool BlockCache::evictOne() {
   if (victim->dirty) --dirty_blocks_;
   free_slots_.push_back(victim->slot);
   rechargeForResidency();
-  EXTHASH_OBS_COUNT("exthash_cache_evictions_total", 1);
+  ++evictions_;
   return true;
 }
 
@@ -321,7 +287,6 @@ void BlockCache::flush() {
     }
     for (std::size_t k = begin; k < begin + landed; ++k) markClean(entryAt(k));
     writebacks_ += landed;
-    EXTHASH_OBS_COUNT("exthash_cache_writebacks_total", landed);
     begin += std::min(landed + 1, count);  // past the run or the failure
   }
   // Escalation outranks the raw fault: a frame past the give-up threshold
@@ -409,7 +374,6 @@ void BlockCache::refreshFromDevice(BlockId id) {
   const Index i = dir_.find(id);
   if (i != CacheDirectory::kNil && dir_[i].resident()) {
     ++hits_;
-    EXTHASH_OBS_COUNT("exthash_cache_hits_total", 1);
     Entry& entry = dir_[i];
     const auto data = device_.inspect(id);
     std::copy(data.begin(), data.end(), frames_[entry.slot]);
@@ -430,11 +394,29 @@ void BlockCache::refreshFromDevice(BlockId id) {
   // write-through recency and hit/miss telemetry match write-back, whose
   // write path fetches and admits the same way.
   ++misses_;
-  EXTHASH_OBS_COUNT("exthash_cache_misses_total", 1);
   admit(id, i, /*dirty=*/false, [&](Word* frame) {
     const auto data = device_.inspect(id);
     std::copy(data.begin(), data.end(), frame);
   });
+}
+
+void BlockCache::collect(obs::MetricsRegistry& registry) const {
+  registry.counter("exthash_cache_hits_total").inc(hits_);
+  registry.counter("exthash_cache_misses_total").inc(misses_);
+  registry.counter("exthash_cache_evictions_total").inc(evictions_);
+  registry.counter("exthash_cache_writebacks_total").inc(writebacks_);
+  registry.counter("exthash_cache_writeback_failures_total")
+      .inc(writeback_failures_);
+  registry.counter("exthash_cache_quarantine_gave_up_total")
+      .inc(quarantine_gave_up_);
+  registry.gauge("exthash_cache_capacity_frames")
+      .set(static_cast<double>(capacity_blocks_));
+  registry.gauge("exthash_cache_resident_frames")
+      .set(static_cast<double>(residentBlocks()));
+  registry.gauge("exthash_cache_dirty_frames")
+      .set(static_cast<double>(dirty_blocks_));
+  registry.gauge("exthash_cache_quarantined_frames")
+      .set(static_cast<double>(quarantined_frames_));
 }
 
 void BlockCache::audit(AuditReport& report) const {

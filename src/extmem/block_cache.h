@@ -245,6 +245,9 @@ class BlockCache {
   std::uint64_t misses() const noexcept { return misses_; }
   /// Dirty frames written to the device so far (evictions + flushes).
   std::uint64_t writebacks() const noexcept { return writebacks_; }
+  /// Frames evicted so far. A victim whose write-back faulted stays
+  /// resident, quarantined, and is not counted.
+  std::uint64_t evictions() const noexcept { return evictions_; }
   /// Write-backs that faulted past the device's retry budget (each one
   /// quarantined a frame; a later successful flush un-quarantines it).
   std::uint64_t writebackFailures() const noexcept {
@@ -310,6 +313,13 @@ class BlockCache {
   /// access in flight, no frame pinned (pinned frames are reported as
   /// findings).
   void audit(AuditReport& report) const;
+
+  /// Add this cache's counters and occupancy gauges to `registry`
+  /// (obs/metrics.h): exthash_cache_{hits,misses,evictions,writebacks,
+  /// writeback_failures,quarantine_gave_up}_total and
+  /// exthash_cache_{capacity,resident,dirty,quarantined}_frames. Call at
+  /// a quiescent point, like audit().
+  void collect(obs::MetricsRegistry& registry) const;
 
  private:
   using Entry = CacheDirectory::Entry;
@@ -395,19 +405,12 @@ class BlockCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t writebacks_ = 0;
+  std::uint64_t evictions_ = 0;
   std::uint64_t writeback_failures_ = 0;
   std::uint64_t quarantine_gave_up_ = 0;
   std::uint32_t give_up_threshold_ = 8;
   std::size_t dirty_blocks_ = 0;
   std::size_t quarantined_frames_ = 0;
-  // Telemetry sampling clock: counts fetch()-path accesses so a telemetry
-  // build can snapshot occupancy/dirty gauges every kObsSamplePeriod
-  // accesses instead of per event. One word; untouched in default builds.
-  std::uint64_t obs_accesses_ = 0;
-
-#ifdef EXTHASH_TELEMETRY_MODE
-  void obsSampleGauges() const;
-#endif
 };
 
 }  // namespace exthash::extmem

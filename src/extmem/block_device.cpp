@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 
 namespace exthash::extmem {
 
@@ -56,18 +57,15 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
     } catch (const TransientIoError& error) {
       if (attempt < budget) {
         ++stats_.io_retries;
-        EXTHASH_OBS_COUNT("exthash_io_retries_total", 1);
         yieldQuanta(retry_policy_.backoffQuantaFor(attempt, id));
         continue;
       }
       ++stats_.io_gave_up;
-      EXTHASH_OBS_COUNT("exthash_io_gave_up_total", 1);
       obs::flightRecorderNoteFatal(error.what());
       throw TransientIoError(op, error.block(), attempt, error.detail(),
                              error.posixErrno());
     } catch (const PermanentIoError& error) {
       ++stats_.io_gave_up;
-      EXTHASH_OBS_COUNT("exthash_io_gave_up_total", 1);
       obs::flightRecorderNoteFatal(error.what());
       throw PermanentIoError(op, error.block(), attempt, error.detail(),
                              error.posixErrno());
@@ -119,7 +117,12 @@ void BlockDevice::sync() {
     throw;
   }
   ++stats_.fsyncs;
-  EXTHASH_OBS_COUNT("exthash_device_fsyncs_total", 1);
+}
+
+void BlockDevice::collect(obs::MetricsRegistry& registry) const {
+  registry.counter("exthash_io_retries_total").inc(stats_.io_retries);
+  registry.counter("exthash_io_gave_up_total").inc(stats_.io_gave_up);
+  registry.counter("exthash_device_fsyncs_total").inc(stats_.fsyncs);
 }
 
 void BlockDevice::checkLive(BlockId id) const {

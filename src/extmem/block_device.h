@@ -56,8 +56,11 @@
 #include "extmem/io_stats.h"
 #include "extmem/retry.h"
 #include "extmem/storage_backend.h"
-#include "obs/metrics.h"
 #include "util/assert.h"
+
+namespace exthash::obs {
+class MetricsRegistry;
+}  // namespace exthash::obs
 
 namespace exthash::extmem {
 
@@ -96,7 +99,6 @@ class BlockDevice {
   /// Counted read: invokes fn(std::span<const Word>) on the block contents.
   template <class F>
   decltype(auto) withRead(BlockId id, F&& fn) {
-    EXTHASH_OBS_TIMED("exthash_device_read_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kRead, id);
     const Word* p = backendLoad(id);
@@ -109,7 +111,6 @@ class BlockDevice {
   /// invokes fn(std::span<Word>) on the live block contents.
   template <class F>
   decltype(auto) withWrite(BlockId id, F&& fn) {
-    EXTHASH_OBS_TIMED("exthash_device_rmw_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kRmw, id);
     Word* p = backendLoadMutable(id);
@@ -129,7 +130,6 @@ class BlockDevice {
   /// fill it. Use when the previous contents are irrelevant (bulk builds).
   template <class F>
   decltype(auto) withOverwrite(BlockId id, F&& fn) {
-    EXTHASH_OBS_TIMED("exthash_device_write_ns");
     checkLive(id);
     throwIfFrozen(IoOpKind::kWrite, id);
     Word* p = storage_->frame(id);
@@ -158,11 +158,9 @@ class BlockDevice {
   /// the run that did not land, and every block before it landed. The
   /// failure counts the landed prefix plus the failed block — as
   /// withOverwrite counts a write whose store failed — even if more of the
-  /// run reached the medium (re-writing it is idempotent). Telemetry times
-  /// the whole run as one exthash_device_write_ns sample.
+  /// run reached the medium (re-writing it is idempotent).
   template <class Fill>
   void withOverwriteRun(BlockId first, std::size_t count, Fill&& fill) {
-    EXTHASH_OBS_TIMED("exthash_device_write_ns");
     for (std::size_t i = 0; i < count; ++i) checkLive(first + i);
     throwIfFrozen(IoOpKind::kWrite, first);
     for (std::size_t i = 0; i < count; ++i) {
@@ -208,6 +206,10 @@ class BlockDevice {
 
   IoStats& stats() noexcept { return stats_; }
   const IoStats& stats() const noexcept { return stats_; }
+  /// Add this device's resilience and barrier counters to `registry`
+  /// (obs/metrics.h): exthash_io_retries_total, exthash_io_gave_up_total
+  /// and exthash_device_fsyncs_total, read from stats().
+  void collect(obs::MetricsRegistry& registry) const;
 
   /// Number of currently allocated blocks.
   std::size_t blocksInUse() const noexcept { return blocks_in_use_; }

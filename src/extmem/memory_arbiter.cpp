@@ -214,17 +214,23 @@ void MemoryArbiter::rebalance() {
   decisions_.push_back(decision);
   if (decisions_.size() > kDecisionHistory) decisions_.pop_front();
 
-  EXTHASH_OBS_COUNT("exthash_arbiter_rebalances_total", 1);
-  EXTHASH_OBS_COUNT("exthash_arbiter_frames_moved_total",
-                    decision.frames_moved);
-  EXTHASH_OBS_GAUGE("exthash_arbiter_cache_frames", cache_frames_);
-  EXTHASH_OBS_GAUGE("exthash_arbiter_staging_frames", staging_frames_);
-  EXTHASH_OBS_GAUGE("exthash_arbiter_cache_gain", decision.cache_gain);
-  EXTHASH_OBS_GAUGE("exthash_arbiter_staging_gain", decision.staging_gain);
-  EXTHASH_OBS_COUNTER_SAMPLE("arbiter cache frames",
-                             static_cast<double>(cache_frames_));
-  EXTHASH_OBS_COUNTER_SAMPLE("arbiter staging frames",
-                             static_cast<double>(staging_frames_));
+  obs::traceCounter("arbiter cache frames",
+                    static_cast<double>(cache_frames_));
+  obs::traceCounter("arbiter staging frames",
+                    static_cast<double>(staging_frames_));
+}
+
+void MemoryArbiter::collect(obs::MetricsRegistry& registry) const {
+  registry.counter("exthash_arbiter_rebalances_total").inc(rebalances_);
+  registry.counter("exthash_arbiter_frames_moved_total").inc(moves_);
+  registry.gauge("exthash_arbiter_cache_frames")
+      .set(static_cast<double>(cache_frames_));
+  registry.gauge("exthash_arbiter_staging_frames")
+      .set(static_cast<double>(staging_frames_));
+  const ArbiterDecision last =
+      decisions_.empty() ? ArbiterDecision{} : decisions_.back();
+  registry.gauge("exthash_arbiter_cache_gain").set(last.cache_gain);
+  registry.gauge("exthash_arbiter_staging_gain").set(last.staging_gain);
 }
 
 std::uint64_t MemoryArbiter::applyCacheSplit() {

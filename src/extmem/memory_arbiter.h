@@ -159,6 +159,14 @@ class MemoryArbiter {
   /// staging_frames_. Call at the same quiescent points as rebalance().
   void audit(AuditReport& report) const;
 
+  /// Add the arbiter's numbers to `registry` (obs/metrics.h):
+  /// exthash_arbiter_{rebalances,frames_moved}_total from rebalances()
+  /// and moves(), the current split as exthash_arbiter_{cache,staging}_
+  /// frames, and the latest decision's exthash_arbiter_{cache,staging}_
+  /// gain (0 before the first rebalance). Same thread-compatibility as
+  /// rebalance().
+  void collect(obs::MetricsRegistry& registry) const;
+
  private:
   struct CacheState {
     BlockCache* cache = nullptr;

@@ -17,8 +17,8 @@
 // global RNG — so a seeded chaos run replays identically.
 //
 // Accounting: each re-attempt increments IoStats::io_retries; an escape
-// (budget exhausted, or permanent) increments IoStats::io_gave_up.
-// Mirrored to the obs:: metrics registry in telemetry builds.
+// (budget exhausted, or permanent) increments IoStats::io_gave_up;
+// BlockDevice::collect exports both.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/assert.h"
 
@@ -70,8 +69,6 @@ void FlightRecorder::dump(const char* reason) {
   os << "--- recent spans (" << g_ring->eventCount() << " buffered, "
      << g_ring->dropped() << " aged out) ---\n";
   g_ring->writeJson(os);
-  os << "--- metrics snapshot ---\n";
-  dumpMetrics(os);
   os << "=== end flight recorder dump\n";
   os.flush();
   g_dumps.fetch_add(1, std::memory_order_relaxed);

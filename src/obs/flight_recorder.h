@@ -1,6 +1,6 @@
 // Always-on flight recorder: a bounded ring of the most recent trace
-// spans per thread, dumped — together with a metrics snapshot — at the
-// moment a fatal condition escapes the library.
+// spans per thread, dumped at the moment a fatal condition escapes the
+// library.
 //
 // The trace sinks (obs/trace.h) answer "what happened during this run I
 // chose to record"; the flight recorder answers the harder production
@@ -8,7 +8,9 @@
 // having chosen to record anything. arm() starts a ring-mode TraceSession
 // (Options::ring) as the process-wide current session, so every span the
 // instrumentation emits lands in a small per-thread ring that always
-// holds the recent past. Two fatal paths trigger a dump:
+// holds the recent past — the library's own spans (the pipeline's
+// seal/worker-apply/wal-append, ...) included, in every build. Two fatal
+// paths trigger a dump:
 //
 //   - a CheckFailure: arm() installs a trampoline into
 //     exthash::detail::checkFailureHook(), so EXTHASH_CHECK failures dump
@@ -17,10 +19,13 @@
 //     flightRecorderNoteFatal on give-up — permanent faults and exhausted
 //     retry budgets).
 //
-// The dump is the ring's Chrome-trace JSON plus the global metrics
-// registry's Prometheus snapshot, written to the configured sink (default
-// std::cerr), framed by "=== exthash flight recorder" marker lines so log
-// scrapers can extract it.
+// The dump is the ring's Chrome-trace JSON, written to the configured
+// sink (default std::cerr), framed by "=== exthash flight recorder"
+// marker lines so log scrapers can extract it. It carries no metrics:
+// the fatal paths run inside the components whose numbers a snapshot
+// would read (a failed WAL sync fires while WalWriter::append holds the
+// writer's mutex), so metrics come only from collect() at a quiescent
+// point, never from a registry the dump could reach.
 //
 // Caveats: at most one TraceSession is current per process, so while the
 // recorder is armed it owns that slot — don't combine with a --trace
@@ -52,7 +57,7 @@ class FlightRecorder {
   static void disarm();
   static bool armed() noexcept;
 
-  /// Write the ring + metrics snapshot to the sink now (no-op unarmed).
+  /// Write the ring to the sink now (no-op unarmed).
   /// Called automatically on the fatal paths; callable manually for
   /// "dump on demand" debugging.
   static void dump(const char* reason);

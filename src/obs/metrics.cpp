@@ -1,31 +1,14 @@
 #include "obs/metrics.h"
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <ostream>
 #include <string_view>
 
 namespace exthash::obs {
 
 namespace {
-
-bool computeEnabledFromEnv() {
-#ifdef EXTHASH_TELEMETRY_MODE
-  // A telemetry build defaults ON unless the env var explicitly disables.
-  const char* env = std::getenv("EXTHASH_TELEMETRY");
-  if (env == nullptr) return true;
-  return *env != '\0' && std::string_view(env) != "0";
-#else
-  const char* env = std::getenv("EXTHASH_TELEMETRY");
-  return env != nullptr && *env != '\0' && std::string_view(env) != "0";
-#endif
-}
-
-std::atomic<bool>& enabledFlag() noexcept {
-  static std::atomic<bool> flag{computeEnabledFromEnv()};
-  return flag;
-}
 
 std::uint64_t steadyNowNs() noexcept {
   return static_cast<std::uint64_t>(
@@ -62,20 +45,20 @@ std::string withSuffix(const std::string& name, const char* suffix) {
   return name.substr(0, brace) + suffix + name.substr(brace);
 }
 
+/// The shortest decimal that reads back as exactly `value`, so a gauge's
+/// exposition equals its owner's number (the stream default keeps six
+/// significant digits: 1234567 would print as 1.23457e+06).
+std::string exactDecimal(double value) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 constexpr double kSummaryQuantiles[] = {0.5, 0.9, 0.99, 0.999};
 constexpr const char* kSummaryQuantileLabels[] = {
     "quantile=\"0.5\"", "quantile=\"0.9\"", "quantile=\"0.99\"",
     "quantile=\"0.999\""};
 
 }  // namespace
-
-bool enabled() noexcept {
-  return enabledFlag().load(std::memory_order_relaxed);
-}
-
-void setEnabled(bool on) noexcept {
-  enabledFlag().store(on, std::memory_order_relaxed);
-}
 
 std::uint64_t LatencyHistogram::valueAtQuantile(double q) const noexcept {
   const std::uint64_t n = count();
@@ -111,11 +94,6 @@ ScopedLatencyTimer::~ScopedLatencyTimer() {
   if (hist_ != nullptr) hist_->record(steadyNowNs() - start_ns_);
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = metrics_[name];
@@ -142,6 +120,16 @@ bool MetricsRegistry::has(const std::string& name) const {
   return metrics_.find(name) != metrics_.end();
 }
 
+void MetricsRegistry::merge(const MetricsRegistry& part,
+                            const std::string& label) {
+  std::lock_guard<std::mutex> lock(part.mutex_);
+  for (const auto& [name, entry] : part.metrics_) {
+    const std::string labelled = withLabel(name, label);
+    if (entry.counter) counter(labelled).inc(entry.counter->value());
+    if (entry.gauge) gauge(labelled).set(entry.gauge->value());
+  }
+}
+
 void MetricsRegistry::dump(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string_view last_family;
@@ -156,7 +144,7 @@ void MetricsRegistry::dump(std::ostream& os) const {
     if (entry.gauge) {
       if (new_family && !entry.counter)
         os << "# TYPE " << family << " gauge\n";
-      os << name << " " << entry.gauge->value() << "\n";
+      os << name << " " << exactDecimal(entry.gauge->value()) << "\n";
     }
     if (entry.histogram) {
       if (new_family && !entry.counter && !entry.gauge)
@@ -172,7 +160,5 @@ void MetricsRegistry::dump(std::ostream& os) const {
     }
   }
 }
-
-void dumpMetrics(std::ostream& os) { MetricsRegistry::global().dump(os); }
 
 }  // namespace exthash::obs

@@ -1,34 +1,27 @@
-// obs — low-overhead telemetry: counters, gauges, and log-bucketed
-// latency histograms behind a process-global MetricsRegistry, with a
-// Prometheus-exposition text sink.
+// obs — metrics: counters, gauges and log-bucketed latency histograms in
+// a MetricsRegistry, with a Prometheus-exposition text sink.
 //
-// Gating mirrors the EXTHASH_AUDIT pattern (util/audit.h), at two levels:
+// Pull model: nothing records into a registry on the hot path. Each
+// component keeps its own numbers in plain fields (IoStats, BlockCache's
+// hits(), PipelineStats, the WAL's record count, ...) and writes them into
+// a caller's registry with collect(MetricsRegistry&) const — BlockDevice,
+// BlockCache, IngestPipeline, MemoryArbiter, DurabilityManager and
+// ExternalHashTable (whose sharded override labels per-shard series). The
+// stack's owner calls collect at a quiescent point, as it calls
+// flushCache() or audit(), into a fresh registry, and dumps it. Every
+// build exports the same families; there is no global registry and no
+// build flag.
 //
-//   compile time  the instrumentation macros below (EXTHASH_OBS_COUNT /
-//                 _GAUGE / _TIMED) expand to NOTHING unless the build
-//                 defines EXTHASH_TELEMETRY_MODE (CMake option
-//                 -DEXTHASH_TELEMETRY=ON). A default build carries zero
-//                 telemetry cost on the hot paths — not even a branch.
-//   run time      in a telemetry build the macros additionally check
-//                 enabled(): initialized from the EXTHASH_TELEMETRY
-//                 environment variable, and switchable via setEnabled()
-//                 (what the benches' --trace/--metrics flags flip).
-//
-// The classes themselves are ALWAYS compiled — tests exercise the
-// percentile math and the exposition format in every build, and an
-// always-on consumer (IngestPipeline's apply-latency histogram) records
-// through them directly, gated by its own runtime flag rather than the
-// macro.
+// The classes are also used directly: IngestPipeline records its
+// per-window apply latency into a LatencyHistogram it owns.
 //
 // Threading: Counter / Gauge / LatencyHistogram are lock-free — relaxed
 // atomics on the record path, CAS-max for maxima — and safe to record
 // from any number of threads. Readouts (count/sum/quantiles, dump) are
-// racy-but-coherent snapshots: exact once the recorders are quiescent,
-// merely approximate while they run, which is what a metrics scrape
-// wants. MetricsRegistry::counter()/gauge()/histogram() take a mutex to
-// find-or-create, so hot paths hoist the returned reference (the macros
-// do this with a function-local static); the returned references stay
-// valid for the registry's lifetime (node-stable map).
+// racy-but-coherent snapshots: exact once the recorders are quiescent.
+// MetricsRegistry::counter()/gauge()/histogram() take a mutex to
+// find-or-create; the returned references stay valid for the registry's
+// lifetime (node-stable map).
 #pragma once
 
 #include <array>
@@ -43,24 +36,6 @@
 #include <vector>
 
 namespace exthash::obs {
-
-/// True when the build defines EXTHASH_TELEMETRY_MODE (the macros below
-/// are live instead of compiled out).
-constexpr bool compiledIn() noexcept {
-#ifdef EXTHASH_TELEMETRY_MODE
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Runtime latch for the instrumentation macros: starts from the
-/// EXTHASH_TELEMETRY environment variable (anything but "" / "0" turns it
-/// on), flipped at runtime by setEnabled() — e.g. by a bench's --trace
-/// flag. Cheap (one relaxed atomic load); only consulted in telemetry
-/// builds, since otherwise no instrumentation site survives compilation.
-bool enabled() noexcept;
-void setEnabled(bool on) noexcept;
 
 /// Monotone event counter (Prometheus "counter").
 class Counter {
@@ -183,14 +158,16 @@ class ScopedLatencyTimer {
 /// # TYPE line by the name before '{'.
 class MetricsRegistry {
  public:
-  /// The process-wide registry the instrumentation macros record into.
-  static MetricsRegistry& global();
-
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   LatencyHistogram& histogram(const std::string& name);
 
   bool has(const std::string& name) const;
+
+  /// Add `part`'s counters into this registry and copy its gauges, with
+  /// `label` (e.g. shard="3") spliced into every series name — how a
+  /// composite owner labels the series of the parts it collects.
+  void merge(const MetricsRegistry& part, const std::string& label);
 
   /// Prometheus text exposition: counters and gauges as-is, histograms as
   /// summaries with quantile="0.5|0.9|0.99|0.999" series plus _sum,
@@ -209,55 +186,4 @@ class MetricsRegistry {
   std::map<std::string, Entry> metrics_;
 };
 
-/// Dump the global registry (the Prometheus snapshot sink).
-void dumpMetrics(std::ostream& os);
-
 }  // namespace exthash::obs
-
-// ---------------------------------------------------------------------------
-// Instrumentation macros — compiled out entirely without
-// EXTHASH_TELEMETRY_MODE; runtime-gated on obs::enabled() with it. The
-// metric name must be a string literal (it seeds a function-local static
-// lookup, so the registry mutex is paid once per site, not per event).
-// ---------------------------------------------------------------------------
-#ifdef EXTHASH_TELEMETRY_MODE
-
-#define EXTHASH_OBS_COUNT(name_literal, delta)                               \
-  do {                                                                       \
-    if (::exthash::obs::enabled()) {                                         \
-      static ::exthash::obs::Counter& exthash_obs_counter_ =                 \
-          ::exthash::obs::MetricsRegistry::global().counter(name_literal);   \
-      exthash_obs_counter_.inc(delta);                                       \
-    }                                                                        \
-  } while (0)
-
-#define EXTHASH_OBS_GAUGE(name_literal, value)                               \
-  do {                                                                       \
-    if (::exthash::obs::enabled()) {                                         \
-      static ::exthash::obs::Gauge& exthash_obs_gauge_ =                     \
-          ::exthash::obs::MetricsRegistry::global().gauge(name_literal);     \
-      exthash_obs_gauge_.set(static_cast<double>(value));                    \
-    }                                                                        \
-  } while (0)
-
-/// Time the rest of the enclosing scope into histogram `name_literal`.
-/// Declares a local; use once per scope.
-#define EXTHASH_OBS_TIMED(name_literal)                                      \
-  static ::exthash::obs::LatencyHistogram& exthash_obs_hist_ =               \
-      ::exthash::obs::MetricsRegistry::global().histogram(name_literal);     \
-  ::exthash::obs::ScopedLatencyTimer exthash_obs_timer_(                     \
-      ::exthash::obs::enabled() ? &exthash_obs_hist_ : nullptr)
-
-#else  // !EXTHASH_TELEMETRY_MODE
-
-#define EXTHASH_OBS_COUNT(name_literal, delta) \
-  do {                                         \
-  } while (0)
-#define EXTHASH_OBS_GAUGE(name_literal, value) \
-  do {                                         \
-  } while (0)
-#define EXTHASH_OBS_TIMED(name_literal) \
-  do {                                  \
-  } while (0)
-
-#endif  // EXTHASH_TELEMETRY_MODE

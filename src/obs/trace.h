@@ -6,6 +6,12 @@
 // serializes everything into the Chrome/Perfetto trace-event format
 // (open the file at https://ui.perfetto.dev or chrome://tracing).
 //
+// The library's own spans are plain TraceSpan / traceCounter calls,
+// compiled in every build: IngestPipeline's submit-wait, seal,
+// worker-apply, wal-append, drain and flush-cache spans with its
+// in-flight-window samples, and MemoryArbiter's frame-split samples. With
+// no session current each costs one atomic load.
+//
 // Memory is bounded by construction: each thread that emits gets ONE
 // buffer of Options::buffer_events_per_thread fixed-size slots; once a
 // buffer is full, further events on that thread are counted in dropped()
@@ -144,31 +150,3 @@ void traceCounter(const char* name, double value,
 void traceInstant(const char* name, const char* cat = "exthash") noexcept;
 
 }  // namespace exthash::obs
-
-// Macro-gated span for library instrumentation sites: compiled out
-// entirely without EXTHASH_TELEMETRY_MODE (benches and perfbench use the
-// TraceSpan class directly for their top-level phase spans, which
-// therefore work in every build).
-#ifdef EXTHASH_TELEMETRY_MODE
-#define EXTHASH_OBS_SPAN(var, name_literal, cat_literal) \
-  ::exthash::obs::TraceSpan var(name_literal, cat_literal)
-#define EXTHASH_OBS_SPAN_ARG(var, key_literal, value) \
-  var.arg(key_literal, static_cast<double>(value))
-#define EXTHASH_OBS_INSTANT(name_literal, cat_literal) \
-  ::exthash::obs::traceInstant(name_literal, cat_literal)
-#define EXTHASH_OBS_COUNTER_SAMPLE(name_literal, value) \
-  ::exthash::obs::traceCounter(name_literal, static_cast<double>(value))
-#else
-#define EXTHASH_OBS_SPAN(var, name_literal, cat_literal) \
-  do {                                                   \
-  } while (0)
-#define EXTHASH_OBS_SPAN_ARG(var, key_literal, value) \
-  do {                                                \
-  } while (0)
-#define EXTHASH_OBS_INSTANT(name_literal, cat_literal) \
-  do {                                                 \
-  } while (0)
-#define EXTHASH_OBS_COUNTER_SAMPLE(name_literal, value) \
-  do {                                                  \
-  } while (0)
-#endif

@@ -125,8 +125,7 @@ void IngestPipeline::sealBatchLocked(util::MutexLock& lock) {
   // once, however many wakeups it takes.
   if (inflight_.size() >= config_.max_pending_batches) {
     ++stats_.submit_waits;
-    EXTHASH_OBS_COUNT("exthash_pipeline_submit_waits_total", 1);
-    EXTHASH_OBS_SPAN(obs_wait_span, "submit-wait", "pipeline");
+    const obs::TraceSpan wait_span("submit-wait", "pipeline");
     do {
       room_cv_.wait(lock);
     } while (inflight_.size() >= config_.max_pending_batches);
@@ -135,18 +134,22 @@ void IngestPipeline::sealBatchLocked(util::MutexLock& lock) {
   // staging window already.
   if (staging_.empty()) return;
 
-  EXTHASH_OBS_SPAN(obs_seal_span, "seal", "pipeline");
+  // The seal span closes before the hand-off below, so every event this
+  // thread emits for the window happens-before the window's tasks (a
+  // flight-recorder dump on the worker reads this thread's ring).
   auto window = std::make_shared<BatchWindow>();
-  window->ops = std::move(staging_);
-  window->index = std::move(staging_index_);
-  staging_ = {};
-  staging_.reserve(config_.batch_capacity);
-  staging_index_ = {};
-  staging_index_.reserve(config_.batch_capacity);
-  inflight_.push_back(window);
-  EXTHASH_OBS_GAUGE("exthash_pipeline_inflight_windows", inflight_.size());
-  EXTHASH_OBS_COUNTER_SAMPLE("pipeline inflight",
-                             static_cast<double>(inflight_.size()));
+  {
+    const obs::TraceSpan seal_span("seal", "pipeline");
+    window->ops = std::move(staging_);
+    window->index = std::move(staging_index_);
+    staging_ = {};
+    staging_.reserve(config_.batch_capacity);
+    staging_index_ = {};
+    staging_index_.reserve(config_.batch_capacity);
+    inflight_.push_back(window);
+    obs::traceCounter("pipeline inflight",
+                      static_cast<double>(inflight_.size()));
+  }
 
   const bool record_latency = config_.record_apply_latency;
   auto apply = [this, window, record_latency] {
@@ -163,9 +166,8 @@ void IngestPipeline::sealBatchLocked(util::MutexLock& lock) {
     std::exception_ptr err;
     if (!skip) {
       try {
-        EXTHASH_OBS_SPAN(obs_apply_span, "worker-apply", "pipeline");
-        EXTHASH_OBS_SPAN_ARG(obs_apply_span, "ops",
-                             static_cast<double>(window->ops.size()));
+        obs::TraceSpan apply_span("worker-apply", "pipeline");
+        apply_span.arg("ops", static_cast<double>(window->ops.size()));
         obs::ScopedLatencyTimer apply_timer(
             record_latency ? &apply_hist_ : nullptr);
         table_.applyBatch(window->ops);
@@ -183,12 +185,7 @@ void IngestPipeline::sealBatchLocked(util::MutexLock& lock) {
       } else {
         ++stats_.batches_applied;
         stats_.ops_applied += window->ops.size();
-        EXTHASH_OBS_COUNT("exthash_pipeline_batches_applied_total", 1);
-        EXTHASH_OBS_COUNT("exthash_pipeline_ops_applied_total",
-                          window->ops.size());
       }
-      EXTHASH_OBS_GAUGE("exthash_pipeline_inflight_windows",
-                        inflight_.size());
       if (err && !error_) error_ = err;
       // A retired oversized window may let the staging charge drop to
       // the (possibly shrunk) configured capacity.
@@ -218,7 +215,7 @@ void IngestPipeline::sealBatchLocked(util::MutexLock& lock) {
     }
     if (!skip) {
       try {
-        EXTHASH_OBS_SPAN(obs_wal_span, "wal-append", "pipeline");
+        const obs::TraceSpan wal_span("wal-append", "pipeline");
         wal_->append(window->ops);
       } catch (...) {
         util::MutexLock guard(mutex_);
@@ -370,7 +367,7 @@ void IngestPipeline::flush() {
 }
 
 void IngestPipeline::drain() {
-  EXTHASH_OBS_SPAN(obs_drain_span, "drain", "pipeline");
+  const obs::TraceSpan drain_span("drain", "pipeline");
   {
     util::MutexLock lock(mutex_);
     // Seal and wait even when a background error is pending: every queued
@@ -393,7 +390,7 @@ void IngestPipeline::drain() {
     // the fault to clear), and a flush fault latches fail-stop itself —
     // the barrier's promise of an authoritative device was not kept.
     if (!error_) {
-      EXTHASH_OBS_SPAN(obs_flush_span, "flush-cache", "pipeline");
+      const obs::TraceSpan flush_span("flush-cache", "pipeline");
       try {
         table_.flushCache();
       } catch (...) {
@@ -454,6 +451,18 @@ std::size_t IngestPipeline::reset() {
 PipelineStats IngestPipeline::stats() const {
   util::MutexLock lock(mutex_);
   return stats_;
+}
+
+void IngestPipeline::collect(obs::MetricsRegistry& registry) const {
+  util::MutexLock lock(mutex_);
+  registry.counter("exthash_pipeline_batches_applied_total")
+      .inc(stats_.batches_applied);
+  registry.counter("exthash_pipeline_ops_applied_total")
+      .inc(stats_.ops_applied);
+  registry.counter("exthash_pipeline_submit_waits_total")
+      .inc(stats_.submit_waits);
+  registry.gauge("exthash_pipeline_inflight_windows")
+      .set(static_cast<double>(inflight_.size()));
 }
 
 void IngestPipeline::audit(AuditReport& report) const {

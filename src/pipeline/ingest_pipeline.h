@@ -120,10 +120,9 @@ struct PipelineConfig {
   /// MemoryBudget — the paper's "memory as buffer vs memory as cache"
   /// split made explicit. The budget must outlive the pipeline.
   extmem::MemoryBudget* budget = nullptr;
-  /// Record per-window applyBatch wall latency into applyLatency(). A
-  /// runtime flag (not tied to EXTHASH_TELEMETRY_MODE) so that
-  /// bench_pipeline and perfbench report the apply tail in every build;
-  /// costs two steady_clock reads per applied window when on.
+  /// Record per-window applyBatch wall latency into applyLatency(), the
+  /// apply tail bench_pipeline and perfbench report; costs two
+  /// steady_clock reads per applied window when on.
   bool record_apply_latency = false;
   /// Ack-after-durable mode (see durability/): when set, a log stage (one
   /// more background thread) appends every sealed window to this
@@ -232,6 +231,11 @@ class IngestPipeline {
   void submitMaintenance(std::function<void()> fn) EXTHASH_EXCLUDES(mutex_);
 
   PipelineStats stats() const EXTHASH_EXCLUDES(mutex_);
+  /// Add the pipeline's counters to `registry` (obs/metrics.h):
+  /// exthash_pipeline_{batches_applied,ops_applied,submit_waits}_total
+  /// from stats(), and the exthash_pipeline_inflight_windows gauge.
+  void collect(obs::MetricsRegistry& registry) const
+      EXTHASH_EXCLUDES(mutex_);
   /// Snapshot of the configuration. By value under the lock:
   /// batch_capacity is runtime-mutable (setWindowCapacity may run on the
   /// worker mid-stream), so a live reference would be a data race.

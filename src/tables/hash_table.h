@@ -226,6 +226,16 @@ class ExternalHashTable {
     return stats;
   }
 
+  /// Add this table's metrics to `registry` (obs/metrics.h): what ioStats()
+  /// covers — the context device's counters and the attached cache's
+  /// counters and gauges. The sharded façade overrides it to label every
+  /// shard's series shard="s". Call at a quiescent point (after a
+  /// pipeline's drain(), like flushCache()).
+  virtual void collect(obs::MetricsRegistry& registry) const {
+    ctx_.device->collect(registry);
+    if (read_cache_ != nullptr) read_cache_->collect(registry);
+  }
+
   /// Attach a non-owning block cache (see extmem/cached_io.h), either
   /// write-through or write-back. The cache must be layered over this
   /// table's context device and must outlive the table (or be detached

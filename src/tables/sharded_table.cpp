@@ -20,32 +20,6 @@ inline std::uint64_t shardScramble(std::uint64_t key) noexcept {
   return splitmix64(key ^ 0x5111A9DE55555555ULL);
 }
 
-#ifdef EXTHASH_TELEMETRY_MODE
-// Per-shard labeled series (exthash_<name>{shard="s"}). These go through
-// the registry's find-or-create per call rather than a hoisted static —
-// the label varies — which is fine at once-per-dispatched-batch rate.
-void obsRecordShardBatch(const char* counter_family, std::size_t shard,
-                         std::size_t ops, std::size_t size_now) {
-  if (!obs::enabled() || ops == 0) return;
-  auto& registry = obs::MetricsRegistry::global();
-  const std::string label = "{shard=\"" + std::to_string(shard) + "\"}";
-  registry.counter(std::string(counter_family) + label).inc(ops);
-  registry.gauge("exthash_shard_size" + label)
-      .set(static_cast<double>(size_now));
-}
-#endif
-
-// Compiles away entirely in default builds (the arguments have no side
-// effects at every call site below).
-#ifdef EXTHASH_TELEMETRY_MODE
-#define EXTHASH_SHARD_OBS(family, shard, ops, size_now) \
-  obsRecordShardBatch(family, shard, ops, size_now)
-#else
-#define EXTHASH_SHARD_OBS(family, shard, ops, size_now) \
-  do {                                                  \
-  } while (0)
-#endif
-
 }  // namespace
 
 ShardedTable::ShardedTable(TableContext ctx, ShardedTableConfig config)
@@ -132,7 +106,7 @@ std::exception_ptr ShardedTable::runGuarded(
     // The broken part is the shard's private device — latch, so the
     // façade degrades to (n-1)/n service instead of failing whole.
     shard.error = std::current_exception();
-    EXTHASH_OBS_COUNT("exthash_shard_failures_total", 1);
+    ++shard.latches;
     return shard.error;
   } catch (...) {
     // Logic errors stay batch-scoped (the caller rethrows; the shard
@@ -186,8 +160,7 @@ void ShardedTable::applyBatch(std::span<const Op> ops) {
   if (shards_.size() == 1) {
     const auto err =
         runGuarded(0, [&] { shards_[0].table->applyBatch(ops); });
-    EXTHASH_SHARD_OBS("exthash_shard_ops_total", 0, ops.size(),
-                      shards_[0].table->size());
+    shards_[0].ops += ops.size();
     if (err) std::rethrow_exception(err);
     return;
   }
@@ -199,12 +172,10 @@ void ShardedTable::applyBatch(std::span<const Op> ops) {
   // fan-out (the threading contract above).
   std::vector<std::exception_ptr> batch_errors(shards_.size());
   pool_.parallelFor(0, shards_.size(), [&](std::size_t s) {
-    if (!per_shard[s].empty()) {
-      batch_errors[s] = runGuarded(
-          s, [&] { shards_[s].table->applyBatch(per_shard[s]); });
-    }
-    EXTHASH_SHARD_OBS("exthash_shard_ops_total", s, per_shard[s].size(),
-                      shards_[s].table->size());
+    if (per_shard[s].empty()) return;
+    batch_errors[s] = runGuarded(
+        s, [&] { shards_[s].table->applyBatch(per_shard[s]); });
+    shards_[s].ops += per_shard[s].size();
   });
   // Every healthy shard has applied its slice by now; the error still
   // surfaces to the caller (who may catch it and keep routing traffic —
@@ -218,8 +189,7 @@ void ShardedTable::lookupBatch(std::span<const std::uint64_t> keys,
   if (shards_.size() == 1) {
     const auto err =
         runGuarded(0, [&] { shards_[0].table->lookupBatch(keys, out); });
-    EXTHASH_SHARD_OBS("exthash_shard_lookups_total", 0, keys.size(),
-                      shards_[0].table->size());
+    shards_[0].lookups += keys.size();
     if (err) std::rethrow_exception(err);
     return;
   }
@@ -241,8 +211,7 @@ void ShardedTable::lookupBatch(std::span<const std::uint64_t> keys,
         out[indices[k]] = sub_out[k];
       }
     });
-    EXTHASH_SHARD_OBS("exthash_shard_lookups_total", s, indices.size(),
-                      shards_[s].table->size());
+    shards_[s].lookups += indices.size();
   });
   // Healthy shards' results are filled in even when a shard faulted; the
   // faulted shard's slots keep their input value (nullopt for a fresh
@@ -292,7 +261,7 @@ void ShardedTable::resetShard(std::size_t i) {
       TableContext{shard.device.get(), shard.memory.get(), ctx_.hash},
       innerShardConfig());
   if (shard.cache) shard.table->attachCache(shard.cache.get());
-  EXTHASH_OBS_COUNT("exthash_shard_resets_total", 1);
+  ++resets_;
 }
 
 // ---------------------------------------------------------------------------
@@ -404,11 +373,26 @@ void ShardedTable::flushCache() const {
       shard.cache->flush();
     } catch (const extmem::IoError&) {
       shard.error = std::current_exception();
-      EXTHASH_OBS_COUNT("exthash_shard_failures_total", 1);
+      ++shard.latches;
       if (!first_error) first_error = shard.error;
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+void ShardedTable::collect(obs::MetricsRegistry& registry) const {
+  registry.counter("exthash_shard_resets_total").inc(resets_);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = shards_[s];
+    obs::MetricsRegistry part;
+    shard.table->collect(part);
+    part.counter("exthash_shard_ops_total").inc(shard.ops);
+    part.counter("exthash_shard_lookups_total").inc(shard.lookups);
+    part.counter("exthash_shard_failures_total").inc(shard.latches);
+    part.gauge("exthash_shard_size")
+        .set(static_cast<double>(shard.table->size()));
+    registry.merge(part, "shard=\"" + std::to_string(s) + "\"");
+  }
 }
 
 void ShardedTable::validateLayout(AuditReport& report) const {

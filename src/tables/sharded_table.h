@@ -157,6 +157,11 @@ class ShardedTable final : public ExternalHashTable {
   /// ExternalHashTable::validateLayout). Serial, quiescent-only, like
   /// flushCache().
   void validateLayout(AuditReport& report) const override;
+  /// Per shard, the inner table's series (its device and cache) plus
+  /// exthash_shard_{ops,lookups,failures}_total and exthash_shard_size,
+  /// each labelled shard="s"; and the unlabelled
+  /// exthash_shard_resets_total.
+  void collect(obs::MetricsRegistry& registry) const override;
 
   /// One latched shard fault (see the file comment on fault isolation).
   struct ShardError {
@@ -173,6 +178,21 @@ class ShardedTable final : public ExternalHashTable {
   /// Drop every latched shard error — call after the underlying fault
   /// cleared; the next flush barrier lands any quarantined frames.
   void clearShardErrors() noexcept;
+
+  /// Ops / lookup keys dispatched to shard i through applyBatch /
+  /// lookupBatch (one add per sub-batch; single-key calls are not
+  /// counted), and the IoErrors that latched it.
+  std::uint64_t shardOps(std::size_t i) const noexcept {
+    return shards_[i].ops;
+  }
+  std::uint64_t shardLookups(std::size_t i) const noexcept {
+    return shards_[i].lookups;
+  }
+  std::uint64_t shardLatches(std::size_t i) const noexcept {
+    return shards_[i].latches;
+  }
+  /// resetShard() calls so far.
+  std::uint64_t resets() const noexcept { return resets_; }
 
   /// Tear shard i down to an empty inner table on the SAME private device
   /// and rebuild it from scratch: the latch clears, every cached frame is
@@ -228,6 +248,11 @@ class ShardedTable final : public ExternalHashTable {
     // serialized façade — shard-confined, so no lock (see the threading
     // comment). mutable: the const flush barrier can latch a fault too.
     mutable std::exception_ptr error;
+    // Counters, shard-confined like `error`: written only by this shard's
+    // task inside a fan-out or by the serialized façade.
+    std::uint64_t ops = 0;
+    std::uint64_t lookups = 0;
+    mutable std::uint64_t latches = 0;
     std::unique_ptr<ExternalHashTable> table;
   };
 
@@ -243,6 +268,7 @@ class ShardedTable final : public ExternalHashTable {
 
   ShardedTableConfig config_;
   std::vector<Shard> shards_;
+  std::uint64_t resets_ = 0;
   ThreadPool pool_;
 };
 

@@ -16,7 +16,6 @@
 
 #include "extmem/block_cache.h"
 #include "extmem/replacement_policy.h"
-#include "obs/metrics.h"
 
 namespace {
 
@@ -39,12 +38,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 int main() {
   using namespace exthash::extmem;
-  // This probe measures the replacement policies' own bookkeeping. In a
-  // telemetry build the instrumentation sites lazily intern their metrics
-  // on first execution (a handful of one-time registry allocations that
-  // would land inside the measured hit phase), so switch the runtime
-  // latch off: what's under test is the policy, not the telemetry.
-  exthash::obs::setEnabled(false);
   int failures = 0;
 
   for (const auto kind : {ReplacementKind::kLru, ReplacementKind::kTwoQ,

@@ -989,24 +989,67 @@ TEST(ShardIsolation, FaultedShardLatchesWhileHealthyShardsServe) {
 // Flight recorder
 // ---------------------------------------------------------------------------
 
-TEST(FlightRecorder, CheckFailureDumpsRecentSpansAndMetrics) {
+TEST(FlightRecorder, CheckFailureDumpsRecentSpans) {
   std::ostringstream sink;
   obs::FlightRecorderOptions options;
   options.sink = &sink;
   obs::FlightRecorder::arm(options);
   const auto dumps_before = obs::FlightRecorder::dumpCount();
 
-  {
-    obs::TraceSpan span("doomed-phase", "test");
-    EXPECT_THROW(EXTHASH_CHECK_MSG(false, "chaos trigger"), CheckFailure);
-  }
+  { obs::TraceSpan span("doomed-phase", "test"); }
+  EXPECT_THROW(EXTHASH_CHECK_MSG(false, "chaos trigger"), CheckFailure);
   obs::FlightRecorder::disarm();
 
   EXPECT_EQ(obs::FlightRecorder::dumpCount(), dumps_before + 1);
   const std::string dump = sink.str();
   EXPECT_NE(dump.find("flight recorder dump"), std::string::npos);
   EXPECT_NE(dump.find("chaos trigger"), std::string::npos);
-  EXPECT_NE(dump.find("metrics snapshot"), std::string::npos);
+  EXPECT_NE(dump.find("doomed-phase"), std::string::npos);
+}
+
+// The library's own spans reach the ring in every build: a dead disk
+// under a pipelined apply dumps the worker-apply spans of the windows
+// before it.
+TEST(FlightRecorder, FatalApplyDumpCarriesLibrarySpans) {
+  FaultyFileOps shim(31);  // declared first: outlives the device
+  TestRig rig(8);
+  rig.useStorage(fileStorageOptions(&shim));
+  GeneralConfig cfg;
+  cfg.expected_n = 1024;
+  cfg.target_load = 0.5;
+  auto table = makeTable(TableKind::kChaining, rig.context(), cfg);
+  const auto keys = distinctKeys(1024);
+
+  std::ostringstream sink;
+  obs::FlightRecorderOptions options;
+  options.sink = &sink;
+  obs::FlightRecorder::arm(options);
+  const auto dumps_before = obs::FlightRecorder::dumpCount();
+  {
+    pipeline::PipelineConfig pc;
+    pc.batch_capacity = 128;
+    pc.max_pending_batches = 1;
+    IngestPipeline pipe(*table, pc);
+    for (std::size_t i = 0; i < 256; ++i) pipe.insert(keys[i], i);
+    pipe.drain();
+    shim.failNth(FileSyscall::kPwrite, shim.count(FileSyscall::kPwrite) + 1,
+                 EIO, /*sticky=*/true);
+    EXPECT_THROW(
+        {
+          for (std::size_t i = 256; i < keys.size(); ++i) {
+            pipe.insert(keys[i], i);
+          }
+          pipe.drain();
+        },
+        PermanentIoError);
+    shim.clear();  // the teardown's flushes run fault-free
+  }
+  obs::FlightRecorder::disarm();
+
+  EXPECT_EQ(obs::FlightRecorder::dumpCount(), dumps_before + 1);
+  const std::string dump = sink.str();
+  EXPECT_NE(dump.find("permanent"), std::string::npos);
+  EXPECT_NE(dump.find("worker-apply"), std::string::npos);
 }
 
 TEST(FlightRecorder, PermanentIoErrorGiveUpDumps) {
