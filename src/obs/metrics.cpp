@@ -25,8 +25,8 @@ std::string_view familyOf(const std::string& name) noexcept {
 }
 
 /// Splice a label into a possibly-already-labeled metric name:
-/// f("a_total", "quantile=\"0.5\"") -> a_total{quantile="0.5"};
-/// f("a{shard=\"1\"}", ...) -> a{shard="1",quantile="0.5"}.
+/// f("a_total", "shard=\"1\"") -> a_total{shard="1"};
+/// f("a{kind=\"x\"}", ...) -> a{kind="x",shard="1"}.
 std::string withLabel(const std::string& name, const std::string& label) {
   const auto close = name.rfind('}');
   if (close == std::string::npos) return name + "{" + label + "}";
@@ -37,14 +37,6 @@ std::string withLabel(const std::string& name, const std::string& label) {
   return out;
 }
 
-/// Append `suffix` to the family part, keeping any label block:
-/// f("a{shard=\"1\"}", "_sum") -> a_sum{shard="1"}.
-std::string withSuffix(const std::string& name, const char* suffix) {
-  const auto brace = name.find('{');
-  if (brace == std::string::npos) return name + suffix;
-  return name.substr(0, brace) + suffix + name.substr(brace);
-}
-
 /// The shortest decimal that reads back as exactly `value`, so a gauge's
 /// exposition equals its owner's number (the stream default keeps six
 /// significant digits: 1234567 would print as 1.23457e+06).
@@ -52,11 +44,6 @@ std::string exactDecimal(double value) {
   char buf[32];
   return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
-
-constexpr double kSummaryQuantiles[] = {0.5, 0.9, 0.99, 0.999};
-constexpr const char* kSummaryQuantileLabels[] = {
-    "quantile=\"0.5\"", "quantile=\"0.9\"", "quantile=\"0.99\"",
-    "quantile=\"0.999\""};
 
 }  // namespace
 
@@ -76,13 +63,6 @@ std::uint64_t LatencyHistogram::valueAtQuantile(double q) const noexcept {
   // Concurrent recorders can leave count_ briefly ahead of the bucket
   // sums; the max is the honest answer for the tail in that window.
   return max();
-}
-
-void LatencyHistogram::reset() noexcept {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
 }
 
 ScopedLatencyTimer::ScopedLatencyTimer(LatencyHistogram* hist) noexcept
@@ -106,13 +86,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   Entry& e = metrics_[name];
   if (!e.gauge) e.gauge = std::make_unique<Gauge>();
   return *e.gauge;
-}
-
-LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& e = metrics_[name];
-  if (!e.histogram) e.histogram = std::make_unique<LatencyHistogram>();
-  return *e.histogram;
 }
 
 bool MetricsRegistry::has(const std::string& name) const {
@@ -145,18 +118,6 @@ void MetricsRegistry::dump(std::ostream& os) const {
       if (new_family && !entry.counter)
         os << "# TYPE " << family << " gauge\n";
       os << name << " " << exactDecimal(entry.gauge->value()) << "\n";
-    }
-    if (entry.histogram) {
-      if (new_family && !entry.counter && !entry.gauge)
-        os << "# TYPE " << family << " summary\n";
-      const LatencyHistogram& h = *entry.histogram;
-      for (std::size_t i = 0; i < std::size(kSummaryQuantiles); ++i) {
-        os << withLabel(name, kSummaryQuantileLabels[i]) << " "
-           << h.valueAtQuantile(kSummaryQuantiles[i]) << "\n";
-      }
-      os << withSuffix(name, "_sum") << " " << h.sum() << "\n";
-      os << withSuffix(name, "_count") << " " << h.count() << "\n";
-      os << withSuffix(name, "_max") << " " << h.max() << "\n";
     }
   }
 }

@@ -1,5 +1,5 @@
-// obs — metrics: counters, gauges and log-bucketed latency histograms in
-// a MetricsRegistry, with a Prometheus-exposition text sink.
+// obs — metrics: counters and gauges in a MetricsRegistry, with a
+// Prometheus-exposition text sink, and a log-bucketed LatencyHistogram.
 //
 // Pull model: nothing records into a registry on the hot path. Each
 // component keeps its own numbers in plain fields (IoStats, BlockCache's
@@ -19,9 +19,9 @@
 // atomics on the record path, CAS-max for maxima — and safe to record
 // from any number of threads. Readouts (count/sum/quantiles, dump) are
 // racy-but-coherent snapshots: exact once the recorders are quiescent.
-// MetricsRegistry::counter()/gauge()/histogram() take a mutex to
-// find-or-create; the returned references stay valid for the registry's
-// lifetime (node-stable map).
+// MetricsRegistry::counter()/gauge() take a mutex to find-or-create;
+// the returned references stay valid for the registry's lifetime
+// (node-stable map).
 #pragma once
 
 #include <array>
@@ -103,10 +103,6 @@ class LatencyHistogram {
   /// the bucket width (<= 25% relative). 0 when empty.
   std::uint64_t valueAtQuantile(double q) const noexcept;
 
-  /// Zero every bucket. NOT linearizable against concurrent record()s —
-  /// call at quiescent points only (phase boundaries in benches).
-  void reset() noexcept;
-
   /// Bucket for `value`: identity below kSubBuckets, then
   /// (octave, sub-bucket) from the top kSubBucketBits+1 significant bits.
   static constexpr std::size_t bucketIndex(std::uint64_t value) noexcept {
@@ -160,7 +156,6 @@ class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  LatencyHistogram& histogram(const std::string& name);
 
   bool has(const std::string& name) const;
 
@@ -169,16 +164,13 @@ class MetricsRegistry {
   /// composite owner labels the series of the parts it collects.
   void merge(const MetricsRegistry& part, const std::string& label);
 
-  /// Prometheus text exposition: counters and gauges as-is, histograms as
-  /// summaries with quantile="0.5|0.9|0.99|0.999" series plus _sum,
-  /// _count, and _max.
+  /// Prometheus text exposition of the counters and gauges.
   void dump(std::ostream& os) const;
 
  private:
   struct Entry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<LatencyHistogram> histogram;
   };
 
   mutable std::mutex mutex_;

@@ -171,7 +171,6 @@ void TraceSession::writeJson(std::ostream& os) const {
         os << ",\"dur\":";
         writeMicros(os, e.dur_ns);
       }
-      if (e.ph == 'i') os << ",\"s\":\"t\"";
       os << ",\"pid\":1,\"tid\":" << buffer->tid;
       if (e.nargs > 0) {
         os << ",\"args\":{";
@@ -224,17 +223,6 @@ void traceCounter(const char* name, double value, const char* cat) noexcept {
   e.nargs = 1;
   e.arg_key[0] = "value";
   e.arg_val[0] = value;
-  session->emit(e);
-}
-
-void traceInstant(const char* name, const char* cat) noexcept {
-  TraceSession* session = TraceSession::current();
-  if (session == nullptr) return;
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.ph = 'i';
-  e.ts_ns = session->nowNs();
   session->emit(e);
 }
 

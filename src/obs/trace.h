@@ -2,7 +2,7 @@
 //
 // A TraceSession collects fixed-capacity per-thread event buffers while it
 // is the *current* session; TraceSpan (RAII) emits complete "X" duration
-// events, traceCounter()/traceInstant() emit "C"/"i" events. writeJson()
+// events, traceCounter() emits "C" counter events. writeJson()
 // serializes everything into the Chrome/Perfetto trace-event format
 // (open the file at https://ui.perfetto.dev or chrome://tracing).
 //
@@ -24,13 +24,13 @@
 // otherwise outlive the session): only the pointer is stored on the hot
 // path; serialization dereferences it at writeJson() time.
 //
-// Thread safety: emission (TraceSpan, traceCounter, traceInstant,
-// TraceSession::emit) is safe from any thread while a session is
-// current — each thread writes its own buffer, found via a thread_local
-// cache validated by a global session epoch; buffer *creation* takes the
-// session mutex once per thread. start()/stop()/writeJson() are
-// control-plane calls: invoke them from one thread at quiescent points
-// (start before the workers emit, stop/writeJson after they drained).
+// Thread safety: emission (TraceSpan, traceCounter, TraceSession::emit)
+// is safe from any thread while a session is current — each thread
+// writes its own buffer, found via a thread_local cache validated by a
+// global session epoch; buffer *creation* takes the session mutex once
+// per thread. start()/stop()/writeJson() are control-plane calls: invoke
+// them from one thread at quiescent points (start before the workers
+// emit, stop/writeJson after they drained).
 // The session must outlive any thread that might still emit into it —
 // in this codebase sessions wrap whole bench/measurement runs whose
 // worker pools are joined before the session goes out of scope.
@@ -51,7 +51,7 @@ namespace exthash::obs {
 struct TraceEvent {
   const char* name = nullptr;
   const char* cat = nullptr;
-  char ph = 'X';             // 'X' duration, 'C' counter, 'i' instant
+  char ph = 'X';             // 'X' duration, 'C' counter
   std::uint64_t ts_ns = 0;   // relative to session start
   std::uint64_t dur_ns = 0;  // 'X' only
   std::uint32_t nargs = 0;   // 0..2 numeric args
@@ -145,8 +145,5 @@ class TraceSpan {
 /// Emit a "C" counter sample (Perfetto renders these as a track graph).
 void traceCounter(const char* name, double value,
                   const char* cat = "exthash") noexcept;
-
-/// Emit an "i" instant marker.
-void traceInstant(const char* name, const char* cat = "exthash") noexcept;
 
 }  // namespace exthash::obs

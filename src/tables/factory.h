@@ -37,9 +37,11 @@ struct GeneralConfig {
   std::size_t beta = 8;
   /// γ for logarithmic-method structures; LSM fanout.
   std::size_t gamma = 2;
-  /// kSharded only: shard count, inner table kind, and dispatch threads
-  /// (0 = hardware concurrency). expected_n / buffer_items / the memory
-  /// budget are divided across shards.
+  /// kSharded only: shard count, inner table kind, and the pool threads
+  /// that help the calling thread run a batch's shard slices (0 =
+  /// hardware concurrency; a batch runs on at most shard_threads + 1
+  /// threads). expected_n / buffer_items / the memory budget are divided
+  /// across shards.
   std::size_t shards = 4;
   TableKind sharded_inner = TableKind::kBuffered;
   std::size_t shard_threads = 0;

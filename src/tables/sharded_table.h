@@ -1,6 +1,6 @@
 // Sharded front-end: hash-partitions the key space across N inner tables,
 // each owning a private BlockDevice and MemoryBudget, and dispatches
-// batches shard-parallel on a thread pool.
+// batches shard-parallel on the calling thread plus a thread pool.
 //
 // This is the system-building move the ROADMAP's "heavy traffic" goal
 // asks for: the paper's structures are single-spindle, so throughput
@@ -30,10 +30,14 @@
 //
 // Threading: the façade is externally serialized like every table —
 // callers run one operation at a time. INTERNALLY a batch fans out via
-// ThreadPool::parallelFor, but each worker touches exactly one shard's
-// private device/budget/cache/table and no two workers share a shard, so
-// no façade-level mutex exists to annotate; the only lock in the fan-out
-// path is the pool's own annotated mutex (see util/thread_annotations.h).
+// ThreadPool::parallelFor: the calling thread and at most `threads` pool
+// helpers claim shard slices from one cursor, so a batch runs on at most
+// threads + 1 threads and never waits for a busy pool to start a slice.
+// Each slice runs on exactly one thread and touches only its shard's
+// private device/budget/cache/table, and no two threads share a shard,
+// so no façade-level mutex exists to annotate; the only locks in the
+// fan-out path are the pool's own annotated mutexes (see
+// util/thread_annotations.h).
 // Mutating shared façade state from inside a shard task would be a data
 // race — keep per-shard work confined to that shard's Shard struct
 // (the per-shard error latch below lives there for exactly this reason).
@@ -76,7 +80,9 @@ struct ShardedTableConfig {
   TableKind inner = TableKind::kBuffered;
   /// Config template for the inner tables; per-shard sizes are derived.
   GeneralConfig inner_config;
-  /// Dispatch threads (0 = hardware concurrency).
+  /// Pool threads that help the calling thread run a batch's shard
+  /// slices (0 = hardware concurrency); a batch runs on at most
+  /// threads + 1 threads.
   std::size_t threads = 0;
   /// Total block-cache frames distributed exactly across the shards
   /// (shard s gets floor(total/N) frames, +1 for the first total mod N

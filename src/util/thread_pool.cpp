@@ -1,6 +1,61 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
+
 namespace exthash {
+
+/// One parallelFor call's shared state. The caller and its helpers claim
+/// indices from `next`; whoever finishes the last index wakes the caller.
+/// Helpers hold the job by shared_ptr, so one the pool dequeues after the
+/// call returned still reads a live cursor, finds it exhausted, and never
+/// dereferences `fn` (which then dangles).
+struct ThreadPool::ForJob {
+  ForJob(std::size_t first, std::size_t count,
+         const std::function<void(std::size_t)>& body)
+      : begin(first), n(count), fn(&body), failed_index(count) {}
+
+  /// Claim and run indices until none is left.
+  void run() EXTHASH_EXCLUDES(mutex);
+  /// Block until all n indices have finished; rethrow the exception of
+  /// the lowest failing index, if any.
+  void wait() EXTHASH_EXCLUDES(mutex);
+
+  const std::size_t begin;
+  const std::size_t n;
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> next{0};  // next unclaimed offset from begin
+  util::Mutex mutex;
+  util::CondVar all_done;
+  std::size_t done EXTHASH_GUARDED_BY(mutex) = 0;
+  std::size_t failed_index EXTHASH_GUARDED_BY(mutex);  // n: none failed
+  std::exception_ptr error EXTHASH_GUARDED_BY(mutex);
+};
+
+void ThreadPool::ForJob::run() {
+  for (std::size_t i = next++; i < n; i = next++) {
+    std::exception_ptr thrown;
+    try {
+      (*fn)(begin + i);
+    } catch (...) {
+      thrown = std::current_exception();
+    }
+    util::MutexLock lock(mutex);
+    if (thrown && i < failed_index) {
+      error = std::move(thrown);
+      failed_index = i;
+    }
+    if (++done == n) all_done.notify_all();
+  }
+}
+
+void ThreadPool::ForJob::wait() {
+  util::MutexLock lock(mutex);
+  while (done < n) all_done.wait(lock);
+  if (error) std::rethrow_exception(error);
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -54,21 +109,18 @@ void ThreadPool::waitIdle() {
 
 void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
                              const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(end > begin ? end - begin : 0);
-  for (std::size_t i = begin; i < end; ++i) {
-    futures.push_back(submit([i, &fn] { fn(i); }));
-  }
-  // get() rethrows; let the first exception propagate after all complete.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  if (end <= begin) return;
+  const auto job = std::make_shared<ForJob>(begin, end - begin, fn);
+  const std::size_t helpers = std::min(threadCount(), job->n - 1);
+  {
+    util::MutexLock lock(mutex_);
+    for (std::size_t h = 0; h < helpers; ++h) {
+      queue_.emplace_back([job] { job->run(); });
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
+  job->run();
+  job->wait();
 }
 
 }  // namespace exthash

@@ -1,14 +1,17 @@
 // Fixed-size thread pool used to run independent benchmark sweep points in
-// parallel and to back the ingest pipeline's background apply worker. Each
-// benchmark sweep point owns its own simulated device and RNG seed, so
-// points are embarrassingly parallel and results stay deterministic; a
-// single-thread pool doubles as a FIFO serial executor (tasks run in
-// submission order), which is what the pipeline relies on.
+// parallel, to fan a sharded batch out over its shards (the sharded
+// façade, tables/sharded_table.h), and to back the ingest pipeline's
+// background apply worker. Each benchmark sweep point owns its own
+// simulated device and RNG seed, so points are embarrassingly parallel and
+// results stay deterministic; a single-thread pool doubles as a FIFO
+// serial executor (tasks run in submission order), which is what the
+// pipeline relies on.
 //
 // Locking discipline (compiler-verified, see util/thread_annotations.h):
 // mutex_ guards the queue, the active-task count, and the stop flag;
 // every public method acquires it internally, so the pool is safe to use
 // from any number of submitter threads concurrently with its workers.
+// A parallelFor job's own mutex guards its done count and its error.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +52,14 @@ class ThreadPool {
     return fut;
   }
 
-  /// Run fn(i) for i in [begin, end) across the pool; rethrows the first
-  /// exception raised by any iteration.
+  /// Run fn(i) once for each i in [begin, end). The calling thread runs
+  /// indices itself, claiming them from one shared cursor beside at most
+  /// min(threadCount(), end - begin - 1) helper tasks it posts to the
+  /// pool, so it never waits for a busy pool to start a task, and the
+  /// call uses at most threadCount() + 1 threads. Returns once every index has finished;
+  /// if any threw, rethrows the exception of the lowest failing index.
+  /// A helper the pool dequeues after the call returned finds no index
+  /// left and never calls fn.
   void parallelFor(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t)>& fn);
 
@@ -64,6 +73,8 @@ class ThreadPool {
   void waitIdle() EXTHASH_EXCLUDES(mutex_);
 
  private:
+  struct ForJob;
+
   void workerLoop() EXTHASH_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
