@@ -22,21 +22,18 @@ DurabilityManager::DurabilityManager(std::size_t words_per_block,
 std::uint64_t DurabilityManager::checkpointAt(
     tables::ExternalHashTable& table, std::uint64_t durable_lsn) {
   table.flushCache();
+  // Throws (a latched shard) before the slot is touched.
   const std::vector<std::uint64_t> meta = table.serializeMeta();
 
   // Capture images BEFORE the manifest write and into the slot this
   // version will commit under: a crash anywhere inside manifest_.write
   // leaves the other slot's (still newest-valid) manifest paired with its
-  // own untouched images.
+  // own untouched images. The capture overwrites the slot's images in
+  // place, reusing their buffers.
   const std::uint64_t version = manifest_.nextVersion();
   ImageSlot& slot = images_[version % 2];
   slot.valid = false;
-  slot.images.clear();
-  const std::size_t devices = table.durableDeviceCount();
-  slot.images.reserve(devices);
-  for (std::size_t i = 0; i < devices; ++i) {
-    slot.images.push_back(table.durableDevice(i).captureImage());
-  }
+  table.captureImages(slot.images);
   slot.version = version;
   slot.valid = true;
 

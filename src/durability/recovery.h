@@ -6,13 +6,17 @@
 // the WAL and manifest devices are durable per write (torn writes land in
 // place). A checkpoint therefore is:
 //
-//   flushCache  →  serializeMeta  →  captureImage per durable device
+//   flushCache  →  serializeMeta  →  captureImages (every durable device)
 //                →  ManifestPair::write(durable LSN, meta)
 //
 // with the device images held in the slot matching the manifest version's
 // parity. The images ARE the checkpoint's block contents ("the bytes on
 // the platter"); the slot-owns-images discipline means a crash anywhere
 // inside a checkpoint leaves the OTHER slot's manifest + images intact.
+// The sharded façade flushes and images its shards on its fan-out, into
+// the slot's reused buffers; a latched shard refuses the checkpoint
+// before the slot is touched (its quarantined frames never reached its
+// device).
 //
 // recover(fresh) rebuilds a just-constructed table (same factory config)
 // behind the crash: thaw everything, pick the newest valid manifest
@@ -83,7 +87,10 @@ class DurabilityManager {
 
   /// Checkpoint at a quiescent point (pipeline users run this from a
   /// submitMaintenance task): flush, serialize, image, commit. Returns the
-  /// manifest version. The manifest is stamped with the WAL's
+  /// manifest version. A sharded table flushes and images its shards on
+  /// its fan-out, into the parity slot's reused buffers. Throws, leaving
+  /// checkpointsTaken() and both slots unchanged, when the flush fails or
+  /// a shard is latched. The manifest is stamped with the WAL's
   /// durableLsn(): a pipeline maintenance point sees every durable window
   /// already applied (maintenance is a barrier in the pipeline's log
   /// stage), so the stamp never covers a record the table lacks. The WAL

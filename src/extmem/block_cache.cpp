@@ -243,6 +243,10 @@ void BlockCache::flush() {
   const auto entryAt = [&](std::size_t k) -> Entry& {
     return cells[flush_order_[k]];
   };
+  // The rest of a failed run, up to this flush_order_ index, goes one
+  // block at a time: re-running it as a run would re-fill every frame of
+  // it once per failing block — O(run²) copies under a dead disk.
+  std::size_t singles_end = 0;
   std::size_t begin = 0;
   while (begin < flush_order_.size()) {
     Entry& head = entryAt(begin);
@@ -256,7 +260,7 @@ void BlockCache::flush() {
     // The run: consecutive, still-allocated ids from head.
     const BlockId first = head.id;
     std::size_t count = 1;
-    while (begin + count < flush_order_.size() &&
+    while (begin >= singles_end && begin + count < flush_order_.size() &&
            entryAt(begin + count).id == first + count &&
            device_.isAllocated(first + count)) {
       ++count;
@@ -272,7 +276,8 @@ void BlockCache::flush() {
           });
     } catch (const IoError& error) {
       // Every block before the one the error names landed. That frame is
-      // quarantined; the rest of the run goes again as a new run.
+      // quarantined; the rest of the run goes again, block by block.
+      singles_end = std::max(singles_end, begin + count);
       const BlockId named = error.block();
       EXTHASH_CHECK_MSG(named >= first && named - first < count,
                         "run [" << first << ", " << first + count

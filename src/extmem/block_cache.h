@@ -33,8 +33,9 @@
 // the next barrier after the fault clears. flush() writes runs of
 // consecutive blocks (BlockDevice::withOverwriteRun), and a failed run
 // quarantines only the frame its error names: the frames before it
-// landed, and the ones after it are re-attempted as a new run. Eviction
-// write-backs stay single-block.
+// landed, and the ones after it are re-attempted one block at a time, so
+// a flush fills each frame at most twice even when every write fails.
+// Eviction write-backs stay single-block.
 //
 // Telemetry contract: hits() and misses() count block USES through the
 // cache, not device reads. A hit found (or, on the write-through refresh
@@ -181,9 +182,9 @@ class BlockCache {
   /// block the owner freed is dropped. After a successful flush the device
   /// is authoritative for every resident block. If a run faults, the
   /// frames before the block the error names are clean, that frame is
-  /// quarantined (data retained), the rest of the run goes again as a new
-  /// run, and the first IoError is rethrown after every frame was
-  /// attempted. Allocates nothing beyond its reused scratch list.
+  /// quarantined (data retained), the rest of the run goes again one
+  /// block at a time, and the first IoError is rethrown after every frame
+  /// was attempted. Allocates nothing beyond its reused scratch list.
   void flush();
 
   /// Re-target the cache to `capacity_blocks` frames at runtime — the

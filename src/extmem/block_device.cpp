@@ -258,9 +258,10 @@ std::span<const Word> BlockDevice::inspect(BlockId id) {
   return {backendLoad(id), words_per_block_};
 }
 
-BlockDevice::Image BlockDevice::captureImage() {
-  Image image;
+void BlockDevice::captureImage(Image& image) {
   image.words_per_block = words_per_block_;
+  // resize() and the copy assignments below keep the buffers the image
+  // already owns; every word up to next_id is overwritten.
   image.words.resize(next_id_ * words_per_block_);
   for (BlockId id = 0; id < next_id_; ++id) {
     const Word* p = backendLoad(id);
@@ -273,7 +274,6 @@ BlockDevice::Image BlockDevice::captureImage() {
   image.free_ranges = free_ranges_;
   image.next_id = next_id_;
   image.blocks_in_use = blocks_in_use_;
-  return image;
 }
 
 void BlockDevice::restoreImage(const Image& image) {

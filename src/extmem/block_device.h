@@ -252,8 +252,13 @@ class BlockDevice {
     std::map<BlockId, std::size_t> free_ranges;  // first id -> length
     BlockId next_id = 0;
     std::size_t blocks_in_use = 0;
+
+    friend bool operator==(const Image&, const Image&) = default;
   };
-  Image captureImage();
+  /// Overwrite `image` with the device's current state, reusing its
+  /// buffers: whatever capture it held before (of any size) is replaced,
+  /// and no buffer is reallocated unless the device outgrew it.
+  void captureImage(Image& image);
   /// Overwrite the device's entire durable state with `image` (geometry
   /// must match): every frame is filled, then the whole image is stored
   /// as one run through the retry ladder. Does not touch the frozen flag,

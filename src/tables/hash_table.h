@@ -173,17 +173,20 @@ class ExternalHashTable {
 
   // ---- Durability hooks (src/durability/) ------------------------------
   //
-  // A checkpoint = serializeMeta() (the table's in-memory metadata as a
-  // word vector) + an image of every durable device; recovery constructs
-  // a FRESH table with the same factory config, restores the device
-  // images underneath it, then restoreMeta() overwrites the fresh
-  // object's in-memory state so it describes the restored blocks. The
-  // restore path NEVER frees the fresh constructor's allocations — the
-  // image restore already rewound the allocation map wholesale.
+  // A checkpoint = flushCache() + serializeMeta() (the table's in-memory
+  // metadata as a word vector) + captureImages() (an image of every
+  // durable device); recovery constructs a FRESH table with the same
+  // factory config, restores the device images underneath it, then
+  // restoreMeta() overwrites the fresh object's in-memory state so it
+  // describes the restored blocks. The restore path NEVER frees the fresh
+  // constructor's allocations — the image restore already rewound the
+  // allocation map wholesale.
 
   /// Serialize all in-memory metadata needed to re-adopt this table's
   /// on-device state (extents, directories, split pointers, level/run
-  /// tables, memory-resident buffers). Default: unsupported.
+  /// tables, memory-resident buffers). Throws when the devices cannot be
+  /// imaged consistently (the sharded façade with a latched shard), which
+  /// refuses the checkpoint. Default: unsupported.
   virtual std::vector<std::uint64_t> serializeMeta() const {
     throw UnsupportedOperation(std::string(name()) +
                                " does not support serializeMeta");
@@ -203,6 +206,17 @@ class ExternalHashTable {
   virtual extmem::BlockDevice& durableDevice(std::size_t i) {
     EXTHASH_CHECK(i == 0);
     return *ctx_.device;
+  }
+  /// Capture durable device i into images[i] (resized to
+  /// durableDeviceCount()), reusing the buffers each image already owns
+  /// (BlockDevice::captureImage). Quiescent-only, after flushCache().
+  /// Default: one device after another; the sharded façade captures its
+  /// shards on its fan-out.
+  virtual void captureImages(std::vector<extmem::BlockDevice::Image>& images) {
+    images.resize(durableDeviceCount());
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      durableDevice(i).captureImage(images[i]);
+    }
   }
   /// Drop every cached frame WITHOUT write-back — called by recovery
   /// after the device image was rewound underneath the cache(s), when

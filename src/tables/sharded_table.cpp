@@ -273,6 +273,9 @@ constexpr std::uint64_t kShardedMetaMagic = 0x53484152444D4554ULL;  // SHARDMET
 }  // namespace
 
 std::vector<std::uint64_t> ShardedTable::serializeMeta() const {
+  for (const Shard& shard : shards_) {
+    if (shard.error) std::rethrow_exception(shard.error);
+  }
   MetaWriter w;
   w.tag(kShardedMetaMagic);
   w.u64(shards_.size());
@@ -362,22 +365,27 @@ extmem::IoStats ShardedTable::ioStats() const {
 }
 
 void ShardedTable::flushCache() const {
-  // Failed shards are skipped (their quarantined frames stay pinned until
-  // clearShardErrors()); a flush fault on a healthy shard latches it, and
-  // the remaining shards still get their barrier before the first error
-  // surfaces.
-  std::exception_ptr first_error;
-  for (const Shard& shard : shards_) {
-    if (!shard.cache || shard.error) continue;
+  std::vector<std::exception_ptr> errors(shards_.size());
+  pool_.parallelFor(0, shards_.size(), [&](std::size_t s) {
+    const Shard& shard = shards_[s];
+    if (!shard.cache || shard.error) return;
     try {
       shard.cache->flush();
     } catch (const extmem::IoError&) {
       shard.error = std::current_exception();
       ++shard.latches;
-      if (!first_error) first_error = shard.error;
+      errors[s] = shard.error;
     }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  });
+  rethrowFirst(errors);
+}
+
+void ShardedTable::captureImages(
+    std::vector<extmem::BlockDevice::Image>& images) {
+  images.resize(shards_.size());
+  pool_.parallelFor(0, shards_.size(), [&](std::size_t s) {
+    shards_[s].device->captureImage(images[s]);
+  });
 }
 
 void ShardedTable::collect(obs::MetricsRegistry& registry) const {

@@ -33,6 +33,8 @@
 // ThreadPool::parallelFor: the calling thread and at most `threads` pool
 // helpers claim shard slices from one cursor, so a batch runs on at most
 // threads + 1 threads and never waits for a busy pool to start a slice.
+// The checkpoint's per-shard work takes the same fan-out: flushCache()
+// flushes, and captureImages() images, one shard per slice.
 // Each slice runs on exactly one thread and touches only its shard's
 // private device/budget/cache/table, and no two threads share a shard,
 // so no façade-level mutex exists to annotate; the only locks in the
@@ -155,13 +157,17 @@ class ShardedTable final : public ExternalHashTable {
   /// Aggregates per-shard device counters AND per-shard cache counters
   /// (cache_hits / cache_writebacks / cache_ghost_hits).
   extmem::IoStats ioStats() const override;
-  /// Flush barrier across every auto-attached shard cache. The façade
-  /// must be quiescent (no batch in flight on the shard pool).
+  /// Flush barrier across every auto-attached shard cache, one shard per
+  /// fan-out slice. The façade must be quiescent (no batch in flight on
+  /// the shard pool). Every healthy shard is attempted; a latched shard is
+  /// skipped (its quarantined frames stay pinned until
+  /// clearShardErrors()); an IoError latches its shard, and once every
+  /// shard finished the lowest-index error is rethrown.
   void flushCache() const override;
   /// Recursive audit: every shard's deep per-kind audit plus its private
   /// cache's partition/charge audit (the inner tables inherit it through
-  /// ExternalHashTable::validateLayout). Serial, quiescent-only, like
-  /// flushCache().
+  /// ExternalHashTable::validateLayout). Serial and quiescent-only; it
+  /// skips latched shards, as flushCache() does.
   void validateLayout(AuditReport& report) const override;
   /// Per shard, the inner table's series (its device and cache) plus
   /// exthash_shard_{ops,lookups,failures}_total and exthash_shard_size,
@@ -211,12 +217,19 @@ class ShardedTable final : public ExternalHashTable {
 
   // Durability hooks: one durable device per shard; metadata is the
   // per-shard inner metadata, length-prefixed per shard.
+  /// Rethrows the lowest latched shard's stored error instead, refusing
+  /// the checkpoint: flushCache() skipped that shard, so its quarantined
+  /// frames never reached its device, and its image would lack
+  /// acknowledged ops whose WAL record the manifest's LSN stamp fences
+  /// off.
   std::vector<std::uint64_t> serializeMeta() const override;
   void restoreMeta(std::span<const std::uint64_t> words) override;
   std::size_t durableDeviceCount() const override { return shards_.size(); }
   extmem::BlockDevice& durableDevice(std::size_t i) override {
     return *shards_[i].device;
   }
+  /// One fan-out slice per shard, each capturing its shard's device.
+  void captureImages(std::vector<extmem::BlockDevice::Image>& images) override;
   void invalidateCaches() override;
 
   std::size_t shardCount() const noexcept { return shards_.size(); }
@@ -275,7 +288,8 @@ class ShardedTable final : public ExternalHashTable {
   ShardedTableConfig config_;
   std::vector<Shard> shards_;
   std::uint64_t resets_ = 0;
-  ThreadPool pool_;
+  // mutable: the const flush barrier fans out too.
+  mutable ThreadPool pool_;
 };
 
 }  // namespace exthash::tables

@@ -138,7 +138,8 @@ TEST(BlockDevice, ImageRoundTripKeepsFreeRanges) {
   dev.allocateExtent(1);
   dev.freeExtent(a, 6);
   dev.freeExtent(c, 5);
-  const BlockDevice::Image image = dev.captureImage();
+  BlockDevice::Image image;
+  dev.captureImage(image);
   EXPECT_EQ(image.free_ranges.size(), 2u);
 
   // Use up the free ranges, then rewind: the ranges come back, and
@@ -146,9 +147,53 @@ TEST(BlockDevice, ImageRoundTripKeepsFreeRanges) {
   dev.allocateExtent(6);
   dev.allocateExtent(5);
   dev.restoreImage(image);
-  EXPECT_EQ(dev.captureImage().free_ranges, image.free_ranges);
+  BlockDevice::Image rewound;
+  dev.captureImage(rewound);
+  EXPECT_EQ(rewound.free_ranges, image.free_ranges);
   EXPECT_EQ(dev.allocateExtent(4), c);  // best fit: the 5-block range
   EXPECT_EQ(dev.allocateExtent(6), a);
+
+  // Reuse: capture a smaller device into an image that last held dev's
+  // capture — more blocks, other contents, free ranges and allocation
+  // bits. Nothing of the old capture may survive: every field equals a
+  // fresh capture's, and the image restores.
+  for (BlockId id = 0; id < dev.idSpaceSize(); ++id) {
+    if (dev.isAllocated(id)) dev.writeCopy(id, std::vector<Word>{0xF00 + id});
+  }
+  BlockDevice small(8);
+  const BlockId s = small.allocateExtent(4);
+  for (BlockId id = s; id < s + 4; ++id) {
+    small.writeCopy(id, std::vector<Word>{id + 7, 0xABC});
+  }
+  small.free(s + 2);
+  BlockDevice::Image reused;
+  dev.captureImage(reused);
+  ASSERT_GT(reused.next_id, 4u);
+  ASSERT_TRUE(reused.free_ranges.count(12));
+  const Word* buffer = reused.words.data();
+  small.captureImage(reused);
+  EXPECT_EQ(reused.words.data(), buffer) << "the smaller capture reallocated";
+  BlockDevice::Image fresh;
+  small.captureImage(fresh);
+  EXPECT_EQ(reused.words_per_block, fresh.words_per_block);
+  EXPECT_EQ(reused.words, fresh.words);
+  EXPECT_EQ(reused.allocated, fresh.allocated);
+  EXPECT_EQ(reused.free_ranges, fresh.free_ranges);
+  EXPECT_EQ(reused.next_id, fresh.next_id);
+  EXPECT_EQ(reused.blocks_in_use, fresh.blocks_in_use);
+
+  EXPECT_EQ(small.allocate(), s + 2);
+  small.writeCopy(s, std::vector<Word>{999});
+  small.restoreImage(reused);
+  EXPECT_FALSE(small.isAllocated(s + 2));
+  EXPECT_EQ(small.blocksInUse(), 3u);
+  for (const BlockId id : {s, s + 1, s + 3}) {
+    EXPECT_EQ(small.readCopy(id)[0], id + 7) << "block " << id;
+    EXPECT_EQ(small.readCopy(id)[1], 0xABCu) << "block " << id;
+  }
+  BlockDevice::Image restored;
+  small.captureImage(restored);
+  EXPECT_TRUE(restored == fresh);
 }
 
 TEST(BlockDevice, AccessAfterFreeIsAnError) {

@@ -8,9 +8,10 @@
 // power cut in a read, an rmw or an overwrite leaves); BlockCache
 // write-back quarantine (dirty data survives a failed eviction and lands
 // after the fault clears; a failed flush run quarantines only the frame
-// its error names); IngestPipeline fail-stop + reset(); ShardedTable
-// per-shard fault isolation; the flight recorder; and the capstone chaos
-// sweep — every table kind plus the sharded façade, in
+// its error names and writes the rest block by block); IngestPipeline
+// fail-stop + reset(); ShardedTable per-shard fault isolation, on its
+// batches and on its fan-out flush; the flight recorder; and the capstone
+// chaos sweep — every table kind plus the sharded façade, in
 // pipelined+cached+arbitrated mode on files, must produce bit-exact lookup
 // digests under seeded transient-fault schedules vs the fault-free run and
 // answer exactly the AckLedger's fold of the op stream, with the retry
@@ -396,7 +397,8 @@ TEST(FaultSeam, MetadataPathsAddNoCost) {
   failNextPread();
   EXPECT_EQ(dev.inspect(first + 2)[0], 10 * (first + 2));
   failNextPread();
-  const BlockDevice::Image image = dev.captureImage();
+  BlockDevice::Image image;
+  dev.captureImage(image);
   dev.freeExtent(first, 2);
   dev.free(fresh);
   dev.restoreImage(image);
@@ -790,6 +792,70 @@ TEST(CacheQuarantine, PolicyFaultInsideARunKeepsPerBlockOutcomes) {
   EXPECT_EQ(dev.readCopy(ids[2])[0], 502u);
 }
 
+/// Adds up the bytes every pwrite asks for, then forwards to `inner`.
+class PwriteTally final : public extmem::FileOps {
+ public:
+  explicit PwriteTally(extmem::FileOps& inner) : inner_(inner) {}
+
+  ssize_t pread(int fd, void* buf, std::size_t count, off_t offset) override {
+    return inner_.pread(fd, buf, count, offset);
+  }
+  ssize_t pwrite(int fd, const void* buf, std::size_t count,
+                 off_t offset) override {
+    requested_bytes += count;
+    return inner_.pwrite(fd, buf, count, offset);
+  }
+  int fsync(int fd) override { return inner_.fsync(fd); }
+  int fallocate(int fd, off_t offset, off_t len) override {
+    return inner_.fallocate(fd, offset, len);
+  }
+  int close(int fd) override { return inner_.close(fd); }
+
+  std::uint64_t requested_bytes = 0;
+
+ private:
+  extmem::FileOps& inner_;
+};
+
+// A dead disk fails every write of a flush. The rest of a failed run goes
+// one block at a time, so the flush asks for each block at most twice
+// (once in the run, once alone), not once more per failing block before
+// it: 256 + 255 blocks for a 256-block run, not 256 · 257 / 2.
+TEST(CacheQuarantine, DeadDiskFlushRequestsEachBlockAtMostTwice) {
+  constexpr std::size_t kBlocks = 256;
+  FaultyFileOps shim(29);
+  PwriteTally tally(shim);
+  BlockDevice dev(8, fileStorageOptions(&tally));
+  extmem::MemoryBudget budget(0);
+  BlockCache cache(dev, budget, kBlocks, BlockCache::WritePolicy::kWriteBack,
+                   extmem::ReplacementKind::kLru);
+  ASSERT_EQ(dev.allocateExtent(kBlocks), 0u);
+  for (BlockId id = 0; id < kBlocks; ++id) {
+    cache.withOverwrite(id, [&](std::span<Word> data) { data[0] = 100 + id; });
+  }
+  const auto& file = dynamic_cast<const extmem::FileStorage&>(dev.storage());
+  const std::uint64_t slot = file.slotBytes();
+  shim.failRange(file.fd(), 0, static_cast<off_t>(kBlocks * slot), EIO);
+
+  const std::uint64_t writes = dev.stats().writes;
+  tally.requested_bytes = 0;
+  EXPECT_THROW(cache.flush(), PermanentIoError);
+  EXPECT_LE(tally.requested_bytes, 2 * kBlocks * slot)
+      << tally.requested_bytes / slot << " blocks requested";
+  EXPECT_EQ(cache.quarantinedFrames(), kBlocks);
+  EXPECT_EQ(cache.dirtyBlocks(), kBlocks);
+  EXPECT_EQ(cache.writebacks(), 0u);
+  EXPECT_EQ(dev.stats().writes - writes, kBlocks);  // one per failed block
+
+  shim.clear();
+  EXPECT_NO_THROW(cache.flush());
+  EXPECT_EQ(cache.quarantinedFrames(), 0u);
+  EXPECT_EQ(cache.writebacks(), kBlocks);
+  for (BlockId id = 0; id < kBlocks; ++id) {
+    ASSERT_EQ(dev.readCopy(id)[0], 100 + id) << "block " << id;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline fail-stop and reset()
 // ---------------------------------------------------------------------------
@@ -983,6 +1049,70 @@ TEST(ShardIsolation, FaultedShardLatchesWhileHealthyShardsServe) {
   EXPECT_NO_THROW(table.applyBatch(more));
   EXPECT_EQ(table.lookup(more[0].key),
             std::optional<std::uint64_t>(more[0].value));
+}
+
+// The flush barrier runs one shard per fan-out slice. Two shards fault:
+// both latch, the healthy shards land every frame, and the lowest-index
+// error surfaces once all slices finished.
+TEST(ShardIsolation, FlushFanOutLatchesEveryFaultedShard) {
+  FaultyFileOps shim(31);
+  TestRig rig(8);
+  tables::ShardedTableConfig config;
+  config.shards = 4;
+  config.inner = TableKind::kChaining;
+  config.threads = 2;
+  config.inner_config.expected_n = 1024;
+  config.inner_config.target_load = 0.5;
+  config.cache_frames = 1024;  // every block: nothing evicts
+  config.cache_policy = BlockCache::WritePolicy::kWriteBack;
+  config.storage = fileStorageOptions(&shim);
+  ShardedTable table(rig.context(), config);
+
+  const auto keys = distinctKeys(1024);
+  std::vector<Op> ops;
+  for (const auto k : keys) ops.push_back(Op::insertOp(k, k + 1));
+  table.applyBatch(ops);
+
+  // Sticky EIO: shard 1's whole file goes bad, shard 3's from its second
+  // block on, so the two errors name different blocks.
+  for (const std::size_t s : {1u, 3u}) {
+    const auto& file = dynamic_cast<const extmem::FileStorage&>(
+        table.shardDevice(s).storage());
+    const off_t from = s == 1 ? 0 : static_cast<off_t>(file.slotBytes());
+    shim.failRange(file.fd(), from, off_t{1} << 40, EIO);
+  }
+
+  std::string thrown;
+  try {
+    table.flushCache();
+    FAIL() << "the faulted shards did not surface";
+  } catch (const PermanentIoError& error) {
+    thrown = error.what();
+  }
+  EXPECT_EQ(table.failedShardCount(), 2u);
+  EXPECT_TRUE(table.shardFailed(1));
+  EXPECT_TRUE(table.shardFailed(3));
+  const auto errors = table.shardErrors();
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0].shard, 1u);
+  EXPECT_NE(errors[0].message, errors[1].message);
+  EXPECT_EQ(thrown, errors[0].message);
+
+  // The healthy shards landed every frame: with their caches dropped,
+  // their values come back from their files.
+  for (const std::size_t s : {0u, 2u}) {
+    EXPECT_EQ(table.shardCache(s)->dirtyBlocks(), 0u) << "shard " << s;
+    table.shardCache(s)->discardAll();
+  }
+  std::size_t checked = 0;
+  for (const auto k : keys) {
+    const std::size_t s =
+        ShardedTable::shardOfBlockId(*table.primaryBlockOf(k));
+    if (s != 0 && s != 2) continue;
+    EXPECT_EQ(table.lookup(k), std::optional<std::uint64_t>(k + 1));
+    ++checked;
+  }
+  EXPECT_GT(checked, keys.size() / 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -140,7 +140,8 @@ TEST(FileStorage, DirectIoRequestReportsWhatEngaged) {
   // mode; under O_DIRECT it goes slot by slot through the bounce buffer.
   const BlockId run = device.allocateExtent(3);
   for (BlockId b = run; b < run + 3; ++b) fillBlock(device, b, 0xD2 + b);
-  const BlockDevice::Image image = device.captureImage();
+  BlockDevice::Image image;
+  device.captureImage(image);
   for (BlockId b = id; b < run + 3; ++b) fillBlock(device, b, 0xEE);
   device.restoreImage(image);
   EXPECT_EQ(device.readCopy(id), pattern(0xD1));
@@ -441,7 +442,8 @@ TEST(FileStorage, ImageRestoreStoresRunsAndRoundTrips) {
   BlockDevice device(kWords, testing::fileStorageOptions(&shim));
   ASSERT_EQ(device.allocateExtent(kRunBlocks), 0u);
   for (BlockId id = 0; id < kRunBlocks; ++id) fillBlock(device, id, id + 1);
-  const BlockDevice::Image image = device.captureImage();
+  BlockDevice::Image image;
+  device.captureImage(image);
   for (BlockId id = 0; id < kRunBlocks; ++id) {
     fillBlock(device, id, id + 0x10000);
   }

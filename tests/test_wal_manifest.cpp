@@ -2,12 +2,17 @@
 // records straddling block boundaries, torn-tail truncation, LSN fencing
 // across reset, threaded appends) and the manifest superblock pair
 // (slot alternation, newest-valid-wins, torn header/payload falling back
-// to the older slot, both-corrupt as the unrecoverable signal). The
-// end-to-end crash sweeps live in test_crash_recovery.cpp; this file pins
-// the layer-by-layer contracts those sweeps build on.
+// to the older slot, both-corrupt as the unrecoverable signal), and the
+// sharded checkpoint (a latched shard refuses it; the fan-out capture
+// equals a serial one). The end-to-end crash sweeps live in
+// test_crash_recovery.cpp; this file pins the layer-by-layer contracts
+// those sweeps build on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -21,6 +26,7 @@
 #include "obs/flight_recorder.h"
 #include "table_test_util.h"
 #include "tables/factory.h"
+#include "tables/sharded_table.h"
 #include "util/assert.h"
 
 namespace exthash {
@@ -381,6 +387,107 @@ TEST(Durability, BothManifestsCorruptRaisesAndDumpsFlightRecorder) {
   EXPECT_EQ(obs::FlightRecorder::dumpCount(), dumps_before + 1);
   obs::FlightRecorder::disarm();
   EXPECT_NE(sink.str().find("no valid manifest slot"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Sharded checkpoints: the flush and the capture run on the shard fan-out
+// ---------------------------------------------------------------------------
+
+/// A 4-shard chaining table on files, whose write-back caches hold every
+/// block (nothing evicts, so nothing reaches a shard file before a flush).
+tables::GeneralConfig shardedOnFiles(extmem::FileOps* ops) {
+  tables::GeneralConfig cfg;
+  cfg.expected_n = 1024;
+  cfg.target_load = 0.5;
+  cfg.shards = 4;
+  cfg.sharded_inner = tables::TableKind::kChaining;
+  cfg.shard_threads = 2;
+  cfg.shard_cache_frames = 1024;
+  cfg.shard_cache_write_back = true;
+  cfg.shard_storage = testing::fileStorageOptions(ops);
+  return cfg;
+}
+
+std::vector<Op> distinctInserts(std::size_t n) {
+  std::vector<Op> ops;
+  const auto keys = testing::distinctKeys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ops.push_back(Op::insertOp(keys[i], 2 * i + 1));
+  }
+  return ops;
+}
+
+// A latched shard's quarantined frames never reached its device. A
+// checkpoint taken anyway would image the shard without them and stamp an
+// LSN that fences their WAL record off, so recovery would lose them.
+TEST(Durability, LatchedShardRefusesTheCheckpoint) {
+  FaultyFileOps shim(/*seed=*/37);  // outlives the table's files
+  testing::TestRig rig(8);
+  const tables::GeneralConfig cfg = shardedOnFiles(&shim);
+  auto table = makeTable(tables::TableKind::kSharded, rig.context(), cfg);
+  auto& sharded = dynamic_cast<tables::ShardedTable&>(*table);
+  DurabilityManager dm(rig.device->wordsPerBlock(),
+                       testing::testStorageOptions());
+  dm.begin(*table);
+
+  const std::vector<Op> ops = distinctInserts(512);
+  const std::uint64_t lsn = dm.wal().append(ops);
+  table->applyBatch(ops);
+
+  // Shard 0's file refuses every write from now on: the first checkpoint's
+  // flush latches it, and the second's flush skips it.
+  const int shard0 = testing::fileOf(sharded.shardDevice(0));
+  shim.failNth(FileSyscall::kPwrite,
+               shim.count(FileSyscall::kPwrite, shard0) + 1, EIO,
+               /*sticky=*/true, shard0);
+  const std::uint64_t taken = dm.checkpointsTaken();
+  EXPECT_THROW(dm.checkpoint(*table), extmem::PermanentIoError);
+  EXPECT_TRUE(sharded.shardFailed(0));
+  EXPECT_THROW(dm.checkpoint(*table), extmem::PermanentIoError);
+  EXPECT_EQ(dm.checkpointsTaken(), taken);
+
+  // Power loss; the reboot finds the disk healthy again.
+  shim.clear();
+  dm.freezeAll(*table);
+  table.reset();
+  rig.device->thaw();
+  auto fresh = makeTable(tables::TableKind::kSharded, rig.context(), cfg);
+  const auto result = dm.recover(*fresh);
+  EXPECT_EQ(result.checkpoint_lsn, 0u);
+  EXPECT_EQ(result.replayed_records, 1u);
+  EXPECT_EQ(result.recovered_lsn, lsn);
+  for (const Op& op : ops) {
+    EXPECT_EQ(fresh->lookup(op.key), std::optional<std::uint64_t>(op.value))
+        << "key " << op.key;
+  }
+}
+
+// captureImages images one shard per fan-out slice. The images equal a
+// serial capture of each shard device, also when a later capture reuses
+// the vector after the table grew.
+TEST(Durability, ShardedCaptureImagesMatchesASerialCapture) {
+  testing::TestRig rig(8);
+  auto table = makeTable(tables::TableKind::kSharded, rig.context(),
+                         shardedOnFiles(nullptr));
+  auto& sharded = dynamic_cast<tables::ShardedTable&>(*table);
+  const std::vector<Op> ops = distinctInserts(2048);
+  std::vector<BlockDevice::Image> images;
+  std::uint64_t captured_blocks = 0;  // over all shards
+  for (const std::size_t n : {512u, 2048u}) {
+    table->applyBatch(std::span<const Op>(ops).first(n));
+    table->flushCache();
+    table->captureImages(images);
+    ASSERT_EQ(images.size(), sharded.shardCount());
+    std::uint64_t blocks = 0;
+    for (std::size_t s = 0; s < sharded.shardCount(); ++s) {
+      BlockDevice::Image serial;
+      sharded.shardDevice(s).captureImage(serial);
+      EXPECT_TRUE(images[s] == serial) << "shard " << s << " after " << n;
+      blocks += images[s].next_id;
+    }
+    EXPECT_GT(blocks, captured_blocks) << "the table did not grow";
+    captured_blocks = blocks;
+  }
 }
 
 }  // namespace
