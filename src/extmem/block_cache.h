@@ -237,9 +237,6 @@ class BlockCache {
 
   WritePolicy policy() const noexcept { return policy_; }
   ReplacementKind replacementKind() const noexcept { return replacement_kind_; }
-  std::string_view replacementName() const noexcept {
-    return replacement_.name();
-  }
   BlockDevice& device() const noexcept { return device_; }
 
   std::uint64_t hits() const noexcept { return hits_; }
@@ -297,13 +294,9 @@ class BlockCache {
   std::size_t ghostEntries() const noexcept {
     return replacement_.ghostEntries();
   }
-  /// Words this cache charges to the budget for its frames (the policy's
-  /// ghost metadata charge is separate — see policyChargedWords).
+  /// Words this cache charges to the budget for its frames (the
+  /// replacement policy charges its ghost directories separately).
   std::size_t chargedWords() const noexcept { return charge_.words(); }
-  /// Words the replacement policy charges for its ghost directories.
-  std::size_t policyChargedWords() const noexcept {
-    return replacement_.chargedWords();
-  }
 
   /// Cross-subsystem audit (see util/audit.h), one walk of the directory:
   /// the index reaches every entry; residents own distinct frame slots

@@ -5,7 +5,7 @@
 // extmem/replacement_policy.h) is the cache's own business: this view
 // forwards accesses and coherence events and is policy-agnostic. Pick the
 // policy where the cache is built — BlockCache's constructor, or
-// ShardedTableConfig::cache_replacement for the façade's auto-attached
+// GeneralConfig::shard_cache_replacement for the façade's auto-attached
 // caches.
 //
 // The bucketed tables' grouped batch paths (chain walks, probe runs) used

@@ -43,11 +43,12 @@ std::size_t roundUp(std::size_t value, std::size_t to) {
 }  // namespace
 
 FileStorage::FileStorage(std::size_t words_per_block, std::string path,
-                         FileStorageOptions options)
+                         StorageOptions options)
     : words_per_block_(words_per_block),
       path_(std::move(path)),
-      options_(options),
-      ops_(options.ops != nullptr ? options.ops : &realFileOps()),
+      options_(std::move(options)),
+      ops_(options_.file_ops != nullptr ? options_.file_ops
+                                        : &realFileOps()),
       mirror_(words_per_block) {
   EXTHASH_CHECK(words_per_block_ >= 1);
   if (options_.preallocate_blocks == 0) options_.preallocate_blocks = 1;

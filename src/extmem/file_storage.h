@@ -43,20 +43,14 @@
 
 namespace exthash::extmem {
 
-struct FileStorageOptions {
-  bool direct_io = false;
-  bool unlink_on_close = true;
-  std::size_t preallocate_blocks = 1024;
-  /// nullptr = realFileOps(). Non-owning; must outlive the storage.
-  FileOps* ops = nullptr;
-};
-
 class FileStorage final : public StorageBackend {
  public:
   /// Opens (creating if needed) `path` read-write. Throws PermanentIoError
-  /// if the file cannot be opened or preallocated.
+  /// if the file cannot be opened or preallocated. Reads the kFile fields
+  /// of `options` (direct_io, unlink_on_close, preallocate_blocks,
+  /// file_ops); `path` stands in for its backend and directory.
   FileStorage(std::size_t words_per_block, std::string path,
-              FileStorageOptions options = {});
+              StorageOptions options = {});
   ~FileStorage() override;
 
   FileStorage(const FileStorage&) = delete;
@@ -94,7 +88,7 @@ class FileStorage final : public StorageBackend {
 
   std::size_t words_per_block_;
   std::string path_;
-  FileStorageOptions options_;
+  StorageOptions options_;
   FileOps* ops_;  // never null after construction
   int fd_ = -1;
   bool direct_active_ = false;

@@ -29,12 +29,8 @@ std::unique_ptr<StorageBackend> makeStorage(std::size_t words_per_block,
   const fs::path file = dir / (std::string(name) + "-" +
                                std::to_string(::getpid()) + "-" +
                                std::to_string(n) + ".blocks");
-  FileStorageOptions fo;
-  fo.direct_io = options.direct_io;
-  fo.unlink_on_close = options.unlink_on_close;
-  fo.preallocate_blocks = options.preallocate_blocks;
-  fo.ops = options.file_ops;
-  return std::make_unique<FileStorage>(words_per_block, file.string(), fo);
+  return std::make_unique<FileStorage>(words_per_block, file.string(),
+                                       options);
 }
 
 }  // namespace exthash::extmem

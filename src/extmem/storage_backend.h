@@ -174,7 +174,8 @@ struct StorageOptions {
   /// kFile: fallocate granularity in blocks (batched preallocation).
   std::size_t preallocate_blocks = 1024;
   /// kFile: syscall layer. nullptr = real syscalls; tests install a
-  /// FaultyFileOps shim here (extmem/faulty_file_ops.h). Non-owning.
+  /// FaultyFileOps shim here (extmem/faulty_file_ops.h). Non-owning; must
+  /// outlive the storage.
   FileOps* file_ops = nullptr;
 };
 

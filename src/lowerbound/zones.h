@@ -22,12 +22,6 @@ struct ZoneStats {
   std::uint64_t total_items = 0;   // k = |M| + |F| + |S| (distinct keys)
   std::uint64_t disk_copies = 0;   // disk records incl. duplicates/copies
 
-  double slowFraction() const noexcept {
-    return total_items ? static_cast<double>(slow_items) /
-                             static_cast<double>(total_items)
-                       : 0.0;
-  }
-
   /// Minimum possible expected average query cost for this layout:
   /// (|F| + 2|S|) / k, counting memory hits as free — the quantity the
   /// paper lower-bounds by 1 + δ.

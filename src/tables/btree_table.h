@@ -50,8 +50,6 @@ class BTreeTable final : public ExternalHashTable {
                  const std::function<void(const Record&)>& fn);
 
   std::size_t height() const noexcept { return height_; }
-  std::size_t leafCapacity() const noexcept { return leaf_cap_; }
-  std::size_t internalCapacity() const noexcept { return internal_cap_; }
 
   std::vector<std::uint64_t> serializeMeta() const override;
   void restoreMeta(std::span<const std::uint64_t> words) override;

@@ -58,7 +58,6 @@ class BufferBTreeTable final : public ExternalHashTable {
 
   std::size_t height() const noexcept { return height_; }
   std::size_t fanout() const noexcept { return fanout_; }
-  std::size_t bufferCapacity() const noexcept { return buffer_cap_; }
   std::uint64_t flushes() const noexcept { return flushes_; }
 
   std::vector<std::uint64_t> serializeMeta() const override;

@@ -54,7 +54,6 @@ class ExtendibleHashTable final : public ExternalHashTable {
 
   std::uint32_t globalDepth() const noexcept { return global_depth_; }
   std::size_t directorySize() const noexcept { return directory_.size(); }
-  std::size_t bucketBlocks() const noexcept { return bucket_blocks_; }
   double loadFactor() const noexcept;
 
   std::vector<std::uint64_t> serializeMeta() const override;

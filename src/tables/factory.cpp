@@ -85,20 +85,8 @@ std::unique_ptr<ExternalHashTable> makeTable(TableKind kind, TableContext ctx,
     }
     case TableKind::kBufferBTree:
       return std::make_unique<BufferBTreeTable>(ctx, BufferBTreeConfig{});
-    case TableKind::kSharded: {
-      ShardedTableConfig cfg;
-      cfg.shards = std::max<std::size_t>(1, config.shards);
-      cfg.inner = config.sharded_inner;
-      cfg.inner_config = config;
-      cfg.threads = config.shard_threads;
-      cfg.cache_frames = config.shard_cache_frames;
-      cfg.cache_policy = config.shard_cache_write_back
-                             ? extmem::BlockCache::WritePolicy::kWriteBack
-                             : extmem::BlockCache::WritePolicy::kWriteThrough;
-      cfg.cache_replacement = config.shard_cache_replacement;
-      cfg.storage = config.shard_storage;
-      return std::make_unique<ShardedTable>(ctx, cfg);
-    }
+    case TableKind::kSharded:
+      return std::make_unique<ShardedTable>(ctx, config);
   }
   EXTHASH_CHECK_MSG(false, "unknown TableKind");
   return nullptr;

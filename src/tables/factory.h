@@ -37,27 +37,45 @@ struct GeneralConfig {
   std::size_t beta = 8;
   /// γ for logarithmic-method structures; LSM fanout.
   std::size_t gamma = 2;
-  /// kSharded only: shard count, inner table kind, and the pool threads
-  /// that help the calling thread run a batch's shard slices (0 =
-  /// hardware concurrency; a batch runs on at most shard_threads + 1
-  /// threads). expected_n / buffer_items / the memory budget are divided
-  /// across shards.
+  /// kSharded only (tables/sharded_table.h): number of inner tables
+  /// (clamped to >= 1), each given 1/N of expected_n, buffer_items and
+  /// the memory budget.
   std::size_t shards = 4;
+  /// kSharded only: what to build inside each shard (any kind except
+  /// kSharded); the rest of this config is the inner tables' template.
   TableKind sharded_inner = TableKind::kBuffered;
+  /// kSharded only: pool threads that help the calling thread run a
+  /// batch's shard slices (0 = hardware concurrency); a batch runs on at
+  /// most shard_threads + 1 threads.
   std::size_t shard_threads = 0;
-  /// kSharded only: total BlockCache frames auto-attached across shards
-  /// (0 = none) and whether they run write-back (dirty frames written on
-  /// eviction / flushCache()) instead of write-through. See
-  /// ShardedTableConfig::cache_frames / cache_policy.
+  /// kSharded only: total block-cache frames distributed exactly across
+  /// the shards (shard s gets floor(total/N) frames, +1 for the first
+  /// total mod N shards; a shard allotted zero frames gets no cache).
+  /// Each cache is a private BlockCache over the shard's device,
+  /// auto-attached and charged against the CALLER's shared MemoryBudget
+  /// — the façade's context budget, not the per-shard ones. 0 = no
+  /// caches. Only the cache-honoring inner kinds (chaining, linear
+  /// hashing, extendible) actually route accesses through them.
   std::size_t shard_cache_frames = 0;
+  /// kSharded only: run the auto-attached caches write-back (dirty frames
+  /// written on eviction / flushCache()) instead of write-through.
+  /// Write-back relies on the flush barriers the façade provides:
+  /// flushCache() (and the destructor) flushes every shard cache, and
+  /// ioStats() aggregates their hit/writeback telemetry alongside the
+  /// per-shard device counters.
   bool shard_cache_write_back = false;
-  /// kSharded only: replacement policy of the auto-attached caches
-  /// (lru / 2q / arc — see extmem/replacement_policy.h).
+  /// kSharded only: replacement policy of the auto-attached caches (lru /
+  /// 2q / arc — see extmem/replacement_policy.h; every shard runs the
+  /// same one). ioStats() aggregates ghost hits; each shard's adaptive
+  /// target is shardCache(s)->adaptiveTarget().
   extmem::ReplacementKind shard_cache_replacement =
       extmem::ReplacementKind::kLru;
   /// kSharded only: storage backend for the private per-shard devices
-  /// (see ShardedTableConfig::storage). Standalone kinds use the caller's
-  /// context device, whose backend the caller already chose.
+  /// (default: memory; a file-backed choice gives every shard its own
+  /// backing file, so a real I/O error on one shard trips that shard's
+  /// isolation without touching its siblings' files). Standalone kinds
+  /// use the caller's context device, whose backend the caller already
+  /// chose.
   extmem::StorageOptions shard_storage;
 };
 

@@ -269,7 +269,6 @@ class ExternalHashTable {
     (void)probe;
     read_cache_ = cache;
   }
-  extmem::BlockCache* readCache() const noexcept { return read_cache_; }
 
   /// Flush barrier: write every dirty cached frame to the device
   /// (counted). Composite façades override it to reach their internal

@@ -20,23 +20,32 @@ inline std::uint64_t shardScramble(std::uint64_t key) noexcept {
   return splitmix64(key ^ 0x5111A9DE55555555ULL);
 }
 
+GeneralConfig withAtLeastOneShard(GeneralConfig config) {
+  config.shards = std::max<std::size_t>(1, config.shards);
+  return config;
+}
+
 }  // namespace
 
-ShardedTable::ShardedTable(TableContext ctx, ShardedTableConfig config)
+ShardedTable::ShardedTable(TableContext ctx, const GeneralConfig& config)
     : ExternalHashTable(ctx),
-      config_(config),
-      pool_(config.threads != 0
-                ? config.threads
+      config_(withAtLeastOneShard(config)),
+      pool_(config_.shard_threads != 0
+                ? config_.shard_threads
                 : std::min<std::size_t>(
-                      config.shards,
+                      config_.shards,
                       std::max(1u, std::thread::hardware_concurrency()))) {
-  EXTHASH_CHECK_MSG(config_.shards >= 1, "need at least one shard");
   EXTHASH_CHECK_MSG(config_.shards <= kMaxShards,
                     "shard count exceeds the block-id namespace ("
                         << kMaxShards << ")");
-  EXTHASH_CHECK_MSG(config_.inner != TableKind::kSharded,
+  EXTHASH_CHECK_MSG(config_.sharded_inner != TableKind::kSharded,
                     "sharded façades do not nest");
   const std::size_t n = config_.shards;
+  const std::size_t cache_frames = config_.shard_cache_frames;
+  const auto cache_policy =
+      config_.shard_cache_write_back
+          ? extmem::BlockCache::WritePolicy::kWriteBack
+          : extmem::BlockCache::WritePolicy::kWriteThrough;
   const std::size_t words = ctx_.device->wordsPerBlock();
   const std::size_t mem_limit =
       ctx_.memory->unlimited()
@@ -52,10 +61,10 @@ ShardedTable::ShardedTable(TableContext ctx, ShardedTableConfig config)
     // against the shared budget equals the configured total (shards past
     // the budget simply get no cache).
     const std::size_t frames_per_shard =
-        config_.cache_frames / n + (s < config_.cache_frames % n ? 1 : 0);
+        cache_frames / n + (s < cache_frames % n ? 1 : 0);
     Shard shard;
-    shard.device = std::make_unique<extmem::BlockDevice>(words,
-                                                         config_.storage);
+    shard.device = std::make_unique<extmem::BlockDevice>(
+        words, config_.shard_storage);
     shard.memory = std::make_unique<extmem::MemoryBudget>(mem_limit);
     if (frames_per_shard > 0) {
       // Frames are charged to the caller's shared budget (ctx_.memory):
@@ -63,11 +72,11 @@ ShardedTable::ShardedTable(TableContext ctx, ShardedTableConfig config)
       // in-memory structure the caller accounts there, exactly like the
       // paper's single memory-of-m-words model.
       shard.cache = std::make_unique<extmem::BlockCache>(
-          *shard.device, *ctx_.memory, frames_per_shard,
-          config_.cache_policy, config_.cache_replacement);
+          *shard.device, *ctx_.memory, frames_per_shard, cache_policy,
+          config_.shard_cache_replacement);
     }
     shard.table = makeTable(
-        config_.inner,
+        config_.sharded_inner,
         TableContext{shard.device.get(), shard.memory.get(), ctx_.hash},
         inner);
     if (shard.cache) shard.table->attachCache(shard.cache.get());
@@ -77,7 +86,7 @@ ShardedTable::ShardedTable(TableContext ctx, ShardedTableConfig config)
 
 GeneralConfig ShardedTable::innerShardConfig() const {
   const std::size_t n = config_.shards;
-  GeneralConfig inner = config_.inner_config;
+  GeneralConfig inner = config_;
   inner.expected_n =
       std::max<std::size_t>(1, (inner.expected_n + n - 1) / n);
   if (inner.buffer_items > 0) {
@@ -257,7 +266,7 @@ void ShardedTable::resetShard(std::size_t i) {
   if (shard.cache) shard.cache->discardAll();
   shard.table.reset();  // frees the old structure's blocks on the device
   shard.table = makeTable(
-      config_.inner,
+      config_.sharded_inner,
       TableContext{shard.device.get(), shard.memory.get(), ctx_.hash},
       innerShardConfig());
   if (shard.cache) shard.table->attachCache(shard.cache.get());
@@ -279,7 +288,7 @@ std::vector<std::uint64_t> ShardedTable::serializeMeta() const {
   MetaWriter w;
   w.tag(kShardedMetaMagic);
   w.u64(shards_.size());
-  w.u64(static_cast<std::uint64_t>(config_.inner));
+  w.u64(static_cast<std::uint64_t>(config_.sharded_inner));
   // Length-prefixed per-shard sections keep the inner formats opaque to
   // the façade.
   for (const Shard& shard : shards_) w.vec(shard.table->serializeMeta());
@@ -289,9 +298,10 @@ std::vector<std::uint64_t> ShardedTable::serializeMeta() const {
 void ShardedTable::restoreMeta(std::span<const std::uint64_t> words) {
   MetaReader r(words);
   r.expectTag(kShardedMetaMagic);
-  EXTHASH_CHECK_MSG(r.u64() == shards_.size() &&
-                        static_cast<TableKind>(r.u64()) == config_.inner,
-                    "sharded checkpoint geometry mismatch");
+  EXTHASH_CHECK_MSG(
+      r.u64() == shards_.size() &&
+          static_cast<TableKind>(r.u64()) == config_.sharded_inner,
+      "sharded checkpoint geometry mismatch");
   // The checkpointed state predates whatever fault latched a shard; the
   // restored structure is consistent, so the shard re-admits traffic.
   clearShardErrors();
@@ -422,8 +432,10 @@ void ShardedTable::registerCaches(extmem::MemoryArbiter& arbiter) const {
 }
 
 std::string ShardedTable::debugString() const {
-  std::string s = "sharded{n=" + std::to_string(shards_.size()) + ", inner=" +
-                  std::string(tableKindName(config_.inner)) + ", sizes=[";
+  std::string s = "sharded{n=" + std::to_string(shards_.size()) +
+                  ", inner=" +
+                  std::string(tableKindName(config_.sharded_inner)) +
+                  ", sizes=[";
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (i) s += ",";
     s += std::to_string(shards_[i].table->size());

@@ -30,9 +30,10 @@
 //
 // Threading: the façade is externally serialized like every table —
 // callers run one operation at a time. INTERNALLY a batch fans out via
-// ThreadPool::parallelFor: the calling thread and at most `threads` pool
-// helpers claim shard slices from one cursor, so a batch runs on at most
-// threads + 1 threads and never waits for a busy pool to start a slice.
+// ThreadPool::parallelFor: the calling thread and at most shard_threads
+// pool helpers claim shard slices from one cursor, so a batch runs on at
+// most shard_threads + 1 threads and never waits for a busy pool to start
+// a slice.
 // The checkpoint's per-shard work takes the same fan-out: flushCache()
 // flushes, and captureImages() images, one shard per slice.
 // Each slice runs on exactly one thread and touches only its shard's
@@ -74,50 +75,15 @@ class MemoryArbiter;
 
 namespace exthash::tables {
 
-struct ShardedTableConfig {
-  /// Number of inner tables (>= 1). Each gets 1/N of expected_n,
-  /// buffer_items, and the memory budget.
-  std::size_t shards = 4;
-  /// What to build inside each shard (any kind except kSharded).
-  TableKind inner = TableKind::kBuffered;
-  /// Config template for the inner tables; per-shard sizes are derived.
-  GeneralConfig inner_config;
-  /// Pool threads that help the calling thread run a batch's shard
-  /// slices (0 = hardware concurrency); a batch runs on at most
-  /// threads + 1 threads.
-  std::size_t threads = 0;
-  /// Total block-cache frames distributed exactly across the shards
-  /// (shard s gets floor(total/N) frames, +1 for the first total mod N
-  /// shards; a shard allotted zero frames gets no cache). Each cache is
-  /// a private BlockCache over the shard's device, auto-attached and
-  /// charged against the CALLER's shared MemoryBudget — the façade's
-  /// context budget, not the per-shard ones. 0 = no caches. Only the
-  /// cache-honoring inner kinds (chaining, linear hashing, extendible)
-  /// actually route accesses through them.
-  std::size_t cache_frames = 0;
-  /// Write policy for the auto-attached per-shard caches. Write-back
-  /// requires the flush barriers the façade provides: flushCache() (and
-  /// the destructor) flushes every shard cache, and ioStats() aggregates
-  /// their hit/writeback telemetry alongside the per-shard device
-  /// counters.
-  extmem::BlockCache::WritePolicy cache_policy =
-      extmem::BlockCache::WritePolicy::kWriteThrough;
-  /// Replacement policy for the auto-attached per-shard caches (every
-  /// shard runs the same one). ioStats() aggregates ghost hits; each
-  /// shard's adaptive target is shardCache(s)->adaptiveTarget().
-  extmem::ReplacementKind cache_replacement = extmem::ReplacementKind::kLru;
-  /// Storage backend for the private per-shard devices (default: memory;
-  /// a file-backed choice gives every shard its own backing file, so a
-  /// real I/O error on one shard trips that shard's isolation without
-  /// touching its siblings' files).
-  extmem::StorageOptions storage;
-};
-
 class ShardedTable final : public ExternalHashTable {
  public:
   /// `ctx` supplies the shared hash and the block geometry (via its
   /// device); the façade allocates a private device + budget per shard.
-  ShardedTable(TableContext ctx, ShardedTableConfig config);
+  /// `config`'s `shards` (clamped to >= 1), `sharded_inner` and shard_*
+  /// fields shape the façade; the rest is the template for the inner
+  /// tables, whose expected_n and buffer_items are divided across the
+  /// shards.
+  ShardedTable(TableContext ctx, const GeneralConfig& config);
 
   /// Namespaced block-id encoding for forwarded layout visits (see the
   /// file comment).
@@ -240,7 +206,7 @@ class ShardedTable final : public ExternalHashTable {
   const extmem::BlockDevice& shardDevice(std::size_t i) const {
     return *shards_[i].device;
   }
-  /// The auto-attached cache of shard i (nullptr when cache_frames == 0).
+  /// The auto-attached cache of shard i (nullptr when it got no frames).
   extmem::BlockCache* shardCache(std::size_t i) const noexcept {
     return shards_[i].cache.get();
   }
@@ -251,7 +217,7 @@ class ShardedTable final : public ExternalHashTable {
   /// against the pipeline's staging windows. The arbiter must only
   /// rebalance at quiescent points — no batch in flight on the shard pool
   /// (IngestPipeline::submitMaintenance provides exactly that). No-op
-  /// when cache_frames == 0.
+  /// when shard_cache_frames == 0.
   void registerCaches(extmem::MemoryArbiter& arbiter) const;
 
  private:
@@ -285,7 +251,7 @@ class ShardedTable final : public ExternalHashTable {
   std::exception_ptr runGuarded(std::size_t s,
                                 const std::function<void()>& fn);
 
-  ShardedTableConfig config_;
+  GeneralConfig config_;
   std::vector<Shard> shards_;
   std::uint64_t resets_ = 0;
   // mutable: the const flush barrier fans out too.

@@ -16,12 +16,8 @@ namespace audit {
 namespace {
 
 bool computeEnabled() noexcept {
-#ifdef EXTHASH_AUDIT_MODE
-  return true;
-#else
   const char* env = std::getenv("EXTHASH_AUDIT");
   return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-#endif
 }
 
 }  // namespace

@@ -9,12 +9,11 @@
 // reconciliation, pipeline window accounting) live on BlockCache,
 // MemoryArbiter, and IngestPipeline.
 //
-// Audit mode: barrier audits (IngestPipeline::drain, the sharded flush
-// barrier) run only when audit::enabled() — compiled on with the CMake
-// option -DEXTHASH_AUDIT=ON, or switched on at runtime by setting
-// EXTHASH_AUDIT=1 in the environment. Audits use uncounted inspection
-// (BlockDevice::inspect) and never perturb the I/O accounting; the flush
-// they piggyback on is part of the barrier contract anyway.
+// Audit mode: the barrier audit in IngestPipeline::drain() runs only when
+// audit::enabled(), i.e. when the environment sets EXTHASH_AUDIT=1; every
+// build carries it. Audits use uncounted inspection (BlockDevice::inspect)
+// and never perturb the I/O accounting; the flush they piggyback on is
+// part of the barrier contract anyway.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +85,8 @@ class AuditReport {
 
 namespace audit {
 
-/// Whether barrier audits run: true when built with -DEXTHASH_AUDIT=ON
-/// or when the environment sets EXTHASH_AUDIT to anything but "0" / "".
+/// Whether barrier audits run: true when the environment sets
+/// EXTHASH_AUDIT to anything but "0" / "" (read once, at the first call).
 /// Explicit audit calls (tests) ignore this and always run.
 bool enabled() noexcept;
 

@@ -1,94 +1,19 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/assert.h"
 
 namespace exthash {
 
 void RunningStat::push(double x) noexcept {
   ++count_;
-  sum_ += x;
   if (count_ == 1) {
     mean_ = x;
-    m2_ = 0.0;
     min_ = max_ = x;
     return;
   }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-double RunningStat::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RunningStat::ci95HalfWidth() const noexcept {
-  if (count_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(count_));
-}
-
-void RunningStat::merge(const RunningStat& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double quantile(std::vector<double> values, double q) {
-  EXTHASH_CHECK(!values.empty());
-  EXTHASH_CHECK(q >= 0.0 && q <= 1.0);
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  EXTHASH_CHECK(hi > lo);
-  EXTHASH_CHECK(buckets > 0);
-}
-
-void Histogram::push(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-}
-
-double Histogram::bucketLow(std::size_t i) const {
-  EXTHASH_CHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
 }
 
 }  // namespace exthash

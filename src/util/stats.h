@@ -2,58 +2,24 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace exthash {
 
-/// Welford-style running mean/variance with min/max tracking.
+/// Running mean (Welford's update) with min/max tracking.
 class RunningStat {
  public:
   void push(double x) noexcept;
 
   std::size_t count() const noexcept { return count_; }
   double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  double variance() const noexcept;  // sample variance (n-1 denominator)
-  double stddev() const noexcept;
   double min() const noexcept { return count_ ? min_ : 0.0; }
   double max() const noexcept { return count_ ? max_ : 0.0; }
-  double sum() const noexcept { return sum_; }
-
-  /// Half-width of the ~95% normal confidence interval of the mean.
-  double ci95HalfWidth() const noexcept;
-
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const RunningStat& other) noexcept;
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Empirical quantile (q in [0,1]) of a sample; sorts a copy.
-double quantile(std::vector<double> values, double q);
-
-/// Simple fixed-width histogram for diagnostics.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void push(double x) noexcept;
-  std::size_t bucketCount() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  double bucketLow(std::size_t i) const;
-  std::uint64_t total() const noexcept { return total_; }
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 }  // namespace exthash

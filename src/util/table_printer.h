@@ -31,8 +31,6 @@ class TablePrinter {
   /// I/O failure instead of throwing so benches can degrade gracefully.
   bool writeCsv(const std::string& path) const;
 
-  std::size_t rowCount() const noexcept { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -134,7 +134,6 @@ using exthash::tables::LinearHashTable;
 using exthash::tables::LogMethodTable;
 using exthash::tables::LsmTable;
 using exthash::tables::ShardedTable;
-using exthash::tables::ShardedTableConfig;
 using exthash::tables::TableKind;
 using exthash::testing::distinctKeys;
 using exthash::testing::TestRig;
@@ -413,12 +412,12 @@ TEST(Audit, LogMethodDetectsLevelLedgerDrift) {
 
 TEST(Audit, ShardedRecursesIntoShardsAndCaches) {
   TestRig rig(8);
-  ShardedTableConfig config;
+  GeneralConfig config;
   config.shards = 2;
-  config.inner = TableKind::kChaining;
-  config.inner_config.expected_n = 256;
-  config.threads = 2;
-  config.cache_frames = 4;
+  config.sharded_inner = TableKind::kChaining;
+  config.expected_n = 256;
+  config.shard_threads = 2;
+  config.shard_cache_frames = 4;
   ShardedTable table(rig.context(), config);
   const auto keys = distinctKeys(200);
   for (const auto k : keys) table.insert(k, k + 1);

@@ -29,9 +29,9 @@ using exthash::CheckFailure;
 using exthash::kTombstoneValue;
 using exthash::pipeline::IngestPipeline;
 using exthash::tables::BufferBTreeTable;
+using exthash::tables::GeneralConfig;
 using exthash::tables::Op;
 using exthash::tables::ShardedTable;
-using exthash::tables::ShardedTableConfig;
 using exthash::tables::TableKind;
 using exthash::testing::distinctKeys;
 using exthash::testing::TestRig;
@@ -116,10 +116,10 @@ TEST(CheckPropagation, WorkerFaultResolvesEveryPendingLookupFuture) {
 
 TEST(CheckPropagation, ShardedParallelForRethrowsWorkerCheckFailure) {
   TestRig rig(8);
-  ShardedTableConfig config;
+  GeneralConfig config;
   config.shards = 2;
-  config.inner = TableKind::kBufferBTree;
-  config.threads = 2;
+  config.sharded_inner = TableKind::kBufferBTree;
+  config.shard_threads = 2;
   ShardedTable table(rig.context(), config);
 
   std::vector<Op> ops;

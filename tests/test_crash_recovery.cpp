@@ -426,12 +426,12 @@ TEST(CrashRecoveryFileBacked, SyscallPowerCutAgainstAckLedgerOracle) {
 TEST(CrashRecovery, ResetShardServesWhileOthersKeepServing) {
   FaultyFileOps shim(/*seed=*/3);
   testing::TestRig rig(8);
-  tables::ShardedTableConfig scfg;
+  tables::GeneralConfig scfg;
   scfg.shards = 3;
-  scfg.inner = TableKind::kChaining;
-  scfg.inner_config.expected_n = 256;
-  scfg.threads = 1;
-  scfg.storage = testing::fileStorageOptions(&shim);
+  scfg.sharded_inner = TableKind::kChaining;
+  scfg.expected_n = 256;
+  scfg.shard_threads = 1;
+  scfg.shard_storage = testing::fileStorageOptions(&shim);
   tables::ShardedTable table(rig.context(), scfg);
 
   const auto keys = testing::distinctKeys(96);

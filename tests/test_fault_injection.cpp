@@ -225,9 +225,9 @@ TEST(FaultyFileOps, CloseWritesBackUnsyncedWrites) {
   {
     BlockDevice device(kWords, std::make_unique<extmem::FileStorage>(
                                    kWords, path,
-                                   extmem::FileStorageOptions{
+                                   extmem::StorageOptions{
                                        .unlink_on_close = false,
-                                       .ops = &shim}));
+                                       .file_ops = &shim}));
     device.writeCopy(device.allocate(), std::vector<Word>(kWords, 0xdead));
   }
   std::vector<Word> on_disk(kWords);
@@ -983,13 +983,13 @@ TEST(PipelineFailStop, WalAppendFailureNeverReachesTheTable) {
 TEST(ShardIsolation, FaultedShardLatchesWhileHealthyShardsServe) {
   FaultyFileOps shim(23);
   TestRig rig(8);
-  tables::ShardedTableConfig config;
+  tables::GeneralConfig config;
   config.shards = 4;
-  config.inner = TableKind::kChaining;
-  config.threads = 2;
-  config.inner_config.expected_n = 256;
-  config.inner_config.target_load = 0.5;
-  config.storage = fileStorageOptions(&shim);
+  config.sharded_inner = TableKind::kChaining;
+  config.shard_threads = 2;
+  config.expected_n = 256;
+  config.target_load = 0.5;
+  config.shard_storage = fileStorageOptions(&shim);
   ShardedTable table(rig.context(), config);
 
   const auto keys = distinctKeys(256);
@@ -1057,15 +1057,15 @@ TEST(ShardIsolation, FaultedShardLatchesWhileHealthyShardsServe) {
 TEST(ShardIsolation, FlushFanOutLatchesEveryFaultedShard) {
   FaultyFileOps shim(31);
   TestRig rig(8);
-  tables::ShardedTableConfig config;
+  tables::GeneralConfig config;
   config.shards = 4;
-  config.inner = TableKind::kChaining;
-  config.threads = 2;
-  config.inner_config.expected_n = 1024;
-  config.inner_config.target_load = 0.5;
-  config.cache_frames = 1024;  // every block: nothing evicts
-  config.cache_policy = BlockCache::WritePolicy::kWriteBack;
-  config.storage = fileStorageOptions(&shim);
+  config.sharded_inner = TableKind::kChaining;
+  config.shard_threads = 2;
+  config.expected_n = 1024;
+  config.target_load = 0.5;
+  config.shard_cache_frames = 1024;  // every block: nothing evicts
+  config.shard_cache_write_back = true;
+  config.shard_storage = fileStorageOptions(&shim);
   ShardedTable table(rig.context(), config);
 
   const auto keys = distinctKeys(1024);
@@ -1409,13 +1409,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ChaosPermanent, PipelineFailStopsAndHealthyShardsServe) {
   FaultyFileOps shim(37);
   TestRig rig(kChaosB, /*memory_words=*/0, 42);
-  tables::ShardedTableConfig config;
+  tables::GeneralConfig config;
   config.shards = 4;
-  config.inner = TableKind::kChaining;
-  config.threads = 2;
-  config.inner_config.expected_n = kChaosUniverse;
-  config.inner_config.target_load = 0.5;
-  config.storage = fileStorageOptions(&shim);
+  config.sharded_inner = TableKind::kChaining;
+  config.shard_threads = 2;
+  config.expected_n = kChaosUniverse;
+  config.target_load = 0.5;
+  config.shard_storage = fileStorageOptions(&shim);
   ShardedTable table(rig.context(), config);
 
   const auto universe = distinctKeys(kChaosUniverse, 7);

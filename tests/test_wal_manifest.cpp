@@ -1,9 +1,11 @@
 // Durability primitives in isolation: the block-framed WAL (round-trip,
 // records straddling block boundaries, torn-tail truncation, LSN fencing
-// across reset, threaded appends) and the manifest superblock pair
-// (slot alternation, newest-valid-wins, torn header/payload falling back
-// to the older slot, both-corrupt as the unrecoverable signal), and the
-// sharded checkpoint (a latched shard refuses it; the fan-out capture
+// across reset, threaded appends, a sequence gap or a stale LSN ending
+// the stream) and the manifest superblock pair (slot alternation,
+// newest-valid-wins, a torn or damaged header and a corrupt payload
+// falling back to the older slot, both-corrupt as the unrecoverable
+// signal), recovery dropping frames cached before its image restore, and
+// the sharded checkpoint (a latched shard refuses it; the fan-out capture
 // equals a serial one). The end-to-end crash sweeps live in
 // test_crash_recovery.cpp; this file pins the layer-by-layer contracts
 // those sweeps build on.
@@ -20,6 +22,7 @@
 #include "durability/manifest.h"
 #include "durability/recovery.h"
 #include "durability/wal.h"
+#include "extmem/block_cache.h"
 #include "extmem/block_device.h"
 #include "extmem/fault.h"
 #include "extmem/faulty_file_ops.h"
@@ -219,6 +222,60 @@ TEST(Wal, ThreadedAppendsGroupCommitWithoutLosingRecords) {
   EXPECT_EQ(std::adjacent_find(salts.begin(), salts.end()), salts.end());
 }
 
+// The reader's two stream guards, on logs built by hand: wpb = 8 leaves 7
+// payload words per block and a one-op record is 4 + 3 = 7 words, so LSN n
+// fills the block whose header carries sequence n, exactly.
+Word walBlockHeader(std::uint64_t seq) {
+  return (durability::kWalBlockMagic << 48) | seq;
+}
+
+void appendTwoOneBlockRecords(BlockDevice& device, WalWriter& wal) {
+  wal.append(makeOps(1, 1));
+  wal.append(makeOps(1, 2));
+  ASSERT_EQ(wal.blocksInLog(), 2u);
+  ASSERT_EQ(device.withRead(1, [](std::span<const Word> w) { return w[0]; }),
+            walBlockHeader(2));
+}
+
+TEST(Wal, SequenceGapEndsTheStream) {
+  BlockDevice device(8, testing::testStorageOptions());
+  WalWriter wal(device);
+  ASSERT_NO_FATAL_FAILURE(appendTwoOneBlockRecords(device, wal));
+
+  // Relabel the second block as sequence 3: block 2 of the stream is
+  // missing, so LSN 2's intact record lies past the gap.
+  device.withWrite(1, [](std::span<Word> w) { w[0] = walBlockHeader(3); });
+
+  const WalLog log = WalReader(device).readAll();
+  EXPECT_TRUE(log.torn_tail);
+  ASSERT_EQ(log.records.size(), 1u);
+  EXPECT_EQ(log.records[0].lsn, 1u);
+}
+
+TEST(Wal, StaleLsnEndsTheStream) {
+  BlockDevice device(8, testing::testStorageOptions());
+  WalWriter wal(device);
+  ASSERT_NO_FATAL_FAILURE(appendTwoOneBlockRecords(device, wal));
+
+  // In LSN 2's place, plant a well-formed record with a valid checksum
+  // that claims LSN 7: only the contiguity test can reject it.
+  const Op op = makeOps(1, 2)[0];
+  const std::vector<Word> payload = {static_cast<Word>(op.kind), op.key,
+                                     op.value};
+  device.withWrite(1, [&](std::span<Word> w) {
+    w[1] = durability::kWalRecordMagic;
+    w[2] = 7;  // lsn
+    w[3] = 1;  // op count
+    w[4] = durability::walChecksum(7, payload);
+    std::copy(payload.begin(), payload.end(), w.begin() + 5);
+  });
+
+  const WalLog log = WalReader(device).readAll();
+  EXPECT_TRUE(log.torn_tail);
+  ASSERT_EQ(log.records.size(), 1u);
+  EXPECT_EQ(log.records[0].lsn, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Manifest pair
 // ---------------------------------------------------------------------------
@@ -312,6 +369,24 @@ TEST(Manifest, CorruptPayloadFallsBackToTheOlderSlot) {
   EXPECT_EQ(data->version, 1u);
 }
 
+// The payload checksum is seeded by the version, not the LSN, so damage
+// to the header's LSN word alone passes every check but the header
+// checksum; trusting it would fence replay at the wrong record.
+TEST(Manifest, DamagedHeaderLsnFallsBackToTheOlderSlot) {
+  BlockDevice device(8, testing::testStorageOptions());
+  ManifestPair manifest(device);
+  manifest.write(10, metaPayload(12, 1));  // v1 → slot 1
+  manifest.write(20, metaPayload(12, 2));  // v2 → slot 0
+
+  // Header word 2 holds the durable LSN.
+  device.withWrite(0, [](std::span<Word> w) { w[2] ^= 0xFFULL; });
+
+  const auto data = ManifestPair(device).readNewest();
+  ASSERT_TRUE(data.has_value());
+  EXPECT_EQ(data->version, 1u);
+  EXPECT_EQ(data->durable_lsn, 10u);
+}
+
 TEST(Manifest, BothSlotsCorruptIsUnrecoverable) {
   BlockDevice device(8, testing::testStorageOptions());
   ManifestPair manifest(device);
@@ -355,6 +430,46 @@ TEST(Durability, CheckpointFencesReplayToZeroRecords) {
   EXPECT_FALSE(result.torn_tail);
   for (std::uint64_t i = 0; i < 40; ++i) {
     EXPECT_EQ(fresh->lookup(i), std::optional<std::uint64_t>(2 * i + 1));
+  }
+}
+
+// recover() restores the images UNDER the fresh table, so every frame its
+// cache took in before that is stale. Here the fresh table sits on a
+// fresh device behind a write-through cache that lookups warmed before
+// recover(). (A fresh table on the crashed device would not do: the
+// frozen teardown freed nothing, so its extent lands on other ids and
+// its warmed frames are never hit.)
+TEST(Durability, RecoverDropsFramesCachedBeforeTheRestore) {
+  testing::TestRig rig(8);
+  tables::GeneralConfig cfg;
+  cfg.expected_n = 64;
+  auto table = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
+  DurabilityManager dm(rig.device->wordsPerBlock(),
+                       testing::testStorageOptions());
+  dm.begin(*table);
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    const std::vector<Op> window = {Op::insertOp(i, 2 * i + 1)};
+    dm.wal().append(window);
+    table->applyBatch(window);
+    if (i == 31) dm.checkpoint(*table);  // the last 16 windows replay
+  }
+  dm.freezeAll(*table);
+  table.reset();
+
+  rig.useStorage(testing::testStorageOptions());
+  extmem::BlockCache cache(*rig.device, *rig.memory, /*capacity_blocks=*/64);
+  auto fresh = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
+  fresh->attachCache(&cache);
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    EXPECT_EQ(fresh->lookup(i), std::nullopt);
+  }
+
+  const auto result = dm.recover(*fresh);
+  EXPECT_EQ(result.checkpoint_lsn, 32u);
+  EXPECT_EQ(result.replayed_records, 16u);
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    EXPECT_EQ(fresh->lookup(i), std::optional<std::uint64_t>(2 * i + 1))
+        << "key " << i;
   }
 }
 

@@ -360,14 +360,14 @@ TEST(WriteBackCachePipeline, DirtyFramesSurviveBackpressureAndDrainFlushes) {
 
 TEST(ShardedWriteBackCacheTest, AutoAttachChargesSharedBudgetAndAggregates) {
   TestRig rig(8);
-  ShardedTableConfig cfg;
+  GeneralConfig cfg;
   cfg.shards = 4;
-  cfg.inner = TableKind::kChaining;
-  cfg.inner_config.expected_n = 1024;
-  cfg.inner_config.target_load = 0.5;
-  cfg.threads = 2;
-  cfg.cache_frames = 256;  // 64 per shard: the whole primary area fits
-  cfg.cache_policy = BlockCache::WritePolicy::kWriteBack;
+  cfg.sharded_inner = TableKind::kChaining;
+  cfg.expected_n = 1024;
+  cfg.target_load = 0.5;
+  cfg.shard_threads = 2;
+  cfg.shard_cache_frames = 256;  // 64 per shard: the whole primary area fits
+  cfg.shard_cache_write_back = true;
 
   const std::size_t budget_before = rig.memory->used();
   ShardedTable table(rig.context(), cfg);
