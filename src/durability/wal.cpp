@@ -127,11 +127,6 @@ std::uint64_t WalWriter::durableLsn() const {
   return durable_lsn_;
 }
 
-std::uint64_t WalWriter::nextLsn() const {
-  util::MutexLock lock(mutex_);
-  return next_lsn_;
-}
-
 void WalWriter::reset(std::uint64_t next_lsn) {
   util::MutexLock lock(mutex_);
   for (const BlockId id : blocks_) device_.free(id);

@@ -75,8 +75,6 @@ class WalWriter {
   /// Highest LSN known durable (0 = none). Acknowledgement boundary.
   /// Callable from any thread; it waits out an append in flight.
   std::uint64_t durableLsn() const;
-  /// LSN the next append will receive.
-  std::uint64_t nextLsn() const;
 
   /// Truncate the whole log: free every block and continue the LSN
   /// sequence at `next_lsn` (monotonicity across resets is the fence

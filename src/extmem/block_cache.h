@@ -270,9 +270,6 @@ class BlockCache {
   void setQuarantineGiveUpThreshold(std::uint32_t n) noexcept {
     give_up_threshold_ = n == 0 ? 1 : n;
   }
-  std::uint32_t quarantineGiveUpThreshold() const noexcept {
-    return give_up_threshold_;
-  }
   /// Misses that hit the policy's ghost directory (see
   /// replacement_policy.h; always 0 for LRU).
   std::uint64_t ghostHits() const noexcept { return replacement_.ghostHits(); }

@@ -63,10 +63,6 @@ class CachedBlockIo {
 
   BlockDevice& device() const noexcept { return *device_; }
   BlockCache* cache() const noexcept { return cache_; }
-  bool writeBack() const noexcept {
-    return cache_ != nullptr &&
-           cache_->policy() == BlockCache::WritePolicy::kWriteBack;
-  }
   std::size_t wordsPerBlock() const noexcept {
     return device_->wordsPerBlock();
   }
@@ -77,32 +73,20 @@ class CachedBlockIo {
     return device_->withRead(id, std::forward<F>(fn));
   }
 
-  /// Counted read-modify-write. Write-through: device rmw, then the
-  /// resident frame is refreshed so subsequent cached reads see the new
-  /// contents. Write-back: the cached frame is dirtied instead and the
-  /// device is untouched until eviction/flush.
+  /// Counted read-modify-write, by the cache's write policy (see the
+  /// file comment and BlockCache::withWrite).
   template <class F>
   decltype(auto) withWrite(BlockId id, F&& fn) {
     if (!cache_) return device_->withWrite(id, std::forward<F>(fn));
-    if (writeBack()) return cache_->withWrite(id, std::forward<F>(fn));
-    return detail::invokeThen(
-        [&]() -> decltype(auto) {
-          return device_->withWrite(id, std::forward<F>(fn));
-        },
-        [&] { cache_->refreshFromDevice(id); });
+    return cache_->withWrite(id, std::forward<F>(fn));
   }
 
-  /// Counted blind write; same policy split as withWrite (write-back
-  /// installs a zeroed dirty frame at zero device I/O).
+  /// Counted blind write, by the cache's write policy (write-back installs
+  /// a zeroed dirty frame at zero device I/O).
   template <class F>
   decltype(auto) withOverwrite(BlockId id, F&& fn) {
     if (!cache_) return device_->withOverwrite(id, std::forward<F>(fn));
-    if (writeBack()) return cache_->withOverwrite(id, std::forward<F>(fn));
-    return detail::invokeThen(
-        [&]() -> decltype(auto) {
-          return device_->withOverwrite(id, std::forward<F>(fn));
-        },
-        [&] { cache_->refreshFromDevice(id); });
+    return cache_->withOverwrite(id, std::forward<F>(fn));
   }
 
   BlockId allocate() { return device_->allocate(); }

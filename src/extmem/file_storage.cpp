@@ -27,6 +27,9 @@ constexpr std::size_t kDirectAlign = 4096;
 // shim must not be able to livelock a syscall loop).
 constexpr int kEintrBudget = 16;
 
+// fallocate granularity in blocks (batched preallocation).
+constexpr std::size_t kPreallocateBlocks = 1024;
+
 [[noreturn]] void throwErrno(IoOpKind op, BlockId block, int err,
                              const char* syscall) {
   const std::string detail = errnoDetail(err, syscall);
@@ -51,14 +54,16 @@ FileStorage::FileStorage(std::size_t words_per_block, std::string path,
                                         : &realFileOps()),
       mirror_(words_per_block) {
   EXTHASH_CHECK(words_per_block_ >= 1);
-  if (options_.preallocate_blocks == 0) options_.preallocate_blocks = 1;
 
   const bool existed = [&] {
     struct stat st {};
     return ::stat(path_.c_str(), &st) == 0;
   }();
 
-  int flags = O_RDWR | O_CREAT | O_CLOEXEC;
+  // Truncate: the device starts empty, and a file a dead process left at
+  // this path (pid-based names recur) would otherwise serve its stale
+  // bytes as fresh blocks, which must read zero.
+  int flags = O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC;
 #ifdef O_DIRECT
   if (options_.direct_io) flags |= O_DIRECT;
 #endif
@@ -124,11 +129,10 @@ FileStorage::~FileStorage() {
 void FileStorage::ensureCapacity(BlockId block_count) {
   mirror_.ensure(block_count);
   if (block_count <= allocated_blocks_) return;
-  // Reserve in preallocate_blocks-sized extents: one fallocate covers
+  // Reserve in kPreallocateBlocks-sized extents: one fallocate covers
   // many future allocations, and reads of reserved-but-unwritten slots
   // return zeros — the same fresh-block contract as the memory backend.
-  const std::uint64_t target =
-      roundUp(block_count, options_.preallocate_blocks);
+  const std::uint64_t target = roundUp(block_count, kPreallocateBlocks);
   try {
     int eintr = 0;
     for (;;) {

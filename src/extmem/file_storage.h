@@ -47,8 +47,8 @@ class FileStorage final : public StorageBackend {
  public:
   /// Opens (creating if needed) `path` read-write. Throws PermanentIoError
   /// if the file cannot be opened or preallocated. Reads the kFile fields
-  /// of `options` (direct_io, unlink_on_close, preallocate_blocks,
-  /// file_ops); `path` stands in for its backend and directory.
+  /// of `options` (direct_io, unlink_on_close, file_ops); `path` stands
+  /// in for its backend and directory.
   FileStorage(std::size_t words_per_block, std::string path,
               StorageOptions options = {});
   ~FileStorage() override;
@@ -79,9 +79,6 @@ class FileStorage final : public StorageBackend {
   /// constructor falls back to buffered I/O rather than failing).
   bool directActive() const noexcept { return direct_active_; }
   std::size_t slotBytes() const noexcept { return slot_bytes_; }
-  std::uint64_t preallocatedBlocks() const noexcept {
-    return allocated_blocks_;
-  }
 
  private:
   void readSlot(BlockId id, Word* dst) const;

@@ -9,6 +9,13 @@
 
 namespace exthash::extmem {
 
+namespace {
+// Weight of one backpressure wait against one coalesced op in the
+// staging-side demand signal (a blocked producer is a much stronger
+// undersize symptom than one absorbed duplicate).
+constexpr double kPressureWeight = 8.0;
+}  // namespace
+
 MemoryArbiter::MemoryArbiter(ArbiterConfig config) : config_(config) {
   EXTHASH_CHECK_MSG(config_.slots_per_frame >= 1,
                     "arbiter needs slots_per_frame >= 1");
@@ -136,7 +143,7 @@ void MemoryArbiter::rebalance() {
           static_cast<double>(std::max<std::size_t>(1, cache_frames_));
       const double staging_gain =
           (static_cast<double>(absorbed_delta) +
-           config_.pressure_weight * static_cast<double>(pressure_delta)) *
+           kPressureWeight * static_cast<double>(pressure_delta)) *
           static_cast<double>(step) /
           static_cast<double>(std::max<std::size_t>(1, staging_frames_));
       decision.cache_gain = cache_gain;

@@ -67,10 +67,6 @@ struct ArbiterConfig {
   std::size_t slots_per_frame = 8;
   /// Fraction of the movable frame range per rebalance step.
   double step_fraction = 0.125;
-  /// Weight of one backpressure wait against one coalesced op in the
-  /// staging-side demand signal (a blocked producer is a much stronger
-  /// undersize symptom than one absorbed duplicate).
-  double pressure_weight = 8.0;
 };
 
 /// Cumulative staging-side counters, sampled by the arbiter at each

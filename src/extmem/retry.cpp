@@ -6,6 +6,11 @@
 
 namespace exthash::extmem {
 
+namespace {
+// Seed for the deterministic jitter hash.
+constexpr std::uint64_t kJitterSeed = 0x9E3779B97F4A7C15ULL;
+}  // namespace
+
 std::uint32_t RetryPolicy::backoffQuantaFor(std::uint32_t attempt,
                                             BlockId block) const noexcept {
   if (backoff_quanta == 0) return 0;
@@ -17,7 +22,7 @@ std::uint32_t RetryPolicy::backoffQuantaFor(std::uint32_t attempt,
   // Full jitter: up to the base again, hashed so two devices retrying the
   // same schedule desynchronize without any shared randomness.
   const std::uint64_t jitter =
-      splitmix64(jitter_seed ^ (block * 0x9E3779B97F4A7C15ULL) ^ attempt) %
+      splitmix64(kJitterSeed ^ (block * 0x9E3779B97F4A7C15ULL) ^ attempt) %
       (base + 1);
   return static_cast<std::uint32_t>(base + jitter);
 }

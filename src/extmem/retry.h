@@ -35,12 +35,10 @@ struct RetryPolicy {
   std::uint32_t backoff_quanta = 1;
   /// Cap on the exponential base (jitter can add up to the same again).
   std::uint32_t max_backoff_quanta = 64;
-  /// Seed for the deterministic jitter hash.
-  std::uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
 
   /// Backoff before attempt `attempt + 1` (so attempt is >= 1): the
   /// capped exponential base plus a full-jitter term hashed from
-  /// (jitter_seed, block, attempt). Pure function — replayable.
+  /// (block, attempt). Pure function — replayable.
   std::uint32_t backoffQuantaFor(std::uint32_t attempt,
                                  BlockId block) const noexcept;
 };

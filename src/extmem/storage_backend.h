@@ -171,8 +171,6 @@ struct StorageOptions {
   /// files (false) only for postmortems — device metadata is in-process,
   /// so a leftover file is not reopenable as a device by itself.
   bool unlink_on_close = true;
-  /// kFile: fallocate granularity in blocks (batched preallocation).
-  std::size_t preallocate_blocks = 1024;
   /// kFile: syscall layer. nullptr = real syscalls; tests install a
   /// FaultyFileOps shim here (extmem/faulty_file_ops.h). Non-owning; must
   /// outlive the storage.

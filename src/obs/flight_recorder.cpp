@@ -18,6 +18,10 @@ std::ostream* g_sink = nullptr;        // guarded by g_mutex
 std::atomic<bool> g_armed{false};
 std::atomic<std::uint64_t> g_dumps{0};
 
+// Ring capacity per emitting thread, in spans. Small by design: the
+// recorder is meant to run always-on next to real work.
+constexpr std::size_t kRingEventsPerThread = 256;
+
 // A dump that itself trips a check (or a check fired while dumping on
 // this thread) must not recurse into another dump.
 thread_local bool t_dumping = false;
@@ -31,7 +35,7 @@ void checkFailureTrampoline(const char* what) noexcept {
 void FlightRecorder::arm(FlightRecorderOptions options) {
   std::lock_guard<std::mutex> lock(g_mutex);
   TraceSession::Options trace_options;
-  trace_options.buffer_events_per_thread = options.ring_events_per_thread;
+  trace_options.buffer_events_per_thread = kRingEventsPerThread;
   trace_options.ring = true;
   g_ring = std::make_unique<TraceSession>(trace_options);
   g_sink = options.sink;

@@ -41,9 +41,6 @@
 namespace exthash::obs {
 
 struct FlightRecorderOptions {
-  /// Ring capacity per emitting thread, in spans. Small by design: the
-  /// recorder is meant to run always-on next to real work.
-  std::size_t ring_events_per_thread = 256;
   /// Dump destination; nullptr = std::cerr. Must outlive the armed span.
   std::ostream* sink = nullptr;
 };

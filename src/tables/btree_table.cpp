@@ -121,8 +121,15 @@ BTreeTable::BTreeTable(TableContext ctx, BTreeConfig config)
 }
 
 BTreeTable::~BTreeTable() {
-  if (!root_.is_leaf) {
+  if (root_.is_leaf) return;
+  // Teardown may meet a failing device: a node that cannot be read stops
+  // the walk (the device has already counted the error in io_gave_up),
+  // and what the walk did not reach leaks. Freeing is in-process
+  // bookkeeping, so leaking ids beats terminating the process.
+  try {
     for (const BlockId child : root_.children) freeSubtree(child);
+  } catch (const extmem::IoError&) {
+    // Freed as far as the device allowed.
   }
 }
 

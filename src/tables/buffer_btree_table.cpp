@@ -143,8 +143,13 @@ BufferBTreeTable::BufferBTreeTable(TableContext ctx, BufferBTreeConfig config)
 }
 
 BufferBTreeTable::~BufferBTreeTable() {
-  if (!root_is_leaf_) {
+  if (root_is_leaf_) return;
+  // As in ~BTreeTable: an unreadable node stops the walk, and what it did
+  // not reach leaks rather than terminating the process.
+  try {
     for (const BlockId child : root_children_) freeSubtree(child);
+  } catch (const extmem::IoError&) {
+    // Freed as far as the device allowed.
   }
 }
 

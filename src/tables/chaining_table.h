@@ -144,9 +144,6 @@ class ChainingHashTable final : public ExternalHashTable {
   // Test-only corruption hook for the invariant auditor.
   friend struct AuditPeer;
 
-  /// Apply >= 2 ops destined for bucket j with one pass over its chain.
-  void applyOpsToBucket(std::uint64_t bucket, std::span<const Op> ops);
-
   std::uint64_t bucketOf(std::uint64_t key) const;
   extmem::BlockId primaryBlock(std::uint64_t bucket) const {
     return extent_ + bucket;

@@ -13,6 +13,12 @@ using extmem::BucketPage;
 using extmem::ConstBucketPage;
 using extmem::Word;
 
+namespace {
+// Safety rail for skewed hashes: the directory never grows past
+// 2^kMaxGlobalDepth entries.
+constexpr std::uint32_t kMaxGlobalDepth = 32;
+}  // namespace
+
 ExtendibleHashTable::ExtendibleHashTable(TableContext ctx,
                                          ExtendibleConfig config)
     : ExternalHashTable(std::move(ctx)),
@@ -21,7 +27,7 @@ ExtendibleHashTable::ExtendibleHashTable(TableContext ctx,
           extmem::recordCapacityForWords(ctx_.device->wordsPerBlock())),
       global_depth_(config.initial_global_depth),
       dir_charge_(*ctx_.memory, 0) {
-  EXTHASH_CHECK(config.initial_global_depth <= config.max_global_depth);
+  EXTHASH_CHECK(config.initial_global_depth <= kMaxGlobalDepth);
   directory_.resize(std::size_t{1} << global_depth_);
   dir_charge_.resize(directory_.size() + 8);
   // All directory entries initially share one depth-0 bucket.
@@ -59,9 +65,9 @@ double ExtendibleHashTable::loadFactor() const noexcept {
 }
 
 void ExtendibleHashTable::doubleDirectory() {
-  EXTHASH_CHECK_MSG(global_depth_ < config_.max_global_depth,
+  EXTHASH_CHECK_MSG(global_depth_ < kMaxGlobalDepth,
                     "extendible directory exceeded max depth "
-                        << config_.max_global_depth);
+                        << kMaxGlobalDepth);
   std::vector<BlockId> bigger(directory_.size() * 2);
   for (std::size_t i = 0; i < directory_.size(); ++i) {
     bigger[2 * i] = directory_[i];
@@ -84,7 +90,7 @@ bool ExtendibleHashTable::splitBucket(std::size_t idx) {
     for (std::size_t i = 0; i < n; ++i) records.push_back(page.recordAt(i));
   });
   if (local_depth >= global_depth_) {
-    if (global_depth_ >= config_.max_global_depth) return false;
+    if (global_depth_ >= kMaxGlobalDepth) return false;
     doubleDirectory();
     idx *= 2;  // same bucket, re-anchored in the doubled directory
   }
@@ -295,9 +301,9 @@ void ExtendibleHashTable::validateLayout(AuditReport& report) const {
                            << " entries, global depth " << global_depth_
                            << " demands " << (std::size_t{1} << global_depth_));
   EXTHASH_AUDIT_EXPECT(report, kComponent,
-                       global_depth_ <= config_.max_global_depth,
+                       global_depth_ <= kMaxGlobalDepth,
                        "global depth " << global_depth_ << " exceeds cap "
-                                       << config_.max_global_depth);
+                                       << kMaxGlobalDepth);
 
   // Walk the directory as runs of aliased pointers. Each distinct bucket
   // must serve exactly one aligned run of 2^(g-ℓ) entries — the pointer

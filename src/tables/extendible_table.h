@@ -22,7 +22,6 @@ namespace exthash::tables {
 
 struct ExtendibleConfig {
   std::uint32_t initial_global_depth = 0;  // directory starts at 2^depth
-  std::uint32_t max_global_depth = 32;     // safety rail for skewed hashes
 };
 
 class ExtendibleHashTable final : public ExternalHashTable {

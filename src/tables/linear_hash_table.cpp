@@ -1,19 +1,14 @@
 #include "tables/linear_hash_table.h"
 
-#include <algorithm>
 #include <bit>
 #include <vector>
 
-#include "tables/batch_util.h"
+#include "tables/bucket_chain.h"
 #include "tables/meta_words.h"
 
 namespace exthash::tables {
 
 using extmem::BlockId;
-using extmem::BucketPage;
-using extmem::ConstBucketPage;
-using extmem::kInvalidBlock;
-using extmem::Word;
 
 LinearHashTable::LinearHashTable(TableContext ctx, LinearHashConfig config)
     : ExternalHashTable(std::move(ctx)),
@@ -28,21 +23,8 @@ LinearHashTable::LinearHashTable(TableContext ctx, LinearHashConfig config)
 }
 
 LinearHashTable::~LinearHashTable() {
-  // Flush barrier: the inspect() walk below reads the device directly;
-  // under a write-back cache the dirty frames hold the live chain links.
-  flushCache();
-  // Free overflow chains, then the segment extents.
-  const std::uint64_t live = bucketCountLive();
-  for (std::uint64_t j = 0; j < live; ++j) {
-    ConstBucketPage page(ctx_.device->inspect(blockOfBucket(j)));
-    BlockId overflow = page.next();
-    while (overflow != kInvalidBlock) {
-      ConstBucketPage opage(ctx_.device->inspect(overflow));
-      const BlockId next = opage.next();
-      io().free(overflow);
-      overflow = next;
-    }
-  }
+  chain::freeOverflow(io(), bucketCountLive(),
+                      [&](std::uint64_t j) { return blockOfBucket(j); });
   const std::uint64_t n0 = config_.initial_buckets;
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const std::uint64_t span = s == 0 ? n0 : n0 << (s - 1);
@@ -94,67 +76,26 @@ double LinearHashTable::loadFactor() const noexcept {
           static_cast<double>(records_per_block_));
 }
 
-std::vector<Record> LinearHashTable::drainBucket(std::uint64_t bucket) {
-  std::vector<Record> records;
-  const BlockId primary = blockOfBucket(bucket);
-  BlockId current = primary;
-  while (current != kInvalidBlock) {
-    const BlockId next =
-        io().withRead(current, [&](std::span<const Word> data) {
-          ConstBucketPage page(data);
-          const std::size_t n = page.count();
-          for (std::size_t i = 0; i < n; ++i)
-            records.push_back(page.recordAt(i));
-          return page.next();
-        });
-    if (current != primary) {
-      io().free(current);
-      --overflow_blocks_;
-    }
-    current = next;
-  }
-  return records;
-}
-
-void LinearHashTable::writeBucket(std::uint64_t bucket,
-                                  const std::vector<Record>& records) {
-  const std::size_t cap = records_per_block_;
-  const std::size_t blocks =
-      records.empty() ? 1 : (records.size() + cap - 1) / cap;
-  std::vector<BlockId> chain(blocks);
-  chain[0] = blockOfBucket(bucket);
-  for (std::size_t i = 1; i < blocks; ++i) {
-    chain[i] = io().allocate();
-    ++overflow_blocks_;
-  }
-  for (std::size_t i = 0; i < blocks; ++i) {
-    io().withOverwrite(chain[i], [&](std::span<Word> data) {
-      BucketPage page(data);
-      page.format();
-      const std::size_t begin = i * cap;
-      const std::size_t end = std::min(records.size(), begin + cap);
-      for (std::size_t r = begin; r < end; ++r)
-        EXTHASH_CHECK(page.append(records[r]));
-      if (i + 1 < blocks) page.setNext(chain[i + 1]);
-    });
-  }
-}
-
 void LinearHashTable::splitOne() {
   const std::uint64_t round_buckets = config_.initial_buckets << level_;
   const std::uint64_t source = split_pointer_;
   const std::uint64_t target = round_buckets + split_pointer_;
   ensureSegmentFor(target);
 
-  std::vector<Record> records = drainBucket(source);
+  // Read the whole source chain (one read per block, overflow freed),
+  // then write each half as a fresh chain (one write per block).
+  std::vector<Record> records;
+  const BlockId overflow =
+      chain::readRecords(io(), blockOfBucket(source), records);
+  chain::drainOverflow(io(), overflow, records, overflow_blocks_);
   std::vector<Record> stay, move;
   const std::uint64_t mod = round_buckets << 1;
   for (const Record& r : records) {
     if (hash()(r.key) % mod == source) stay.push_back(r);
     else move.push_back(r);
   }
-  writeBucket(source, stay);
-  writeBucket(target, move);
+  chain::write(io(), blockOfBucket(source), stay, overflow_blocks_);
+  chain::write(io(), blockOfBucket(target), move, overflow_blocks_);
 
   ++split_pointer_;
   ++splits_;
@@ -175,158 +116,21 @@ bool LinearHashTable::insert(std::uint64_t key, std::uint64_t value) {
 }
 
 bool LinearHashTable::insertNoSplit(std::uint64_t key, std::uint64_t value) {
-  const std::uint64_t bucket = bucketOf(key);
-  const BlockId primary = blockOfBucket(bucket);
-
-  // Same chained-bucket insert as ChainingHashTable, inlined against the
-  // split-aware addressing.
-  struct FastResult {
-    bool handled = false;
-    bool inserted_new = false;
-    bool primary_full = false;
-    BlockId next = kInvalidBlock;
-  };
-  const FastResult fast =
-      io().withWrite(primary, [&](std::span<Word> data) {
-        BucketPage page(data);
-        FastResult r;
-        if (auto idx = page.indexOf(key)) {
-          page.setValueAt(*idx, value);
-          r.handled = true;
-          return r;
-        }
-        if (page.hasNext()) {
-          r.primary_full = page.full();
-          r.next = page.next();
-          return r;
-        }
-        if (page.append(Record{key, value})) {
-          r.handled = r.inserted_new = true;
-          return r;
-        }
-        const BlockId fresh = io().allocate();
-        io().withOverwrite(fresh, [&](std::span<Word> fd) {
-          BucketPage fp(fd);
-          fp.format();
-          EXTHASH_CHECK(fp.append(Record{key, value}));
-        });
-        page.setNext(fresh);
-        ++overflow_blocks_;
-        r.handled = r.inserted_new = true;
-        return r;
-      });
-  bool inserted_new = fast.inserted_new;
-  if (!fast.handled) {
-    BlockId current = fast.next;
-    BlockId first_with_space = fast.primary_full ? kInvalidBlock : primary;
-    BlockId last = primary;
-    bool updated = false;
-    while (current != kInvalidBlock) {
-      struct Info {
-        bool found = false;
-        bool full = true;
-        BlockId next = kInvalidBlock;
-      };
-      const Info info =
-          io().withRead(current, [&](std::span<const Word> data) {
-            ConstBucketPage page(data);
-            return Info{page.indexOf(key).has_value(), page.full(),
-                        page.next()};
-          });
-      if (info.found) {
-        io().withWrite(current, [&](std::span<Word> data) {
-          BucketPage page(data);
-          const auto idx = page.indexOf(key);
-          EXTHASH_CHECK(idx.has_value());
-          page.setValueAt(*idx, value);
-        });
-        updated = true;
-        break;
-      }
-      if (!info.full && first_with_space == kInvalidBlock)
-        first_with_space = current;
-      last = current;
-      current = info.next;
-    }
-    if (!updated) {
-      if (first_with_space != kInvalidBlock) {
-        io().withWrite(first_with_space, [&](std::span<Word> data) {
-          EXTHASH_CHECK(BucketPage(data).append(Record{key, value}));
-        });
-      } else {
-        const BlockId fresh = io().allocate();
-        io().withOverwrite(fresh, [&](std::span<Word> data) {
-          BucketPage page(data);
-          page.format();
-          EXTHASH_CHECK(page.append(Record{key, value}));
-        });
-        io().withWrite(last, [&](std::span<Word> data) {
-          BucketPage(data).setNext(fresh);
-        });
-        ++overflow_blocks_;
-      }
-      inserted_new = true;
-    }
-  }
-
+  const bool inserted_new = chain::insert(io(), blockOfBucket(bucketOf(key)),
+                                          key, value, overflow_blocks_);
   if (inserted_new) ++size_;
   return inserted_new;
 }
 
 std::optional<std::uint64_t> LinearHashTable::lookup(std::uint64_t key) {
-  BlockId current = blockOfBucket(bucketOf(key));
-  while (current != kInvalidBlock) {
-    struct Result {
-      std::optional<std::uint64_t> value;
-      BlockId next = kInvalidBlock;
-    };
-    const Result r =
-        io().withRead(current, [&](std::span<const Word> data) {
-          ConstBucketPage page(data);
-          return Result{page.find(key), page.next()};
-        });
-    if (r.value) return r.value;
-    current = r.next;
-  }
-  return std::nullopt;
+  return chain::lookup(io(), blockOfBucket(bucketOf(key)), key);
 }
 
 bool LinearHashTable::erase(std::uint64_t key) {
-  const BlockId primary = blockOfBucket(bucketOf(key));
-  BlockId prev = kInvalidBlock;
-  BlockId current = primary;
-  while (current != kInvalidBlock) {
-    struct Info {
-      std::optional<std::size_t> index;
-      std::size_t count = 0;
-      BlockId next = kInvalidBlock;
-    };
-    const Info info =
-        io().withRead(current, [&](std::span<const Word> data) {
-          ConstBucketPage page(data);
-          return Info{page.indexOf(key), page.count(), page.next()};
-        });
-    if (info.index) {
-      io().withWrite(current, [&](std::span<Word> data) {
-        BucketPage page(data);
-        const auto idx = page.indexOf(key);
-        EXTHASH_CHECK(idx.has_value());
-        page.removeAt(*idx);
-      });
-      if (current != primary && info.count == 1) {
-        io().withWrite(prev, [&](std::span<Word> data) {
-          BucketPage(data).setNext(info.next);
-        });
-        io().free(current);
-        --overflow_blocks_;
-      }
-      --size_;
-      return true;
-    }
-    prev = current;
-    current = info.next;
-  }
-  return false;
+  const bool erased = chain::erase(io(), blockOfBucket(bucketOf(key)), key,
+                                   overflow_blocks_);
+  if (erased) --size_;
+  return erased;
 }
 
 // ---------------------------------------------------------------------------
@@ -336,63 +140,24 @@ bool LinearHashTable::erase(std::uint64_t key) {
 void LinearHashTable::applyBatch(std::span<const Op> ops) {
   // Group under the addressing in force now; splits are deferred to the
   // end of the batch so the precomputed buckets stay valid throughout.
-  extmem::MemoryCharge scratch(*ctx_.memory, 2 * ops.size());
-  const auto order =
-      batch::orderByBucket(*ctx_.memory, ops.size(), [&](std::size_t i) {
-        return bucketOf(ops[i].key);
-      });
-
-  std::vector<Op> group;
-  batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,
-                                 std::size_t j) {
-    if (j - i == 1) {
-      // Lone op: the serial path is already optimal (one rmw).
-      const Op& op = ops[order[i].second];
-      if (op.kind == OpKind::kInsert) insertNoSplit(op.key, op.value);
-      else erase(op.key);
-      return;
-    }
-    group.clear();
-    for (std::size_t k = i; k < j; ++k) group.push_back(ops[order[k].second]);
-    const std::ptrdiff_t delta = batch::applyOpsToChain(
-        io(), blockOfBucket(bucket), group, overflow_blocks_);
-    size_ =
-        static_cast<std::size_t>(static_cast<std::ptrdiff_t>(size_) + delta);
-  });
+  chain::applyBatch(
+      io(), *ctx_.memory, ops, [&](std::uint64_t key) { return bucketOf(key); },
+      [&](std::uint64_t bucket) { return blockOfBucket(bucket); }, size_,
+      overflow_blocks_);
   maybeSplit();
 }
 
 void LinearHashTable::lookupBatch(std::span<const std::uint64_t> keys,
                                   std::span<std::optional<std::uint64_t>> out) {
-  EXTHASH_CHECK(keys.size() == out.size());
-  extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
-  const auto order =
-      batch::orderByBucket(*ctx_.memory, keys.size(), [&](std::size_t i) {
-        return bucketOf(keys[i]);
-      });
-
-  std::vector<std::size_t> pending;
-  batch::forEachGroup(order, [&](std::uint64_t bucket, std::size_t i,
-                                 std::size_t j) {
-    pending.clear();
-    for (std::size_t k = i; k < j; ++k) pending.push_back(order[k].second);
-    batch::lookupInChain(io(), blockOfBucket(bucket), keys, out, pending);
-  });
+  chain::lookupBatch(
+      io(), *ctx_.memory, keys, out,
+      [&](std::uint64_t key) { return bucketOf(key); },
+      [&](std::uint64_t bucket) { return blockOfBucket(bucket); });
 }
 
 void LinearHashTable::visitLayout(LayoutVisitor& visitor) const {
-  flushCache();  // the inspect() reads below bypass the cache
-  const std::uint64_t live = bucketCountLive();
-  for (std::uint64_t j = 0; j < live; ++j) {
-    BlockId current = blockOfBucket(j);
-    while (current != kInvalidBlock) {
-      ConstBucketPage page(ctx_.device->inspect(current));
-      const std::size_t n = page.count();
-      for (std::size_t i = 0; i < n; ++i)
-        visitor.diskItem(current, page.recordAt(i));
-      current = page.next();
-    }
-  }
+  chain::visit(io(), bucketCountLive(),
+               [&](std::uint64_t j) { return blockOfBucket(j); }, visitor);
 }
 
 std::string LinearHashTable::debugString() const {
@@ -405,7 +170,6 @@ std::string LinearHashTable::debugString() const {
 
 void LinearHashTable::validateLayout(AuditReport& report) const {
   ExternalHashTable::validateLayout(report);  // attached-cache audit
-  flushCache();  // the inspect() reads below bypass the cache
   const char* kComponent = "linear-hashing";
 
   // Split state: the pointer stays inside the current round (splitOne
@@ -430,63 +194,12 @@ void LinearHashTable::validateLayout(AuditReport& report) const {
                          "segment " << s << " base block " << segments_[s]
                                     << " is not allocated");
   }
-  if (covered < live) return;  // chain walks below would index past the end
-
-  // Chain walks: placement, counts, per-chain key uniqueness, acyclicity,
-  // and the size / overflow ledgers.
-  const std::uint64_t max_chain = 1 + overflow_blocks_;
-  std::size_t records_seen = 0;
-  std::uint64_t overflow_seen = 0;
-  std::vector<std::uint64_t> chain_keys;
-  for (std::uint64_t j = 0; j < live; ++j) {
-    chain_keys.clear();
-    BlockId current = blockOfBucket(j);
-    std::uint64_t hops = 0;
-    while (current != kInvalidBlock) {
-      if (hops > max_chain) {
-        report.fail(kComponent, "chain acyclic",
-                    "bucket " + std::to_string(j) + " chain exceeds " +
-                        std::to_string(max_chain) + " blocks (cycle?)");
-        break;
-      }
-      EXTHASH_AUDIT_EXPECT(report, kComponent,
-                           ctx_.device->isAllocated(current),
-                           "bucket " << j << " chain links freed block "
-                                     << current);
-      if (!ctx_.device->isAllocated(current)) break;
-      ConstBucketPage page(ctx_.device->inspect(current));
-      EXTHASH_AUDIT_EXPECT(report, kComponent,
-                           page.count() <= page.capacity(),
-                           "block " << current << " claims " << page.count()
-                               << " records, capacity " << page.capacity());
-      const std::size_t n = std::min(page.count(), page.capacity());
-      for (std::size_t i = 0; i < n; ++i) {
-        const Record r = page.recordAt(i);
-        EXTHASH_AUDIT_EXPECT(report, kComponent, bucketOf(r.key) == j,
-                             "key " << r.key << " stored in bucket " << j
-                                    << " but addresses to bucket "
-                                    << bucketOf(r.key));
-        chain_keys.push_back(r.key);
-      }
-      records_seen += n;
-      if (hops > 0) ++overflow_seen;
-      ++hops;
-      current = page.next();
-    }
-    std::sort(chain_keys.begin(), chain_keys.end());
-    EXTHASH_AUDIT_EXPECT(
-        report, kComponent,
-        std::adjacent_find(chain_keys.begin(), chain_keys.end()) ==
-            chain_keys.end(),
-        "bucket " << j << " chain stores a key twice");
-  }
-  EXTHASH_AUDIT_EXPECT(report, kComponent, records_seen == size_,
-                       "blocks hold " << records_seen
-                           << " records, size() reports " << size_);
-  EXTHASH_AUDIT_EXPECT(report, kComponent, overflow_seen == overflow_blocks_,
-                       "chains link " << overflow_seen
-                           << " overflow blocks, counter says "
-                           << overflow_blocks_);
+  if (covered < live) return;  // the chain walks would index past the end
+  chain::audit(
+      report, kComponent, io(), live,
+      [&](std::uint64_t j) { return blockOfBucket(j); },
+      [&](std::uint64_t key) { return bucketOf(key); }, size_,
+      overflow_blocks_);
 }
 
 namespace {

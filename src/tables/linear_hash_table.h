@@ -73,11 +73,9 @@ class LinearHashTable final : public ExternalHashTable {
   extmem::BlockId blockOfBucket(std::uint64_t bucket) const;
   void ensureSegmentFor(std::uint64_t bucket);
   void maybeSplit();
+  /// Split the bucket at the split pointer: one read per block of its
+  /// chain, one write per block of the two chains it becomes.
   void splitOne();
-  /// Read a whole bucket chain, freeing its overflow blocks; returns the
-  /// records. Costs one read per chain block.
-  std::vector<Record> drainBucket(std::uint64_t bucket);
-  void writeBucket(std::uint64_t bucket, const std::vector<Record>& records);
 
   LinearHashConfig config_;
   std::size_t records_per_block_;

@@ -20,9 +20,8 @@
 #include <memory>
 #include <vector>
 
-#include "extmem/memtable.h"
 #include "tables/chaining_table.h"
-#include "tables/hash_table.h"
+#include "tables/memtable_front.h"
 
 namespace exthash::tables {
 
@@ -31,28 +30,18 @@ struct LogMethodConfig {
   std::size_t h0_capacity_items = 0;  // memory buffer capacity (~m/4 words·2)
 };
 
-class LogMethodTable final : public ExternalHashTable {
+/// H0 is the memtable of the MemtableFront (tables/memtable_front.h), which
+/// implements insert, erase, applyBatch and lookupBatch's memory phase.
+/// An insert-only batch larger than H0's free space is merged with H0 and
+/// pushed down in a single streaming pass, instead of cascading one
+/// H0-flush per h0_capacity items; erase presence probes and the disk
+/// phase of lookupBatch go down the levels bucket-grouped, one pass per
+/// level, newest level first.
+class LogMethodTable final : public MemtableFront<LogMethodTable> {
  public:
   LogMethodTable(TableContext ctx, LogMethodConfig config);
 
-  bool insert(std::uint64_t key, std::uint64_t value) override;
   std::optional<std::uint64_t> lookup(std::uint64_t key) override;
-  bool erase(std::uint64_t key) override;
-  /// Batch fast path for insert-only batches: H0 and the batch are merged
-  /// once and pushed down in a single streaming pass, instead of cascading
-  /// one H0-flush per h0_capacity items. Batches containing erases resolve
-  /// every erase's presence probe up front — earlier batch ops and H0
-  /// answer in memory, the rest go down the levels bucket-grouped (one
-  /// pass per level) — then replay the ops with serial semantics and zero
-  /// per-key disk probes.
-  void applyBatch(std::span<const Op> ops) override;
-  /// Batched lookups: H0 is free; each disk level answers its whole
-  /// subgroup with one bucket-grouped pass (newest level wins).
-  void lookupBatch(std::span<const std::uint64_t> keys,
-                   std::span<std::optional<std::uint64_t>> out) override;
-  /// Logical size: inserts minus erases of present keys. Exact under the
-  /// distinct-key workloads of the paper; see class comment.
-  std::size_t size() const override { return live_size_; }
   std::string_view name() const override { return "log-method"; }
   void visitLayout(LayoutVisitor& visitor) const override;
   std::optional<extmem::BlockId> primaryBlockOf(
@@ -66,7 +55,6 @@ class LogMethodTable final : public ExternalHashTable {
   std::size_t levelCount() const noexcept { return levels_.size(); }
   std::size_t nonemptyLevels() const noexcept;
   std::uint64_t merges() const noexcept { return merges_; }
-  const extmem::MemTable& memoryTable() const noexcept { return h0_; }
 
   /// Capacity (items) of disk level k (1-based).
   std::size_t levelCapacity(std::size_t k) const;
@@ -86,31 +74,30 @@ class LogMethodTable final : public ExternalHashTable {
  private:
   // Test-only corruption hook for the invariant auditor.
   friend struct AuditPeer;
+  friend class MemtableFront<LogMethodTable>;
 
   /// Empty H0 into a hash-ordered vector, hashing each record once.
   std::vector<HashedRecord> drainH0();
+  // The MemtableFront hooks.
   /// Migrate H0 (and any levels that must cascade) downward.
-  void flush();
-  /// Mixed insert/erase batch: grouped presence probes + serial replay
-  /// (see applyBatch). Requires ops.size() >= 2.
-  void applyBatchWithErases(std::span<const Op> ops);
-  /// Liveness below H0 for each key: true iff the newest version in the
-  /// disk levels exists and is not a tombstone. One bucket-grouped pass
-  /// per level, exactly like lookupBatch's disk phase.
-  std::vector<bool> levelsLiveBatch(const std::vector<std::uint64_t>& keys);
+  void flushMemtable();
+  /// Hash-sort `records` and merge them down (see mergeDown).
+  void bulkSpill(std::vector<Record> records);
+  /// One bucket-grouped lookupBatch per nonempty level, newest first.
+  void lookupBelow(std::span<const std::uint64_t> keys,
+                   std::span<std::optional<std::uint64_t>> out,
+                   std::vector<std::size_t>& pending);
   /// Merge `newest` (hash-ordered, deduplicated, newer than every level)
   /// plus any levels that must cascade into the shallowest level that
-  /// fits. The single streaming pass behind both flush() and applyBatch().
+  /// fits. The single streaming pass behind flushMemtable() and
+  /// bulkSpill().
   void mergeDown(std::vector<HashedRecord> newest);
-  ChainingConfig levelConfig(std::size_t k) const;
   ChainingConfig levelConfigForSize(std::size_t items) const;
 
   LogMethodConfig config_;
   std::size_t records_per_block_;
-  extmem::MemTable h0_;
   // levels_[k-1] = H_k; null when empty.
   std::vector<std::unique_ptr<ChainingHashTable>> levels_;
-  std::size_t live_size_ = 0;
   std::uint64_t merges_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "tables/lsm_table.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "tables/meta_words.h"
@@ -52,11 +51,10 @@ class LsmTable::RunCursor final : public RecordCursor {
 };
 
 LsmTable::LsmTable(TableContext ctx, LsmConfig config)
-    : ExternalHashTable(std::move(ctx)),
+    : MemtableFront(std::move(ctx), config.memtable_capacity_items),
       config_(config),
       records_per_block_(
-          extmem::recordCapacityForWords(ctx_.device->wordsPerBlock())),
-      memtable_(*ctx_.memory, config.memtable_capacity_items) {
+          extmem::recordCapacityForWords(ctx_.device->wordsPerBlock())) {
   EXTHASH_CHECK(config_.memtable_capacity_items >= 1);
   EXTHASH_CHECK(config_.fanout >= 2);
   EXTHASH_CHECK(config_.fence_stride >= 1);
@@ -135,14 +133,18 @@ LsmTable::Run LsmTable::writeRun(RecordCursor& records,
   return run;
 }
 
-void LsmTable::flushMemtable() {
-  if (memtable_.size() == 0) return;
-  auto drained = memtable_.drainSorted(kKeyOrder);
-  const std::size_t estimate = drained.size();
-  VectorCursor cursor(std::move(drained));
+void LsmTable::flushMemtable() { pushRun(memtable_.drainSorted(kKeyOrder)); }
+
+void LsmTable::bulkSpill(std::vector<Record> records) {
+  pushRun(sortByHash(records, kKeyOrder));
+}
+
+void LsmTable::pushRun(std::vector<HashedRecord> sorted) {
+  const std::size_t estimate = sorted.size();
+  VectorCursor cursor(std::move(sorted));
   Run run = writeRun(cursor, estimate);
   if (levels_.empty()) levels_.emplace_back();
-  levels_[0].insert(levels_[0].begin(), std::move(run));
+  if (run.blocks > 0) levels_[0].insert(levels_[0].begin(), std::move(run));
   if (levels_[0].size() > config_.fanout) compactLevel(0);
 }
 
@@ -173,16 +175,6 @@ void LsmTable::compactLevel(std::size_t level) {
     levels_[level + 1].insert(levels_[level + 1].begin(), std::move(big));
   ++compactions_;
   if (levels_[level + 1].size() > config_.fanout) compactLevel(level + 1);
-}
-
-bool LsmTable::insert(std::uint64_t key, std::uint64_t value) {
-  EXTHASH_CHECK_MSG(value != kTombstoneValue,
-                    "value collides with the tombstone sentinel");
-  if (memtable_.full()) flushMemtable();
-  const bool new_in_memtable = !memtable_.contains(key);
-  EXTHASH_CHECK(memtable_.insertOrAssign(key, value));
-  if (new_in_memtable) ++live_size_;
-  return new_in_memtable;
 }
 
 std::optional<std::uint64_t> LsmTable::probeRun(Run& run, std::uint64_t key) {
@@ -232,194 +224,14 @@ std::optional<std::uint64_t> LsmTable::lookup(std::uint64_t key) {
   return std::nullopt;
 }
 
-bool LsmTable::erase(std::uint64_t key) {
-  if (!lookup(key).has_value()) return false;
-  if (memtable_.full()) flushMemtable();
-  EXTHASH_CHECK(memtable_.insertOrAssign(key, kTombstoneValue));
-  --live_size_;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Batch API
-// ---------------------------------------------------------------------------
-
-void LsmTable::applyBatch(std::span<const Op> ops) {
-  for (const Op& op : ops) {
-    if (op.kind == OpKind::kErase) {
-      // A singleton batch IS the serial protocol; anything larger gets
-      // its presence probes grouped instead of paying one full probe
-      // cascade per erased key.
-      if (ops.size() < 2) {
-        ExternalHashTable::applyBatch(ops);
-      } else {
-        applyBatchWithErases(ops);
-      }
-      return;
-    }
-  }
-  // Batches the memtable can absorb are free either way, and a singleton
-  // batch IS the serial protocol.
-  if (ops.size() < 2 ||
-      memtable_.size() + ops.size() <= memtable_.capacityItems()) {
-    ExternalHashTable::applyBatch(ops);
-    return;
-  }
-
-  // live_size_ mirrors the serial loop exactly: an insert is fresh iff its
-  // key is absent from the memtable at that moment, and the memtable
-  // empties on overflow. Memory-only simulation, charged as scratch.
-  // (This whole method parallels LogMethodTable::applyBatch with the
-  // memtable in place of H0; keep the two in step.)
-  extmem::MemoryCharge scratch(
-      *ctx_.memory, 3 * (memtable_.size() + ops.size()));
-  {
-    std::unordered_set<std::uint64_t> sim;
-    sim.reserve(memtable_.capacityItems());
-    memtable_.forEach([&](const Record& r) { sim.insert(r.key); });
-    for (const Op& op : ops) {
-      EXTHASH_CHECK_MSG(op.value != kTombstoneValue,
-                        "value collides with the tombstone sentinel");
-      if (sim.size() >= memtable_.capacityItems()) sim.clear();
-      if (sim.insert(op.key).second) ++live_size_;
-    }
-  }
-
-  // Physical path: updates to keys already in the memtable are free,
-  // exactly as in the serial loop; the genuinely fresh keys (newest-wins
-  // within the batch) become ONE sorted run. The memtable stays resident —
-  // fresh keys are disjoint from it, so version order is unaffected.
-  std::unordered_map<std::uint64_t, std::uint64_t> fresh;
-  fresh.reserve(ops.size());
-  for (const Op& op : ops) {
-    if (memtable_.contains(op.key)) {
-      EXTHASH_CHECK(memtable_.insertOrAssign(op.key, op.value));
-    } else {
-      fresh[op.key] = op.value;
-    }
-  }
-  // Fill the memtable's free space first, so a hot set stays
-  // memory-resident across batches and keeps absorbing repeats for free;
-  // only the spill needs disk work.
-  std::vector<Record> spill;
-  for (const auto& [key, value] : fresh) {
-    if (!memtable_.full()) {
-      EXTHASH_CHECK(memtable_.insertOrAssign(key, value));
-    } else {
-      spill.push_back(Record{key, value});
-    }
-  }
-  if (spill.empty()) return;
-
-  if (spill.size() <= memtable_.capacityItems()) {
-    // Small spill: keep the serial granularity (fill, flush on overflow —
-    // at most one flush). live_size_ was settled above.
-    for (const Record& r : spill) {
-      if (memtable_.full()) flushMemtable();
-      EXTHASH_CHECK(memtable_.insertOrAssign(r.key, r.value));
-    }
-    return;
-  }
-
-  // Large spill: memtable + spill become ONE sorted run instead of
-  // ceil(spill/memtable) runs with their compaction cascades. The
-  // memtable empties here and refills from the next batch's fresh keys.
-  std::vector<Record> records;
-  records.reserve(memtable_.size() + spill.size());
-  memtable_.forEach([&](const Record& r) { records.push_back(r); });
-  memtable_.clear();
-  records.insert(records.end(), spill.begin(), spill.end());
-
-  const std::size_t estimate = records.size();
-  VectorCursor cursor(sortByHash(records, kKeyOrder));
-  Run run = writeRun(cursor, estimate);
-  if (levels_.empty()) levels_.emplace_back();
-  if (run.blocks > 0) levels_[0].insert(levels_[0].begin(), std::move(run));
-  if (levels_[0].size() > config_.fanout) compactLevel(0);
-}
-
-std::vector<bool> LsmTable::runsLiveBatch(
-    const std::vector<std::uint64_t>& keys) {
-  std::vector<bool> live(keys.size(), false);
-  std::vector<std::optional<std::uint64_t>> out(keys.size());
-  std::vector<std::size_t> pending(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) pending[i] = i;
+void LsmTable::lookupBelow(std::span<const std::uint64_t> keys,
+                           std::span<std::optional<std::uint64_t>> out,
+                           std::vector<std::size_t>& pending) {
   for (auto& level : levels_) {
     for (auto& run : level) {  // newest first
-      if (pending.empty()) break;
+      if (pending.empty()) return;
       probeRunBatch(run, keys, pending, out);
     }
-  }
-  // probeRunBatch already maps tombstones to nullopt, so a resolved slot
-  // holds a value iff the key is live; unresolved keys are absent.
-  for (std::size_t i = 0; i < keys.size(); ++i) live[i] = out[i].has_value();
-  return live;
-}
-
-void LsmTable::applyBatchWithErases(std::span<const Op> ops) {
-  // Pass 1 — resolve every erase's presence WITHOUT touching the
-  // structure. The presence an erase observes in the serial loop is
-  // "newest-wins over (initial state + the batch prefix before it)", and
-  // memtable flushes only move versions down without reordering them, so
-  // the initial-state part is flush-invariant: earlier batch ops answer
-  // from an overlay, the initial memtable answers in memory, and only
-  // first-touch erases of keys the memtable has never seen need disk —
-  // those probe the runs grouped (each touched block read once) instead
-  // of one probe cascade per key. (This parallels
-  // LogMethodTable::applyBatchWithErases; keep the two in step.)
-  extmem::MemoryCharge scratch(*ctx_.memory, 4 * ops.size());
-  enum class State : std::uint8_t { kLive, kDead };
-  struct EraseSource {
-    bool from_probe = false;
-    bool live = false;       // valid when !from_probe
-    std::size_t probe = 0;   // valid when from_probe
-  };
-  std::unordered_map<std::uint64_t, State> overlay;  // state after prefix
-  std::unordered_map<std::uint64_t, std::size_t> probe_index;
-  std::vector<std::uint64_t> probe_keys;
-  std::vector<EraseSource> sources;  // one per erase op, in batch order
-  for (const Op& op : ops) {
-    if (op.kind == OpKind::kInsert) {
-      EXTHASH_CHECK_MSG(op.value != kTombstoneValue,
-                        "value collides with the tombstone sentinel");
-      overlay[op.key] = State::kLive;
-      continue;
-    }
-    EraseSource src;
-    if (const auto it = overlay.find(op.key); it != overlay.end()) {
-      src.live = it->second == State::kLive;
-    } else if (auto v = memtable_.find(op.key)) {
-      src.live = *v != kTombstoneValue;
-    } else {
-      src.from_probe = true;
-      const auto [pit, fresh] =
-          probe_index.try_emplace(op.key, probe_keys.size());
-      if (fresh) probe_keys.push_back(op.key);
-      src.probe = pit->second;
-    }
-    sources.push_back(src);
-    // Whether or not the key was present, it is absent afterwards.
-    overlay[op.key] = State::kDead;
-  }
-  const std::vector<bool> probe_live = runsLiveBatch(probe_keys);
-
-  // Pass 2 — replay with serial semantics (same flush points, same
-  // live_size_ accounting), the disk probes replaced by the resolutions.
-  std::size_t e = 0;
-  for (const Op& op : ops) {
-    if (op.kind == OpKind::kInsert) {
-      if (memtable_.full()) flushMemtable();
-      const bool new_in_memtable = !memtable_.contains(op.key);
-      EXTHASH_CHECK(memtable_.insertOrAssign(op.key, op.value));
-      if (new_in_memtable) ++live_size_;
-      continue;
-    }
-    const EraseSource src = sources[e++];
-    const bool present = src.from_probe ? probe_live[src.probe] : src.live;
-    if (!present) continue;  // serial erase writes no tombstone either
-    if (memtable_.full()) flushMemtable();
-    EXTHASH_CHECK(memtable_.insertOrAssign(op.key, kTombstoneValue));
-    --live_size_;
   }
 }
 
@@ -492,26 +304,6 @@ void LsmTable::probeRunBatch(Run& run, std::span<const std::uint64_t> keys,
                                  }),
                   pending.end());
   }
-}
-
-void LsmTable::lookupBatch(std::span<const std::uint64_t> keys,
-                           std::span<std::optional<std::uint64_t>> out) {
-  EXTHASH_CHECK(keys.size() == out.size());
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (auto v = memtable_.find(keys[i])) {
-      out[i] = (*v == kTombstoneValue) ? std::nullopt : std::optional(*v);
-    } else {
-      pending.push_back(i);
-    }
-  }
-  for (auto& level : levels_) {
-    for (auto& run : level) {  // newest first
-      if (pending.empty()) break;
-      probeRunBatch(run, keys, pending, out);
-    }
-  }
-  for (const std::size_t idx : pending) out[idx] = std::nullopt;
 }
 
 std::size_t LsmTable::runCount() const noexcept {

@@ -29,9 +29,8 @@
 
 #include "extmem/bloom_filter.h"
 #include "extmem/bucket_page.h"
-#include "extmem/memtable.h"
 #include "tables/cursor.h"
-#include "tables/hash_table.h"
+#include "tables/memtable_front.h"
 
 namespace exthash::tables {
 
@@ -46,28 +45,19 @@ struct LsmConfig {
   std::size_t bloom_bits_per_key = 0;
 };
 
-class LsmTable final : public ExternalHashTable {
+/// The memtable, single-op insert and erase, applyBatch and lookupBatch's
+/// memory phase are the MemtableFront's (tables/memtable_front.h). An
+/// insert-only batch larger than the memtable's free space becomes ONE
+/// sorted run (one write per block) with the memtable, instead of
+/// ceil(k/memtable) runs with their compaction cascades; erase presence
+/// probes and the disk phase of lookupBatch probe the runs grouped, each
+/// touched block read once, newest run first.
+class LsmTable final : public MemtableFront<LsmTable> {
  public:
   LsmTable(TableContext ctx, LsmConfig config);
   ~LsmTable() override;
 
-  bool insert(std::uint64_t key, std::uint64_t value) override;
   std::optional<std::uint64_t> lookup(std::uint64_t key) override;
-  bool erase(std::uint64_t key) override;
-  /// Batch fast path for insert-only batches: memtable + batch become ONE
-  /// sorted run (one write per block) instead of ceil(k/memtable) runs
-  /// with their compaction cascades. Batches containing erases resolve
-  /// every erase's presence probe up front — earlier batch ops and the
-  /// memtable answer in memory, the rest probe the runs grouped (each
-  /// touched block read once) — then replay the ops with serial semantics
-  /// and zero per-key disk probes.
-  void applyBatch(std::span<const Op> ops) override;
-  /// Batched lookups: memtable is free; each run answers its whole
-  /// subgroup with one read per touched block (newest run wins).
-  void lookupBatch(std::span<const std::uint64_t> keys,
-                   std::span<std::optional<std::uint64_t>> out) override;
-  /// Logical size (inserts minus erases); exact for distinct-key workloads.
-  std::size_t size() const override { return live_size_; }
   std::string_view name() const override { return "lsm"; }
   void visitLayout(LayoutVisitor& visitor) const override;
   std::string debugString() const override;
@@ -87,6 +77,7 @@ class LsmTable final : public ExternalHashTable {
  private:
   // Test-only corruption hook for the invariant auditor.
   friend struct AuditPeer;
+  friend class MemtableFront<LsmTable>;
 
   struct Run {
     extmem::BlockId extent = extmem::kInvalidBlock;
@@ -101,14 +92,18 @@ class LsmTable final : public ExternalHashTable {
 
   class RunCursor;
 
+  // The MemtableFront hooks.
+  /// Write the memtable as the newest level-0 run.
   void flushMemtable();
-  /// Mixed insert/erase batch: grouped presence probes + serial replay
-  /// (see applyBatch). Requires ops.size() >= 2.
-  void applyBatchWithErases(std::span<const Op> ops);
-  /// Liveness below the memtable for each key: true iff the newest
-  /// version in the runs exists and is not a tombstone. Runs probed
-  /// newest-first via probeRunBatch, each touched block read once.
-  std::vector<bool> runsLiveBatch(const std::vector<std::uint64_t>& keys);
+  /// Write `records` as one key-ordered level-0 run.
+  void bulkSpill(std::vector<Record> records);
+  /// probeRunBatch over every run, newest first.
+  void lookupBelow(std::span<const std::uint64_t> keys,
+                   std::span<std::optional<std::uint64_t>> out,
+                   std::vector<std::size_t>& pending);
+  /// Write key-ordered `sorted` as the newest level-0 run, then compact
+  /// as needed.
+  void pushRun(std::vector<HashedRecord> sorted);
   void compactLevel(std::size_t level);
   Run writeRun(RecordCursor& records, std::size_t record_estimate);
   void freeRun(Run& run);
@@ -121,10 +116,8 @@ class LsmTable final : public ExternalHashTable {
 
   LsmConfig config_;
   std::size_t records_per_block_;
-  extmem::MemTable memtable_;
   // levels_[i] = runs at level i, newest first.
   std::vector<std::vector<Run>> levels_;
-  std::size_t live_size_ = 0;
   std::uint64_t compactions_ = 0;
 };
 

@@ -9,6 +9,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "durability/ledger.h"
@@ -107,6 +108,14 @@ struct TestRig {
 
   std::uint64_t cost() const { return device->stats().cost(); }
 };
+
+/// gtest prints a test parameter that has no PrintTo as its raw bytes, and
+/// that text is part of every registered test name, so a case struct must
+/// have no padding: a padding byte holds whatever the build left there, and
+/// the same source would register different names in different builds.
+template <class Case>
+inline constexpr bool kPrintsStably =
+    std::has_unique_object_representations_v<Case>;
 
 /// Distinct keys for test workloads.
 inline std::vector<std::uint64_t> distinctKeys(std::size_t n,

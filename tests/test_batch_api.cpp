@@ -46,6 +46,7 @@ struct BatchCase {
   /// Sharded inner kind (kSharded rows only).
   TableKind inner = TableKind::kChaining;
 };
+static_assert(exthash::testing::kPrintsStably<BatchCase>);
 
 class PairVisitor : public LayoutVisitor {
  public:

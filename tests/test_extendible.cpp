@@ -131,7 +131,7 @@ TEST(Extendible, PrimaryBlockIsTheOnlyBlock) {
 
 TEST(Extendible, InitialDepthRespected) {
   TestRig rig(4);
-  ExtendibleHashTable table(rig.context(), {3, 32});
+  ExtendibleHashTable table(rig.context(), {3});
   EXPECT_EQ(table.globalDepth(), 3u);
   EXPECT_EQ(table.directorySize(), 8u);
   const auto keys = distinctKeys(50);

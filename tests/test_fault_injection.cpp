@@ -1116,6 +1116,74 @@ TEST(ShardIsolation, FlushFanOutLatchesEveryFaultedShard) {
 }
 
 // ---------------------------------------------------------------------------
+// Teardown on a dead disk: destroying a table never throws, whatever its
+// destructor's flush and free walks meet. Every transfer to the table's
+// file fails with EIO before the table is destroyed.
+// ---------------------------------------------------------------------------
+
+/// Test-name suffix for a TableKind parameter ("linear-hashing" →
+/// "linear_hashing").
+std::string kindName(const ::testing::TestParamInfo<TableKind>& info) {
+  std::string name(tables::tableKindName(info.param));
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+std::unique_ptr<ExternalHashTable> makeFilled(TableKind kind,
+                                              const TestRig& rig,
+                                              BlockCache* cache = nullptr) {
+  GeneralConfig cfg;
+  cfg.expected_n = 256;
+  cfg.buffer_items = 64;
+  auto table = tables::makeTable(kind, rig.context(), cfg);
+  table->attachCache(cache);
+  for (const auto k : distinctKeys(200)) table->insert(k, k + 1);
+  return table;
+}
+
+class TeardownOnDeadDisk : public ::testing::TestWithParam<TableKind> {};
+
+TEST_P(TeardownOnDeadDisk, FailingReadsDoNotAbort) {
+  FaultyFileOps shim(/*seed=*/31);
+  TestRig rig(8);
+  rig.useStorage(fileStorageOptions(&shim));
+  auto table = makeFilled(GetParam(), rig);
+  shim.failRange(fileOf(*rig.device), 0, std::numeric_limits<off_t>::max(),
+                 EIO);
+  EXPECT_NO_THROW(table.reset());
+  shim.clear();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, TeardownOnDeadDisk,
+                         ::testing::ValuesIn(tables::kAllTableKinds),
+                         kindName);
+
+class TeardownOnDeadDiskWriteBack
+    : public ::testing::TestWithParam<TableKind> {};
+
+TEST_P(TeardownOnDeadDiskWriteBack, FailingFlushDoesNotAbort) {
+  FaultyFileOps shim(/*seed=*/32);
+  TestRig rig(8);
+  rig.useStorage(fileStorageOptions(&shim));
+  // Declared before the table, which it must outlive.
+  BlockCache cache(*rig.device, *rig.memory, 64,
+                   BlockCache::WritePolicy::kWriteBack);
+  auto table = makeFilled(GetParam(), rig, &cache);
+  ASSERT_GT(cache.dirtyBlocks(), 0u);
+  shim.failRange(fileOf(*rig.device), 0, std::numeric_limits<off_t>::max(),
+                 EIO);
+  EXPECT_NO_THROW(table.reset());
+  shim.clear();
+}
+
+// The kinds that write through an attached cache.
+INSTANTIATE_TEST_SUITE_P(CachedKinds, TeardownOnDeadDiskWriteBack,
+                         ::testing::Values(TableKind::kChaining,
+                                           TableKind::kLinearHashing,
+                                           TableKind::kExtendible),
+                         kindName);
+
+// ---------------------------------------------------------------------------
 // Flight recorder
 // ---------------------------------------------------------------------------
 
@@ -1394,14 +1462,9 @@ TEST_P(ChaosEquivalenceTest, TransientFaultsPreserveContentsBitExact) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKinds, ChaosEquivalenceTest,
-    ::testing::ValuesIn(tables::kAllTableKindsWithSharded),
-    [](const ::testing::TestParamInfo<TableKind>& info) {
-      std::string name(tableKindName(info.param));
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllKinds, ChaosEquivalenceTest,
+                         ::testing::ValuesIn(tables::kAllTableKindsWithSharded),
+                         kindName);
 
 // Permanent-fault schedule: the pipeline fail-stops with every future
 // resolved, the faulted shard latches, and the healthy shards keep

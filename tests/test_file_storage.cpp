@@ -13,7 +13,9 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <memory>
 #include <random>
 #include <span>
 #include <string>
@@ -161,6 +163,24 @@ TEST(FileStorage, FreshAndReusedBlocksReadZero) {
   const BlockId b = device.allocate();
   EXPECT_EQ(b, a);
   EXPECT_EQ(device.readCopy(b), std::vector<Word>(kWords, 0));
+}
+
+// A process that dies holding a device never unlinks its backing file, and
+// the pid-based file names recur: a new device on such a path must still
+// read its fresh blocks as zeros.
+TEST(FileStorage, LeftoverFileAtThePathReadsAsFresh) {
+  const std::string path = ::testing::TempDir() + "/leftover.blocks";
+  {
+    std::ofstream stale(path, std::ios::binary | std::ios::trunc);
+    const std::vector<Word> junk(4 * kWords, 0xdead);
+    stale.write(reinterpret_cast<const char*>(junk.data()),
+                static_cast<std::streamsize>(junk.size() * sizeof(Word)));
+  }
+  BlockDevice device(kWords,
+                     std::make_unique<FileStorage>(kWords, path,
+                                                   StorageOptions{}));
+  const BlockId id = device.allocate();
+  EXPECT_EQ(device.readCopy(id), std::vector<Word>(kWords, 0));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // satisfy the same functional contract regardless of its internals.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <unordered_set>
 
@@ -25,7 +26,9 @@ struct PropertyCase {
   // cannot know whether the key exists on disk — so their logical size
   // over-counts re-inserted keys (documented contract).
   bool exact_size_on_update = true;
+  std::uint8_t unused = 0;  // fills what would be padding (kPrintsStably)
 };
+static_assert(exthash::testing::kPrintsStably<PropertyCase>);
 
 class TablePropertyTest : public ::testing::TestWithParam<PropertyCase> {
  protected:
