@@ -48,25 +48,7 @@ std::uint64_t DurabilityManager::checkpoint(
   return checkpointAt(table, wal_.durableLsn());
 }
 
-void DurabilityManager::thawAll(tables::ExternalHashTable& table) {
-  wal_device_.thaw();
-  manifest_device_.thaw();
-  for (std::size_t i = 0; i < table.durableDeviceCount(); ++i) {
-    table.durableDevice(i).thaw();
-  }
-}
-
-void DurabilityManager::freezeAll(tables::ExternalHashTable& table) {
-  wal_device_.freeze();
-  manifest_device_.freeze();
-  for (std::size_t i = 0; i < table.durableDeviceCount(); ++i) {
-    table.durableDevice(i).freeze();
-  }
-}
-
 RecoveryResult DurabilityManager::recover(tables::ExternalHashTable& fresh) {
-  thawAll(fresh);
-
   const std::optional<ManifestData> manifest = manifest_.readNewest();
   if (!manifest) {
     obs::flightRecorderNoteFatal("durability: no valid manifest slot");
@@ -84,42 +66,34 @@ RecoveryResult DurabilityManager::recover(tables::ExternalHashTable& fresh) {
 
   RecoveryResult result;
   result.checkpoint_lsn = manifest->durable_lsn;
-  try {
-    for (std::size_t i = 0; i < slot.images.size(); ++i) {
-      fresh.durableDevice(i).restoreImage(slot.images[i]);
-    }
-    // Every cached frame predates the image restore; drop them all.
-    fresh.invalidateCaches();
-    fresh.restoreMeta(manifest->meta);
-
-    WalReader reader(wal_device_);
-    const WalLog log = reader.readAll();
-    result.torn_tail = log.torn_tail;
-    std::uint64_t replayed_through = manifest->durable_lsn;
-    for (const WalRecord& record : log.records) {
-      // LSN fence: records at or below the checkpoint are already in the
-      // images; re-applying them is what the fence exists to prevent.
-      if (record.lsn <= manifest->durable_lsn) continue;
-      fresh.applyBatch(record.ops);
-      ++result.replayed_records;
-      result.replayed_ops += record.ops.size();
-      replayed_through = record.lsn;
-    }
-    fresh.flushCache();
-    result.recovered_lsn = replayed_through;
-
-    // Commit the recovered state FIRST, then truncate the log: a crash
-    // between the two leaves either (old manifest + intact log) or (new
-    // manifest + not-yet-truncated log whose records are all fenced).
-    checkpointAt(fresh, replayed_through);
-    wal_.reset(replayed_through + 1);
-  } catch (...) {
-    // A crash point firing mid-replay froze a device; thaw everything so
-    // the half-recovered table destructs safely and recovery can run
-    // again on another fresh table (idempotent: nothing above committed).
-    thawAll(fresh);
-    throw;
+  for (std::size_t i = 0; i < slot.images.size(); ++i) {
+    fresh.durableDevice(i).restoreImage(slot.images[i]);
   }
+  // Every cached frame predates the image restore; drop them all.
+  fresh.invalidateCaches();
+  fresh.restoreMeta(manifest->meta);
+
+  WalReader reader(wal_device_);
+  const WalLog log = reader.readAll();
+  result.torn_tail = log.torn_tail;
+  std::uint64_t replayed_through = manifest->durable_lsn;
+  for (const WalRecord& record : log.records) {
+    // LSN fence: records at or below the checkpoint are already in the
+    // images; re-applying them is what the fence exists to prevent.
+    if (record.lsn <= manifest->durable_lsn) continue;
+    fresh.applyBatch(record.ops);
+    ++result.replayed_records;
+    result.replayed_ops += record.ops.size();
+    replayed_through = record.lsn;
+  }
+  fresh.flushCache();
+  result.recovered_lsn = replayed_through;
+
+  // Commit the recovered state FIRST, then truncate the log: a crash
+  // between the two leaves either (old manifest + intact log) or (new
+  // manifest + not-yet-truncated log whose records are all fenced).
+  checkpointAt(fresh, replayed_through);
+  wal_.reset(replayed_through + 1);
   ++recoveries_;
   replayed_records_ += result.replayed_records;
   return result;

@@ -19,7 +19,7 @@
 // device).
 //
 // recover(fresh) rebuilds a just-constructed table (same factory config)
-// behind the crash: thaw everything, pick the newest valid manifest
+// behind the crash, once the power is back: pick the newest valid manifest
 // (neither valid → flight-recorder dump + RecoveryError), restore the
 // device images underneath the fresh table, drop its stale caches,
 // restoreMeta, then replay every WAL record with lsn > the manifest's
@@ -101,17 +101,10 @@ class DurabilityManager {
 
   /// Rebuild `fresh` (a just-constructed table with the same construction
   /// config as the crashed one) from the newest checkpoint + WAL tail.
-  /// Thaws every involved device first. On a replay failure (e.g. another
-  /// crash point firing mid-replay) every device is re-thawed before the
-  /// error propagates, so the half-recovered table tears down safely and
-  /// recovery can be attempted again on another fresh table.
+  /// A failure mid-replay (e.g. another power cut) commits nothing, so
+  /// once the power is back recovery can be attempted again on another
+  /// fresh table.
   RecoveryResult recover(tables::ExternalHashTable& fresh);
-
-  /// Lift crash freezes from the WAL, manifest and every durable device.
-  void thawAll(tables::ExternalHashTable& table);
-  /// Freeze them all — the harness's "machine stopped" after any one
-  /// device trapped on a crash point.
-  void freezeAll(tables::ExternalHashTable& table);
 
   const ManifestPair& manifest() const noexcept { return manifest_; }
   std::uint64_t checkpointsTaken() const noexcept { return checkpoints_; }

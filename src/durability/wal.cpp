@@ -161,32 +161,36 @@ std::size_t WalWriter::blocksInLog() const {
 WalLog WalReader::readAll() {
   WalLog log;
 
-  // Phase 1: collect WAL blocks by sequence number. The scan is over the
-  // id space (the WAL owns its device); blocks whose first write was
-  // lost whole read as zeroed and are skipped.
-  std::vector<std::pair<std::uint64_t, BlockId>> seq_blocks;
+  // Phase 1: read every WAL block once, keeping its sequence number and
+  // payload. The scan is over the id space (the WAL owns its device);
+  // blocks whose first write was lost whole read as zeroed and are
+  // skipped.
+  const std::size_t payload_per_block = device_.wordsPerBlock() - 1;
+  std::vector<std::pair<std::uint64_t, std::size_t>> seq_blocks;  // seq, at
+  std::vector<Word> payloads;
   for (BlockId id = 0; id < device_.idSpaceSize(); ++id) {
     if (!device_.isAllocated(id)) continue;
-    const Word header = device_.withRead(
-        id, [](std::span<const Word> data) { return data[0]; });
-    if (!isWalBlockHeader(header)) continue;
-    seq_blocks.emplace_back(blockSeq(header), id);
+    device_.withRead(id, [&](std::span<const Word> data) {
+      if (!isWalBlockHeader(data[0])) return;
+      seq_blocks.emplace_back(blockSeq(data[0]), payloads.size());
+      payloads.insert(payloads.end(), data.begin() + 1, data.end());
+    });
   }
   std::sort(seq_blocks.begin(), seq_blocks.end());
 
   // Phase 2: concatenate payloads in sequence order. A sequence gap ends
   // the stream (everything past it postdates the lost block).
-  const std::size_t payload_per_block = device_.wordsPerBlock() - 1;
   std::vector<Word> stream;
-  stream.reserve(seq_blocks.size() * payload_per_block);
+  stream.reserve(payloads.size());
   for (std::size_t i = 0; i < seq_blocks.size(); ++i) {
     if (i > 0 && seq_blocks[i].first != seq_blocks[i - 1].first + 1) {
       log.torn_tail = true;
       break;
     }
-    device_.withRead(seq_blocks[i].second, [&](std::span<const Word> data) {
-      stream.insert(stream.end(), data.begin() + 1, data.end());
-    });
+    const auto at = payloads.begin() +
+                    static_cast<std::ptrdiff_t>(seq_blocks[i].second);
+    stream.insert(stream.end(), at,
+                  at + static_cast<std::ptrdiff_t>(payload_per_block));
   }
 
   // Phase 3: parse records until the stream ends cleanly (zeros) or a

@@ -130,7 +130,8 @@ class WalReader {
 
   /// Scan the whole device: collect WAL blocks by sequence number, parse
   /// the payload stream, validate each record (magic, checksum, LSN
-  /// contiguity), and truncate at the first invalid word. Counted reads.
+  /// contiguity), and truncate at the first invalid word. One counted
+  /// read per allocated block.
   WalLog readAll();
 
  private:

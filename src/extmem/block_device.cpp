@@ -50,9 +50,7 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
     try {
       return fn(attempt);
     } catch (const DeviceCrashed&) {
-      // Power cut at the syscall layer: freeze, so every later access
-      // throws.
-      frozen_ = true;
+      // A power cut is no fault to retry or give up on: it keeps its type.
       throw;
     } catch (const TransientIoError& error) {
       if (attempt < budget) {
@@ -104,11 +102,9 @@ void BlockDevice::countedStoreRun(BlockId first, std::size_t count) {
 }
 
 void BlockDevice::sync() {
-  throwIfFrozen(IoOpKind::kWrite, kInvalidBlock);
   try {
     storage_->sync();
   } catch (const DeviceCrashed&) {
-    frozen_ = true;
     throw;
   } catch (const IoError& error) {
     // No retry: a failed fsync may already have dropped dirty pages, so
@@ -148,44 +144,39 @@ void BlockDevice::ensureBacking(BlockId last_id) {
   if (allocated_.size() < (last_id + 1)) allocated_.resize(last_id + 1, 0);
 }
 
-void BlockDevice::markAllocated(BlockId first, std::size_t count,
-                                bool reused) {
-  for (std::size_t i = 0; i < count; ++i) {
-    allocated_[first + i] = 1;
-    Word* p = storage_->frame(first + i);
-    std::fill(p, p + words_per_block_, Word{0});
-    // Fresh ids are zero on every backend (value-initialized arena;
-    // fallocate'd file regions read back as zeros). Reused ids may carry
-    // stale bytes on a persistent medium — scrub them there.
-    if (reused && storage_persistent_) {
-      backendStore(IoOpKind::kWrite, first + i, 1);
-    }
-  }
-  blocks_in_use_ += count;
-  stats_.allocated_blocks += count;
-}
-
 BlockId BlockDevice::allocate() { return allocateExtent(1); }
 
 BlockId BlockDevice::allocateExtent(std::size_t count) {
   EXTHASH_CHECK(count >= 1);
-  throwIfFrozen(IoOpKind::kWrite, kInvalidBlock);
   // Best fit: the shortest free range that holds the extent (the lowest
   // address among equals); its tail stays free.
   const auto fit = free_by_size_.lower_bound({count, BlockId{0}});
-  if (fit != free_by_size_.end()) {
-    const auto [length, first] = *fit;
+  const bool reused = fit != free_by_size_.end();
+  const BlockId first = reused ? fit->second : next_id_;
+  // Back a fresh extent before claiming its ids: a failed grow leaves the
+  // device as it was.
+  if (!reused) ensureBacking(first + count - 1);
+  for (BlockId id = first; id < first + count; ++id) {
+    Word* p = storage_->frame(id);
+    std::fill(p, p + words_per_block_, Word{0});
+  }
+  if (reused) {
+    // Fresh ids are zero on every backend (value-initialized arena;
+    // fallocate'd file regions read back as zeros). Reused ids may carry
+    // stale bytes on a persistent medium: scrub them as one run before
+    // any id leaves the free ranges, so a failed scrub leaves the device
+    // as it was.
+    const std::size_t length = fit->first;
+    backendStore(IoOpKind::kWrite, first, count);
     removeFreeRange(free_ranges_.find(first));
     if (length > count) addFreeRange(first + count, length - count);
-    markAllocated(first, count, /*reused=*/true);
-    return first;
+  } else {
+    next_id_ += count;
   }
-  // Back the extent before claiming its ids: a failed grow leaves the
-  // device as it was.
-  const BlockId first = next_id_;
-  ensureBacking(first + count - 1);
-  next_id_ += count;
-  markAllocated(first, count, /*reused=*/false);
+  std::fill_n(allocated_.begin() + static_cast<std::ptrdiff_t>(first), count,
+              std::uint8_t{1});
+  blocks_in_use_ += count;
+  stats_.allocated_blocks += count;
   return first;
 }
 
@@ -193,10 +184,6 @@ void BlockDevice::free(BlockId id) { freeExtent(id, 1); }
 
 void BlockDevice::freeExtent(BlockId first, std::size_t count) {
   EXTHASH_CHECK(count >= 1);
-  // A frozen (crashed) device ignores frees: destructors of the doomed
-  // stack unwind through here, and recovery's restoreImage rewinds the
-  // allocation map wholesale anyway.
-  if (frozen_) return;
   for (std::size_t i = 0; i < count; ++i) {
     EXTHASH_CHECK_MSG(isAllocated(first + i),
                       "double free of block " << (first + i));
@@ -249,11 +236,6 @@ void BlockDevice::writeCopy(BlockId id, std::span<const Word> contents) {
 
 std::span<const Word> BlockDevice::inspect(BlockId id) {
   checkLive(id);
-  // A frozen device performs no I/O at all — teardown walks (destructors
-  // of the doomed stack inspect chains to free them) must see the
-  // last-known frame contents instead of re-raising from a dead backend
-  // mid-unwind, which would terminate the process.
-  if (frozen_) return {storage_->peek(id), words_per_block_};
   // Uncounted, but retried: buffer-btree's apply path reads leaves here.
   return {backendLoad(id), words_per_block_};
 }

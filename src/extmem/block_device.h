@@ -11,8 +11,7 @@
 // original in-memory chunk array; FileStorage puts every block in a
 // preallocated file driven by pread/pwrite/fdatasync, with errno outcomes
 // mapped onto the IoError taxonomy (extmem/fault.h). Everything above the
-// device — counted I/O, caching, retry, crash freezing — is
-// backend-agnostic.
+// device — counted I/O, caching, retry — is backend-agnostic.
 //
 // Extent allocation (`allocateExtent`) returns *contiguous block ids*, so
 // hash tables can place bucket j at `base + j` — a computed address that
@@ -33,13 +32,20 @@
 // fault (EIO, ENOSPC), throws Transient-/PermanentIoError. A read or rmw
 // fails at its load, before the caller's callback runs and before it
 // counts; a blind overwrite fails at its store, after its callback ran,
-// and counts its write. A DeviceCrashed (a power cut under the file
-// backend, see extmem/faulty_file_ops.h) freezes the device. inspect(),
-// allocation, free and the image calls add nothing to cost(), yet the
-// loads of inspect() and captureImage(), the stores of restoreImage() and
-// of a reused id's scrub, and the file growth behind a fresh extent run
-// in the same ladder. MemStorage cannot fail, so on it an access is one
-// branch plus the backend call.
+// and counts its write. inspect(), allocation, free and the image calls
+// add nothing to cost(), yet the loads of inspect() and captureImage(),
+// the stores of restoreImage() and of a reused extent's scrub, and the
+// file growth behind a fresh extent run in the same ladder. MemStorage
+// cannot fail, so on it an access is one branch plus the backend call.
+//
+// A crash is a power cut under the file backend (FaultyFileOps, see
+// extmem/faulty_file_ops.h): the access it interrupts throws
+// DeviceCrashed, which the ladder neither retries nor counts as a
+// give-up, and so does every later backend call until the power comes
+// back. What reached the file (a torn prefix of the interrupted pwrite
+// included) is all that survives. Frees make no backend call, so the
+// destructors of a doomed stack still free their ids; their walks
+// (inspect) fail like any other access.
 #pragma once
 
 #include <algorithm>
@@ -90,7 +96,8 @@ class BlockDevice {
 
   /// Allocate `count` contiguous zero-initialized blocks; returns the first
   /// id. Contiguity is in the id space (computed addressing). An IoError
-  /// from growing the backing file leaves the device as it was.
+  /// from growing the backing file, or from scrubbing a reused extent,
+  /// leaves the device as it was.
   BlockId allocateExtent(std::size_t count);
 
   void free(BlockId id);
@@ -100,7 +107,6 @@ class BlockDevice {
   template <class F>
   decltype(auto) withRead(BlockId id, F&& fn) {
     checkLive(id);
-    throwIfFrozen(IoOpKind::kRead, id);
     const Word* p = backendLoad(id);
     ++stats_.reads;
     if (bypass_depth_ > 0) ++stats_.cache_bypass_reads;
@@ -112,7 +118,6 @@ class BlockDevice {
   template <class F>
   decltype(auto) withWrite(BlockId id, F&& fn) {
     checkLive(id);
-    throwIfFrozen(IoOpKind::kRmw, id);
     Word* p = backendLoadMutable(id);
     ++stats_.rmws;
     const std::span<Word> block(p, words_per_block_);
@@ -131,7 +136,6 @@ class BlockDevice {
   template <class F>
   decltype(auto) withOverwrite(BlockId id, F&& fn) {
     checkLive(id);
-    throwIfFrozen(IoOpKind::kWrite, id);
     Word* p = storage_->frame(id);
     ++stats_.writes;
     std::fill(p, p + words_per_block_, Word{0});
@@ -162,7 +166,6 @@ class BlockDevice {
   template <class Fill>
   void withOverwriteRun(BlockId first, std::size_t count, Fill&& fill) {
     for (std::size_t i = 0; i < count; ++i) checkLive(first + i);
-    throwIfFrozen(IoOpKind::kWrite, first);
     for (std::size_t i = 0; i < count; ++i) {
       Word* p = storage_->frame(first + i);
       std::fill(p, p + words_per_block_, Word{0});
@@ -177,8 +180,7 @@ class BlockDevice {
   /// measurable). Counted in IoStats::fsyncs, NOT in cost(). A failed
   /// barrier throws PermanentIoError — dirty pages may have been dropped,
   /// so re-running it cannot certify the data (fsyncgate semantics); a
-  /// power cut lands here as DeviceCrashed and freezes the device like
-  /// any other access it interrupts.
+  /// power cut lands here as DeviceCrashed, like any access it interrupts.
   void sync();
 
   /// Retry budget for transient faults: the transient syscall outcomes
@@ -200,8 +202,8 @@ class BlockDevice {
   void writeCopy(BlockId id, std::span<const Word> contents);
 
   /// UNCOUNTED inspection for analysis & invariant checks only. A
-  /// persistent backend's load runs in the retry ladder, as a counted
-  /// read's does.
+  /// persistent backend's load runs in the retry ladder, and fails, as a
+  /// counted read's does.
   std::span<const Word> inspect(BlockId id);
 
   IoStats& stats() noexcept { return stats_; }
@@ -218,26 +220,6 @@ class BlockDevice {
   /// peak live block count.
   std::size_t idSpaceSize() const noexcept { return next_id_; }
   bool isAllocated(BlockId id) const noexcept;
-
-  // ---- Crash seam (durability/ + crash tests) ---------------------------
-  //
-  // A backend call that hits a power cut (DeviceCrashed, raised by
-  // FileStorage when its FaultyFileOps shim cuts the power) freezes the
-  // device: every further counted access throws DeviceCrashed until
-  // thaw() — the "machine rebooted" seam recovery runs behind. What
-  // reached the file (a torn prefix of the interrupted pwrite included)
-  // is all that survives. Metadata paths stay teardown-safe:
-  // free()/freeExtent() on a frozen device are silent no-ops (destructors
-  // of the doomed stack unwind through them), inspect() serves the
-  // last-known frames, and allocation throws.
-
-  /// Freeze the device by hand (the crash harness freezes every durable
-  /// device once the machine died).
-  void freeze() noexcept { frozen_ = true; }
-  /// Lift a crash freeze — the reboot. Contents stay exactly as the crash
-  /// left them on the medium.
-  void thaw() noexcept { frozen_ = false; }
-  bool frozen() const noexcept { return frozen_; }
 
   /// Full value snapshot of the device's durable state: block contents,
   /// allocation map, free ranges, id-space watermark. Statistics and the
@@ -261,17 +243,11 @@ class BlockDevice {
   void captureImage(Image& image);
   /// Overwrite the device's entire durable state with `image` (geometry
   /// must match): every frame is filled, then the whole image is stored
-  /// as one run through the retry ladder. Does not touch the frozen flag,
-  /// statistics or the retry policy.
+  /// as one run through the retry ladder — recovery's restore after a
+  /// crash. Does not touch statistics or the retry policy.
   void restoreImage(const Image& image);
 
  private:
-  void throwIfFrozen(IoOpKind op, BlockId id) const {
-    if (frozen_) {
-      throw DeviceCrashed(op, id, "device frozen by simulated crash");
-    }
-  }
-
   // Backend access for the accessors above. On a persistent backend every
   // call runs inside the one retry ladder; on MemStorage it is a single
   // backend call (a store is none at all). Defined in the .cpp, so none of
@@ -288,7 +264,6 @@ class BlockDevice {
 
   void checkLive(BlockId id) const;
   void ensureBacking(BlockId last_id);
-  void markAllocated(BlockId first, std::size_t count, bool reused);
   void addFreeRange(BlockId first, std::size_t count);
   void removeFreeRange(std::map<BlockId, std::size_t>::iterator range);
 
@@ -303,7 +278,6 @@ class BlockDevice {
   BlockId next_id_ = 0;
   std::size_t blocks_in_use_ = 0;
   std::uint32_t bypass_depth_ = 0;  // see CacheBypassScope
-  bool frozen_ = false;             // crash freeze, see freeze()/thaw()
   RetryPolicy retry_policy_;
   IoStats stats_;
 

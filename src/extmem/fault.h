@@ -83,10 +83,10 @@ class PermanentIoError : public IoError {
                 posix_errno) {}
 };
 
-/// The access hit a power cut: the device froze (every further counted
-/// access throws this) until thaw(). Permanent on purpose — nothing above
-/// the device can retry its way out of a crash; only the recovery path
-/// (durability/recovery.h) brings the stack back.
+/// The access hit a power cut: every further access throws this too,
+/// until the shim restores power (extmem/faulty_file_ops.h). Permanent on
+/// purpose — nothing above the device can retry its way out of a crash;
+/// only the recovery path (durability/recovery.h) brings the stack back.
 class DeviceCrashed : public PermanentIoError {
  public:
   DeviceCrashed(IoOpKind op, BlockId block, const std::string& detail)

@@ -41,7 +41,7 @@ bool errnoIsTransient(int err) noexcept;
 /// Thrown by a fault shim when an armed power cut fires: the machine is
 /// dead mid-syscall. Deliberately NOT an IoError — it must sail through
 /// FileStorage's EINTR/short-I/O loops untouched; FileStorage converts it
-/// to DeviceCrashed at its boundary, which freezes the device.
+/// to DeviceCrashed at its boundary.
 struct PowerLoss {
   std::uint64_t syscall_index = 0;  // 1-based index of the fatal syscall
 };

@@ -205,10 +205,6 @@ Word* FileStorage::loadMutable(BlockId id) {
 
 Word* FileStorage::frame(BlockId id) { return mirror_.ptr(id); }
 
-const Word* FileStorage::peek(BlockId id) const noexcept {
-  return mirror_.ptr(id);
-}
-
 void FileStorage::storeRun(BlockId first, std::size_t count) {
   const std::size_t block_bytes = words_per_block_ * sizeof(Word);
   BlockId at = first;  // the block the pwrite in flight begins in

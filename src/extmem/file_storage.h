@@ -27,7 +27,8 @@
 //   - the file and the directory are closed through FileOps::close, so a
 //     shim forgets a closed file before another one can reuse its fd
 //   - a scripted PowerLoss (faulty_file_ops.h) is converted to
-//     DeviceCrashed at this boundary, which freezes the owning device.
+//     DeviceCrashed at this boundary; the shim keeps failing every
+//     syscall until it restores power.
 //
 // The mirror arena holds one frame per block (chunk-stable, see
 // storage_backend.h): load() preads the file into the block's own frame,
@@ -64,7 +65,6 @@ class FileStorage final : public StorageBackend {
   const Word* load(BlockId id) const override;
   Word* loadMutable(BlockId id) override;
   Word* frame(BlockId id) override;
-  const Word* peek(BlockId id) const noexcept override;
   void storeRun(BlockId first, std::size_t count) override;
   void sync() override;
   bool persistent() const noexcept override { return true; }

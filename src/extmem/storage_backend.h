@@ -1,8 +1,8 @@
 // Storage seam under BlockDevice: where block contents actually live.
 //
 // BlockDevice owns the MODEL — counted I/O, allocation, the retry ladder
-// around every backend call, crash freezing. A StorageBackend owns the
-// BYTES. Two backends:
+// around every backend call. A StorageBackend owns the BYTES. Two
+// backends:
 //
 //   MemStorage  — the original in-memory chunk array. load is pointer
 //                 math; storeRun and sync are no-ops. Byte-identical to the
@@ -109,10 +109,6 @@ class StorageBackend {
   /// The block's frame WITHOUT reading the device (blind overwrite path);
   /// contents are whatever the frame last held. Pair with storeRun.
   virtual Word* frame(BlockId id) = 0;
-  /// Read-only view of the frame, also WITHOUT device I/O: the last-known
-  /// contents (zeros if never loaded). Teardown paths on a frozen device
-  /// use this — it can never throw.
-  virtual const Word* peek(BlockId id) const noexcept = 0;
   /// Persist the whole frames of blocks [first, first + count) (count >=
   /// 1; see the contract above). No-op for memory backends.
   virtual void storeRun(BlockId first, std::size_t count) = 0;
@@ -140,9 +136,6 @@ class MemStorage final : public StorageBackend {
   const Word* load(BlockId id) const override { return arena_.ptr(id); }
   Word* loadMutable(BlockId id) override { return arena_.ptr(id); }
   Word* frame(BlockId id) override { return arena_.ptr(id); }
-  const Word* peek(BlockId id) const noexcept override {
-    return arena_.ptr(id);
-  }
   void storeRun(BlockId, std::size_t) override {}
   void sync() override {}
   bool persistent() const noexcept override { return false; }

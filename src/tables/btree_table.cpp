@@ -651,13 +651,7 @@ std::vector<std::uint64_t> BTreeTable::serializeMeta() const {
   w.b(root_.is_leaf);
   w.vec(root_.keys);
   w.vec(root_.children);
-  std::vector<std::uint64_t> recs;
-  recs.reserve(root_.records.size() * 2);
-  for (const Record& r : root_.records) {
-    recs.push_back(r.key);
-    recs.push_back(r.value);
-  }
-  w.vec(recs);
+  w.records(root_.records);
   return w.take();
 }
 
@@ -672,12 +666,7 @@ void BTreeTable::restoreMeta(std::span<const std::uint64_t> words) {
   root_.is_leaf = r.b();
   root_.keys = r.vec();
   root_.children = r.vec();
-  const std::vector<std::uint64_t> recs = r.vec();
-  EXTHASH_CHECK(recs.size() % 2 == 0);
-  root_.records.clear();
-  for (std::size_t i = 0; i < recs.size(); i += 2) {
-    root_.records.push_back(Record{recs[i], recs[i + 1]});
-  }
+  root_.records = r.records();
   EXTHASH_CHECK_MSG(r.done(), "trailing words in btree meta");
 }
 

@@ -680,27 +680,6 @@ std::string BufferBTreeTable::debugString() const {
 namespace {
 constexpr std::uint64_t kBufferBTreeMetaMagic =
     0x4242545245454D54ULL;  // BBTREEMT
-
-std::vector<std::uint64_t> flattenRecords(
-    const std::vector<Record>& records) {
-  std::vector<std::uint64_t> flat;
-  flat.reserve(2 * records.size());
-  for (const auto& r : records) {
-    flat.push_back(r.key);
-    flat.push_back(r.value);
-  }
-  return flat;
-}
-
-std::vector<Record> unflattenRecords(
-    const std::vector<std::uint64_t>& flat) {
-  EXTHASH_CHECK(flat.size() % 2 == 0);
-  std::vector<Record> records;
-  records.reserve(flat.size() / 2);
-  for (std::size_t i = 0; i < flat.size(); i += 2)
-    records.push_back({flat[i], flat[i + 1]});
-  return records;
-}
 }  // namespace
 
 std::vector<std::uint64_t> BufferBTreeTable::serializeMeta() const {
@@ -716,9 +695,9 @@ std::vector<std::uint64_t> BufferBTreeTable::serializeMeta() const {
   w.b(root_is_leaf_);
   w.vec(root_keys_);
   w.vec(root_children_);
-  w.vec(flattenRecords(root_records_));
-  // Message order is semantic (oldest first); the flat vector preserves it.
-  w.vec(flattenRecords(root_buffer_));
+  w.records(root_records_);
+  // Message order is semantic (oldest first); the section preserves it.
+  w.records(root_buffer_);
   return w.take();
 }
 
@@ -735,8 +714,8 @@ void BufferBTreeTable::restoreMeta(std::span<const std::uint64_t> words) {
   root_is_leaf_ = r.b();
   root_keys_ = r.vec();
   root_children_ = r.vec();
-  root_records_ = unflattenRecords(r.vec());
-  root_buffer_ = unflattenRecords(r.vec());
+  root_records_ = r.records();
+  root_buffer_ = r.records();
   EXTHASH_CHECK_MSG(r.done(), "trailing words in buffer-btree checkpoint meta");
 }
 

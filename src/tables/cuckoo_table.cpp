@@ -360,14 +360,8 @@ std::vector<std::uint64_t> CuckooHashTable::serializeMeta() const {
   w.u64(kicks_);
   w.u64(kick_rng_state_);
   // The memory-resident stash is part of the table's contents, not a
-  // cache: it must ride in the checkpoint (flattened key,value pairs).
-  std::vector<std::uint64_t> stash_words;
-  stash_words.reserve(stash_.size() * 2);
-  stash_.forEach([&](const Record& r) {
-    stash_words.push_back(r.key);
-    stash_words.push_back(r.value);
-  });
-  w.vec(stash_words);
+  // cache: it must ride in the checkpoint.
+  w.records(stash_);
   return w.take();
 }
 
@@ -381,12 +375,7 @@ void CuckooHashTable::restoreMeta(std::span<const std::uint64_t> words) {
   size_ = r.u64();
   kicks_ = r.u64();
   kick_rng_state_ = r.u64();
-  const std::vector<std::uint64_t> stash_words = r.vec();
-  EXTHASH_CHECK(stash_words.size() % 2 == 0);
-  stash_.clear();
-  for (std::size_t i = 0; i < stash_words.size(); i += 2) {
-    EXTHASH_CHECK(stash_.insertOrAssign(stash_words[i], stash_words[i + 1]));
-  }
+  r.records(stash_);
   EXTHASH_CHECK_MSG(r.done(), "trailing words in cuckoo meta");
 }
 

@@ -209,12 +209,7 @@ std::vector<std::uint64_t> LogMethodTable::serializeMeta() const {
   w.u64(merges_);
   // H0 contents (tombstones included) live only in memory, so they travel
   // in the manifest alongside the structural state.
-  std::vector<std::uint64_t> mem;
-  memtable_.forEach([&](const Record& r) {
-    mem.push_back(r.key);
-    mem.push_back(r.value);
-  });
-  w.vec(mem);
+  w.records(memtable_);
   // Each nonempty level embeds its own tagged chaining section, complete
   // with the level's ACTUAL bucket geometry (levels are rebuilt sized for
   // their contents, so it cannot be derived from levelCapacity alone).
@@ -235,11 +230,7 @@ void LogMethodTable::restoreMeta(std::span<const std::uint64_t> words) {
                     "log-method checkpoint geometry mismatch");
   live_size_ = r.u64();
   merges_ = r.u64();
-  const std::vector<std::uint64_t> mem = r.vec();
-  EXTHASH_CHECK(mem.size() % 2 == 0);
-  memtable_.clear();
-  for (std::size_t i = 0; i < mem.size(); i += 2)
-    EXTHASH_CHECK(memtable_.insertOrAssign(mem[i], mem[i + 1]));
+  r.records(memtable_);
   // The restored levels' extents were rewound into existence by
   // restoreImage; a fresh table owns no levels, so nothing is freed here.
   EXTHASH_CHECK_MSG(levels_.empty(),

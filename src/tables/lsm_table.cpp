@@ -359,12 +359,7 @@ std::vector<std::uint64_t> LsmTable::serializeMeta() const {
   w.u64(compactions_);
   // Memtable contents travel in the manifest: they are memory-resident
   // state the device images cannot capture.
-  std::vector<std::uint64_t> mem;
-  memtable_.forEach([&](const Record& r) {
-    mem.push_back(r.key);
-    mem.push_back(r.value);
-  });
-  w.vec(mem);
+  w.records(memtable_);
   w.u64(levels_.size());
   for (const auto& level : levels_) {
     w.u64(level.size());
@@ -399,11 +394,7 @@ void LsmTable::restoreMeta(std::span<const std::uint64_t> words) {
                     "lsm checkpoint geometry mismatch");
   live_size_ = r.u64();
   compactions_ = r.u64();
-  const std::vector<std::uint64_t> mem = r.vec();
-  EXTHASH_CHECK(mem.size() % 2 == 0);
-  memtable_.clear();
-  for (std::size_t i = 0; i < mem.size(); i += 2)
-    EXTHASH_CHECK(memtable_.insertOrAssign(mem[i], mem[i + 1]));
+  r.records(memtable_);
   // A freshly constructed table owns no runs; the run extents below were
   // rewound into existence by restoreImage, so no frees are due here.
   EXTHASH_CHECK_MSG(levels_.empty(),

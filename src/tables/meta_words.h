@@ -6,18 +6,22 @@
 // contents — round-trips through a flat vector of 64-bit words. The
 // format is deliberately primitive: tagged sections (each table kind
 // writes a magic first, so a manifest restored into the wrong kind fails
-// loudly), u64 scalars, doubles via bit_cast, and length-prefixed
-// sequences. Bounds and tags are EXTHASH_CHECKed on the read side — a
+// loudly), u64 scalars, doubles via bit_cast, length-prefixed sequences,
+// and one records section for every memory-resident record set. Bounds
+// and tags are EXTHASH_CHECKed on the read side — a
 // manifest that passed its checksum but disagrees with the table's
 // construction geometry is a logic error worth stopping on, not a torn
 // write to tolerate.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "extmem/memtable.h"
+#include "extmem/record.h"
 #include "util/assert.h"
 
 namespace exthash::tables {
@@ -31,6 +35,26 @@ class MetaWriter {
   void vec(std::span<const std::uint64_t> v) {
     words_.push_back(v.size());
     words_.insert(words_.end(), v.begin(), v.end());
+  }
+  /// A records section: the count, then each key and value, in the given
+  /// order (a vector's order can be semantic, e.g. oldest first).
+  void records(std::span<const Record> v) {
+    words_.push_back(v.size());
+    for (const Record& r : v) {
+      words_.push_back(r.key);
+      words_.push_back(r.value);
+    }
+  }
+  /// A MemTable's records in key order, so the section depends on the
+  /// contents alone, not on the insertion history behind its slots.
+  void records(const extmem::MemTable& table) {
+    std::vector<Record> v;
+    v.reserve(table.size());
+    table.forEach([&](const Record& r) { v.push_back(r); });
+    std::sort(v.begin(), v.end(), [](const Record& a, const Record& b) {
+      return a.key < b.key;
+    });
+    records(v);
   }
 
   std::vector<std::uint64_t> take() { return std::move(words_); }
@@ -65,6 +89,23 @@ class MetaReader {
                                        static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;
     return out;
+  }
+  std::vector<Record> records() {
+    const std::uint64_t n = u64();
+    EXTHASH_CHECK_MSG(n <= remaining() / 2, "meta records truncated");
+    std::vector<Record> out(n);
+    for (Record& r : out) {
+      r.key = words_[pos_++];
+      r.value = words_[pos_++];
+    }
+    return out;
+  }
+  /// Refill `table` with a records section (its earlier contents go).
+  void records(extmem::MemTable& table) {
+    table.clear();
+    for (const Record& r : records()) {
+      EXTHASH_CHECK(table.insertOrAssign(r.key, r.value));
+    }
   }
 
   bool done() const noexcept { return pos_ == words_.size(); }

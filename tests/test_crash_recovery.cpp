@@ -238,15 +238,14 @@ RecoveryResult runEpisode(TableKind kind, std::uint64_t seed,
                              "failed";
   EXPECT_EQ(shim.powerCutFired(), cut);
 
-  // Snapshot the acknowledgement horizon, then stop the machine.
+  // Snapshot the acknowledgement horizon, then stop the machine (after a
+  // cut the table tears down on the dead disk).
   const std::uint64_t acked_lsn = dm.wal().durableLsn();
-  dm.freezeAll(*table);
-  table.reset();  // frozen devices free as a no-op
+  table.reset();
 
-  // The reboot: power comes back (unsynced writes stay lost), devices
-  // thaw, and recovery reads what actually survived in the files.
+  // The reboot: power comes back (unsynced writes stay lost), and
+  // recovery reads what actually survived in the files.
   shim.restorePower();
-  rig.device->thaw();  // the fresh table's constructor must allocate
 
   auto fresh = makeTable(kind, rig.context(), cfg);
   const RecoveryResult result = dm.recover(*fresh);
@@ -356,9 +355,7 @@ TEST(CrashRecovery, CrashMidReplayThenRecoverAgain) {
       const std::uint64_t acked_lsn = dm.wal().durableLsn();
       ASSERT_GT(acked_lsn, 0u);
 
-      dm.freezeAll(*table);  // clean power loss after a full drain
-      table.reset();
-      rig.device->thaw();
+      table.reset();  // clean shutdown after a full drain
 
       // Recovery attempt #1 loses power at the second pwrite replay
       // issues to the fresh table's file. The first pwrite after arming
@@ -376,7 +373,7 @@ TEST(CrashRecovery, CrashMidReplayThenRecoverAgain) {
       EXPECT_GT(dm.walDevice().stats().reads, wal_reads);
 
       shim.restorePower();  // before the half-recovered table tears down
-      fresh1.reset();       // recover() re-thawed everything on the way out
+      fresh1.reset();
 
       // Attempt #2 on another fresh table succeeds and lands on the same
       // state — replay is idempotent behind the LSN fence.
@@ -392,7 +389,7 @@ TEST(CrashRecovery, CrashMidReplayThenRecoverAgain) {
 }
 
 // No crash at all: the full sweep doubles as a clean-shutdown recovery
-// check (freeze after drain, recover, everything acknowledged present).
+// check (drain, tear down, recover, everything acknowledged present).
 TEST(CrashRecoveryFileBacked, CleanShutdownRecoversEverythingOnFiles) {
   for (const TableKind kind : tables::kAllTableKindsWithSharded) {
     SCOPED_TRACE(tableKindName(kind));

@@ -406,7 +406,6 @@ TEST(FaultSeam, MetadataPathsAddNoCost) {
   EXPECT_EQ(dev.inspect(first + 3)[1], 10 * (first + 3) + 1);
 
   EXPECT_GT(shim.syscalls(), syscalls);
-  EXPECT_FALSE(dev.frozen());
   const extmem::IoStats delta = dev.stats() - before;
   EXPECT_EQ(delta.cost(), 0u);
   EXPECT_EQ(delta.io_retries, 2u);  // inspect's and the capture's preads
@@ -439,11 +438,9 @@ TEST(FaultSeam, OverwritePowerCutTearsTheNewPrefix) {
         << "torn_words=" << torn;
     EXPECT_EQ(calls, 1);
     EXPECT_TRUE(zeroed);
-    EXPECT_TRUE(dev.frozen());
     EXPECT_THROW(dev.readCopy(id), DeviceCrashed);
 
     shim.restorePower();
-    dev.thaw();
     const std::vector<Word> after = dev.readCopy(id);
     for (std::size_t i = 0; i < after.size(); ++i) {
       EXPECT_EQ(after[i], i < torn ? 200 + i : 100 + i)
@@ -471,11 +468,9 @@ TEST(FaultSeam, RmwPowerCutTearsTheNewPrefix) {
                  DeviceCrashed)
         << "torn_words=" << torn;
     EXPECT_EQ(calls, 1);
-    EXPECT_TRUE(dev.frozen());
     EXPECT_THROW(dev.readCopy(id), DeviceCrashed);
 
     shim.restorePower();
-    dev.thaw();
     const std::vector<Word> after = dev.readCopy(id);
     for (std::size_t i = 0; i < after.size(); ++i) {
       EXPECT_EQ(after[i], i < torn ? 200 + i : 100 + i)
@@ -501,13 +496,10 @@ TEST(FaultSeam, PowerCutInsideAWriteCallbackLandsNothing) {
                              }),
                DeviceCrashed);
   EXPECT_TRUE(shim.powerCutFired());
-  EXPECT_TRUE(dev.frozen());
 
   shim.restorePower();
-  dev.thaw();
   EXPECT_EQ(dev.readCopy(a)[0], 100u);
   fillBlock(dev, a, 300);  // an ordinary write after the reboot
-  EXPECT_FALSE(dev.frozen());
   EXPECT_EQ(dev.readCopy(a)[0], 300u);
 }
 
@@ -523,11 +515,9 @@ TEST(FaultSeam, ReadPowerCutRunsNoCallbackAndChangesNothing) {
   EXPECT_THROW(dev.withRead(id, [&](std::span<const Word>) { ++calls; }),
                DeviceCrashed);
   EXPECT_EQ(calls, 0);
-  EXPECT_TRUE(dev.frozen());
   EXPECT_EQ((dev.stats() - before).cost(), 0u);
 
   shim.restorePower();
-  dev.thaw();
   const std::vector<Word> after = dev.readCopy(id);
   for (std::size_t i = 0; i < after.size(); ++i) {
     EXPECT_EQ(after[i], 100 + i) << "word " << i;
@@ -1117,8 +1107,8 @@ TEST(ShardIsolation, FlushFanOutLatchesEveryFaultedShard) {
 
 // ---------------------------------------------------------------------------
 // Teardown on a dead disk: destroying a table never throws, whatever its
-// destructor's flush and free walks meet. Every transfer to the table's
-// file fails with EIO before the table is destroyed.
+// destructor's flush and free walks meet. Before the table is destroyed,
+// every transfer to the table's file fails with EIO, or the power is cut.
 // ---------------------------------------------------------------------------
 
 /// Test-name suffix for a TableKind parameter ("linear-hashing" →
@@ -1141,17 +1131,30 @@ std::unique_ptr<ExternalHashTable> makeFilled(TableKind kind,
   return table;
 }
 
+/// Every transfer to `device`'s file fails with EIO, or the power is cut
+/// at the next syscall.
+void killDisk(FaultyFileOps& shim, const BlockDevice& device,
+              bool power_cut) {
+  if (power_cut) {
+    shim.powerCutAfter(shim.syscalls());
+  } else {
+    shim.failRange(fileOf(device), 0, std::numeric_limits<off_t>::max(), EIO);
+  }
+}
+
 class TeardownOnDeadDisk : public ::testing::TestWithParam<TableKind> {};
 
 TEST_P(TeardownOnDeadDisk, FailingReadsDoNotAbort) {
-  FaultyFileOps shim(/*seed=*/31);
-  TestRig rig(8);
-  rig.useStorage(fileStorageOptions(&shim));
-  auto table = makeFilled(GetParam(), rig);
-  shim.failRange(fileOf(*rig.device), 0, std::numeric_limits<off_t>::max(),
-                 EIO);
-  EXPECT_NO_THROW(table.reset());
-  shim.clear();
+  for (const bool power_cut : {false, true}) {
+    SCOPED_TRACE(power_cut ? "power cut" : "EIO");
+    FaultyFileOps shim(/*seed=*/31);
+    TestRig rig(8);
+    rig.useStorage(fileStorageOptions(&shim));
+    auto table = makeFilled(GetParam(), rig);
+    killDisk(shim, *rig.device, power_cut);
+    EXPECT_NO_THROW(table.reset());
+    shim.clear();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, TeardownOnDeadDisk,
@@ -1162,18 +1165,20 @@ class TeardownOnDeadDiskWriteBack
     : public ::testing::TestWithParam<TableKind> {};
 
 TEST_P(TeardownOnDeadDiskWriteBack, FailingFlushDoesNotAbort) {
-  FaultyFileOps shim(/*seed=*/32);
-  TestRig rig(8);
-  rig.useStorage(fileStorageOptions(&shim));
-  // Declared before the table, which it must outlive.
-  BlockCache cache(*rig.device, *rig.memory, 64,
-                   BlockCache::WritePolicy::kWriteBack);
-  auto table = makeFilled(GetParam(), rig, &cache);
-  ASSERT_GT(cache.dirtyBlocks(), 0u);
-  shim.failRange(fileOf(*rig.device), 0, std::numeric_limits<off_t>::max(),
-                 EIO);
-  EXPECT_NO_THROW(table.reset());
-  shim.clear();
+  for (const bool power_cut : {false, true}) {
+    SCOPED_TRACE(power_cut ? "power cut" : "EIO");
+    FaultyFileOps shim(/*seed=*/32);
+    TestRig rig(8);
+    rig.useStorage(fileStorageOptions(&shim));
+    // Declared before the table, which it must outlive.
+    BlockCache cache(*rig.device, *rig.memory, 64,
+                     BlockCache::WritePolicy::kWriteBack);
+    auto table = makeFilled(GetParam(), rig, &cache);
+    ASSERT_GT(cache.dirtyBlocks(), 0u);
+    killDisk(shim, *rig.device, power_cut);
+    EXPECT_NO_THROW(table.reset());
+    shim.clear();
+  }
 }
 
 // The kinds that write through an attached cache.

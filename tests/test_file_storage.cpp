@@ -208,7 +208,6 @@ TEST(FileStorage, PermanentErrnoSurfacesAsTypedError) {
     EXPECT_NE(what.find("pwrite"), std::string::npos) << what;
   }
   EXPECT_EQ(device.stats().io_gave_up, 1u);
-  EXPECT_FALSE(device.frozen());  // an error is not a crash
 
   // The fault clears and the SAME device carries on.
   shim.clear();
@@ -290,6 +289,33 @@ TEST(FileStorage, StickyFallocateFaultExhaustsTheLadderOnNoBlock) {
   EXPECT_EQ(device.blocksInUse(), 1u);
 }
 
+// A reused extent is scrubbed as one run before any of its ids leaves the
+// free ranges: a failed scrub claims no id, and the next allocation gets
+// the same extent back.
+TEST(FileStorage, FailedScrubOfAReusedExtentClaimsNoId) {
+  FaultyFileOps shim(/*seed=*/18);
+  BlockDevice device(kWords, testing::fileStorageOptions(&shim));
+  const BlockId first = device.allocateExtent(4);
+  for (BlockId id = first; id < first + 4; ++id) fillBlock(device, id, id);
+  device.freeExtent(first, 4);
+
+  const std::uint64_t pwrites = shim.count(FileSyscall::kPwrite);
+  shim.failNth(FileSyscall::kPwrite, pwrites + 1, EIO);
+  EXPECT_THROW(device.allocateExtent(4), PermanentIoError);
+  EXPECT_EQ(device.blocksInUse(), 0u);
+  for (BlockId id = first; id < first + 4; ++id) {
+    EXPECT_FALSE(device.isAllocated(id)) << "block " << id;
+  }
+
+  EXPECT_EQ(device.allocateExtent(4), first);
+  EXPECT_EQ(device.idSpaceSize(), 4u);
+  EXPECT_EQ(shim.count(FileSyscall::kPwrite), pwrites + 2);  // one scrub run
+  for (BlockId id = first; id < first + 4; ++id) {
+    EXPECT_EQ(device.readCopy(id), std::vector<Word>(kWords, 0))
+        << "block " << id;
+  }
+}
+
 TEST(FileStorage, EintrStormsAbsorbedBelowTheLadder) {
   FaultyFileOps shim(/*seed=*/4);
   BlockDevice device(kWords, testing::fileStorageOptions(&shim));
@@ -353,7 +379,6 @@ TEST(FileStorage, FailedSyncIsNeverTransient) {
   shim.failNth(FileSyscall::kFsync, shim.count(FileSyscall::kFsync) + 1,
                EAGAIN);
   EXPECT_THROW(device.sync(), PermanentIoError);
-  EXPECT_FALSE(device.frozen());
   device.sync();  // next barrier is allowed to try again
   EXPECT_EQ(device.stats().fsyncs, 1u);  // the failed one never counted
 }
@@ -376,13 +401,11 @@ TEST(FileStorage, PowerCutDropsExactlyTheUnsyncedBytes) {
   shim.powerCutAfter(shim.syscalls() + 1);
   EXPECT_THROW(fillBlock(device, unsynced, 0x53), DeviceCrashed);
   EXPECT_TRUE(shim.powerCutFired());
-  EXPECT_TRUE(device.frozen());
-  // Frozen means frozen: even reads refuse until the reboot.
+  // Dead means dead: even reads fail until the reboot.
   EXPECT_THROW(device.readCopy(synced), DeviceCrashed);
 
   // Reboot. The file — not the process's memory — is the source of truth.
   shim.restorePower();
-  device.thaw();
   EXPECT_EQ(device.readCopy(synced), pattern(0x51));
   EXPECT_EQ(device.readCopy(unsynced), std::vector<Word>(kWords, 0))
       << "an unsynced write survived the power cut";
@@ -401,7 +424,6 @@ TEST(FileStorage, PowerCutMidWriteKeepsOnlyTheTornPrefix) {
   shim.powerCutAfter(shim.syscalls() + 1, /*torn_bytes=*/20);
   EXPECT_THROW(fillBlock(device, id, 0x62), DeviceCrashed);
   shim.restorePower();
-  device.thaw();
 
   const std::vector<Word> got = device.readCopy(id);
   const std::vector<Word> old_p = pattern(0x61);
@@ -523,7 +545,6 @@ TEST(WalFileTornTail, RandomizedPowerCutsNeverLoseAckedRecords) {
 
     // Reboot and scan what actually survived in the file.
     shim.restorePower();
-    device.thaw();
     WalReader reader(device);
     const WalLog log = reader.readAll();
 

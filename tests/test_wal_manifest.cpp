@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <optional>
+#include <random>
 #include <span>
 #include <sstream>
 #include <thread>
@@ -124,14 +125,12 @@ TEST(Wal, TornTailTruncatesToTheDurablePrefix) {
                         /*torn_bytes=*/3 * sizeof(Word));
   EXPECT_THROW(wal.append(makeOps(1, 2)), extmem::DeviceCrashed);
   EXPECT_TRUE(shim.powerCutFired());
-  EXPECT_TRUE(device.frozen());
 
   // The writer is poisoned until reset() — the record was never durable.
   EXPECT_EQ(wal.durableLsn(), 1u);
   EXPECT_THROW(wal.append(makeOps(1, 3)), extmem::DeviceCrashed);
 
   shim.restorePower();
-  device.thaw();
   const WalLog log = WalReader(device).readAll();
   EXPECT_TRUE(log.torn_tail);
   ASSERT_EQ(log.records.size(), 1u);
@@ -155,11 +154,51 @@ TEST(Wal, TornWriteInsideAStraddlingRecordKeepsThePrefix) {
   EXPECT_THROW(wal.append(makeOps(3, 2)), extmem::DeviceCrashed);
 
   shim.restorePower();
-  device.thaw();
   const WalLog log = WalReader(device).readAll();
   EXPECT_TRUE(log.torn_tail);
   ASSERT_EQ(log.records.size(), 1u);
   EXPECT_EQ(log.records[0].ops, makeOps(1, 1));
+}
+
+// 8-word blocks hold one 1-op record each. The scan reads every block
+// once, for its sequence number and its payload together.
+TEST(Wal, ScanReadsEachBlockOnce) {
+  BlockDevice device(8, testing::testStorageOptions());
+  WalWriter wal(device);
+  for (std::uint64_t salt = 1; salt <= 10; ++salt) {
+    wal.append(makeOps(1, salt));
+  }
+  ASSERT_EQ(wal.blocksInLog(), 10u);
+
+  const std::uint64_t reads = device.stats().reads;
+  const WalLog log = WalReader(device).readAll();
+  EXPECT_EQ(log.records.size(), 10u);
+  EXPECT_EQ(device.stats().reads - reads, 10u);
+}
+
+// A new tail block reuses an id reset() freed. If its scrub fails, the id
+// must stay free: allocated with its old bytes (sequence 2, LSN 2), it
+// would sort before the acknowledged LSN 4 and end the scan there.
+TEST(Wal, FailedScrubOfAReusedTailBlockKeepsTheAcknowledgedRecord) {
+  FaultyFileOps shim(4);
+  BlockDevice device(8, testing::fileStorageOptions(&shim));
+  WalWriter wal(device);
+  for (std::uint64_t salt = 1; salt <= 3; ++salt) {
+    wal.append(makeOps(1, salt));
+  }
+  wal.reset(4);
+  EXPECT_EQ(wal.append(makeOps(1, 4)), 4u);  // on a reused id
+
+  shim.failNth(FileSyscall::kPwrite, shim.count(FileSyscall::kPwrite) + 1,
+               EIO);
+  EXPECT_THROW(wal.append(makeOps(1, 5)), extmem::PermanentIoError);
+  EXPECT_EQ(wal.durableLsn(), 4u);
+
+  const WalLog log = WalReader(device).readAll();
+  EXPECT_FALSE(log.torn_tail);
+  ASSERT_EQ(log.records.size(), 1u);
+  EXPECT_EQ(log.records[0].lsn, 4u);
+  EXPECT_EQ(log.records[0].ops, makeOps(1, 4));
 }
 
 TEST(Wal, ResetContinuesTheLsnSequenceAndRefusesRewinds) {
@@ -419,9 +458,7 @@ TEST(Durability, CheckpointFencesReplayToZeroRecords) {
   }
   dm.checkpoint(*table);  // durable LSN 40 — the whole log is fenced
 
-  dm.freezeAll(*table);  // power loss at a fully checkpointed state
-  table.reset();
-  rig.device->thaw();
+  table.reset();  // shutdown at a fully checkpointed state
   auto fresh = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
   const auto result = dm.recover(*fresh);
   EXPECT_EQ(result.checkpoint_lsn, 40u);
@@ -435,10 +472,8 @@ TEST(Durability, CheckpointFencesReplayToZeroRecords) {
 
 // recover() restores the images UNDER the fresh table, so every frame its
 // cache took in before that is stale. Here the fresh table sits on a
-// fresh device behind a write-through cache that lookups warmed before
-// recover(). (A fresh table on the crashed device would not do: the
-// frozen teardown freed nothing, so its extent lands on other ids and
-// its warmed frames are never hit.)
+// fresh device, so its extent lands on the crashed table's ids, behind a
+// write-through cache that lookups warmed before recover().
 TEST(Durability, RecoverDropsFramesCachedBeforeTheRestore) {
   testing::TestRig rig(8);
   tables::GeneralConfig cfg;
@@ -453,7 +488,6 @@ TEST(Durability, RecoverDropsFramesCachedBeforeTheRestore) {
     table->applyBatch(window);
     if (i == 31) dm.checkpoint(*table);  // the last 16 windows replay
   }
-  dm.freezeAll(*table);
   table.reset();
 
   rig.useStorage(testing::testStorageOptions());
@@ -487,9 +521,7 @@ TEST(Durability, BothManifestsCorruptRaisesAndDumpsFlightRecorder) {
       std::fill(w.begin(), w.end(), Word{0xBAADULL});
     });
   }
-  dm.freezeAll(*table);
   table.reset();
-  rig.device->thaw();
   auto fresh = makeTable(tables::TableKind::kChaining, rig.context(), cfg);
 
   // The fatal path dumps the flight recorder when one is armed.
@@ -502,6 +534,69 @@ TEST(Durability, BothManifestsCorruptRaisesAndDumpsFlightRecorder) {
   EXPECT_EQ(obs::FlightRecorder::dumpCount(), dumps_before + 1);
   obs::FlightRecorder::disarm();
   EXPECT_NE(sink.str().find("no valid manifest slot"), std::string::npos);
+}
+
+// A checkpoint's meta, restored into a fresh table over the captured
+// images, serializes back to the same words: every memory-resident record
+// set goes through one records section, a MemTable's in key order, so the
+// words follow from the contents, not from the insertion history. Checked
+// after every window of the stream, so the buffers are seen full, part
+// full and freshly merged.
+TEST(Durability, CheckpointMetaRoundTripsBitIdentical) {
+  for (const tables::TableKind kind : tables::kAllTableKindsWithSharded) {
+    SCOPED_TRACE(tables::tableKindName(kind));
+    tables::GeneralConfig cfg;
+    cfg.expected_n = 512;
+    cfg.buffer_items = 32;
+    cfg.shards = 2;
+    cfg.shard_threads = 1;
+    // The buffered table, the sharded default inner, takes distinct
+    // inserts only; the other kinds a mixed insert/erase stream.
+    const bool insert_only = kind == tables::TableKind::kBuffered ||
+                             kind == tables::TableKind::kSharded;
+    const auto keys = testing::distinctKeys(insert_only ? 400 : 160);
+    std::mt19937_64 rng(5);
+    std::vector<Op> ops;
+    for (std::size_t i = 0; i < 400; ++i) {
+      const std::uint64_t key = insert_only ? keys[i] : keys[rng() % 160];
+      ops.push_back(!insert_only && rng() % 8 == 0
+                        ? Op::eraseOp(key)
+                        : Op::insertOp(key, 2 * i + 1));
+    }
+
+    testing::TestRig rig(8);
+    auto table = makeTable(kind, rig.context(), cfg);
+    for (std::size_t i = 0; i < ops.size(); i += 32) {
+      SCOPED_TRACE(::testing::Message() << "after op " << i);
+      table->applyBatch(std::span<const Op>(ops).subspan(
+          i, std::min<std::size_t>(32, ops.size() - i)));
+      table->flushCache();
+      const std::vector<std::uint64_t> meta = table->serializeMeta();
+      std::vector<BlockDevice::Image> images;
+      table->captureImages(images);
+
+      testing::TestRig fresh_rig(8);
+      auto fresh = makeTable(kind, fresh_rig.context(), cfg);
+      ASSERT_EQ(fresh->durableDeviceCount(), images.size());
+      for (std::size_t d = 0; d < images.size(); ++d) {
+        fresh->durableDevice(d).restoreImage(images[d]);
+      }
+      fresh->invalidateCaches();
+      fresh->restoreMeta(meta);
+      const std::vector<std::uint64_t> again = fresh->serializeMeta();
+      EXPECT_TRUE(again == meta)
+          << "first differing word "
+          << std::mismatch(meta.begin(), meta.end(), again.begin(),
+                           again.end())
+                     .first -
+                 meta.begin()
+          << " of " << meta.size();
+      EXPECT_EQ(fresh->size(), table->size());
+      for (const std::uint64_t key : keys) {
+        EXPECT_EQ(fresh->lookup(key), table->lookup(key)) << "key " << key;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -563,9 +658,7 @@ TEST(Durability, LatchedShardRefusesTheCheckpoint) {
 
   // Power loss; the reboot finds the disk healthy again.
   shim.clear();
-  dm.freezeAll(*table);
   table.reset();
-  rig.device->thaw();
   auto fresh = makeTable(tables::TableKind::kSharded, rig.context(), cfg);
   const auto result = dm.recover(*fresh);
   EXPECT_EQ(result.checkpoint_lsn, 0u);
