@@ -1,5 +1,5 @@
 // check_trace — CI gate for --trace output. Python-free on purpose: the
-// bench-smoke job validates the uploaded trace artifact with this binary
+// build-and-test job validates the uploaded trace artifact with this binary
 // alone. Exit 0 iff the file parses as Chrome trace_event JSON (see
 // obs/trace_check.h) and contains at least `--min-events` events.
 #include <fstream>

@@ -108,18 +108,6 @@ void BufferedHashTable::mergeIntoHhatWith(std::vector<HashedRecord> newest) {
   ++merges_;
 }
 
-std::optional<std::uint64_t> BufferedHashTable::lookup(std::uint64_t key) {
-  // Ĥ first: this is what achieves 1 + O(1/β) on the paper's
-  // distinct-key successful lookups, since >= (1 - 1/β) of items are in Ĥ.
-  if (hhat_) {
-    if (auto v = hhat_->lookup(key)) {
-      if (*v == kTombstoneValue) return std::nullopt;
-      return v;
-    }
-  }
-  return buffer_.lookup(key);
-}
-
 void BufferedHashTable::applyBatch(std::span<const tables::Op> ops) {
   for (const tables::Op& op : ops) {
     if (op.kind == tables::OpKind::kErase) {
@@ -176,8 +164,10 @@ void BufferedHashTable::applyBatch(std::span<const tables::Op> ops) {
 void BufferedHashTable::lookupBatch(std::span<const std::uint64_t> keys,
                                     std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(keys.size() == out.size());
-  // Mirror lookup(): Ĥ first (tombstone hits resolve to absent without
-  // consulting the buffer), buffer for the misses.
+  // Ĥ first: this is what achieves 1 + O(1/β) on the paper's distinct-key
+  // successful lookups, since >= (1 - 1/β) of items are in Ĥ. Tombstone
+  // hits resolve to absent without consulting the buffer; the misses go
+  // to the buffer.
   std::vector<std::size_t> pending;
   if (hhat_) {
     std::vector<std::optional<std::uint64_t>> hhat_out(keys.size());

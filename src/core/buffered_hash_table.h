@@ -59,7 +59,6 @@ class BufferedHashTable final : public tables::ExternalHashTable {
   BufferedHashTable(tables::TableContext ctx, BufferedConfig config);
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   /// Batch fast path: the whole batch enters the buffer through the
   /// logarithmic method's one-pass bulk merge, and the buffer-into-Ĥ
   /// merge threshold is checked once at the end — so k inserts cost one

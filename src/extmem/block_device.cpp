@@ -71,16 +71,10 @@ auto BlockDevice::retryBackend(IoOpKind op, BlockId id, Fn&& fn)
   }
 }
 
-const Word* BlockDevice::backendLoad(BlockId id) {
+Word* BlockDevice::backendLoad(IoOpKind op, BlockId id) {
   if (!storage_persistent_) return storage_->load(id);
-  return retryBackend(IoOpKind::kRead, id,
+  return retryBackend(op, id,
                       [&](std::uint32_t) { return storage_->load(id); });
-}
-
-Word* BlockDevice::backendLoadMutable(BlockId id) {
-  if (!storage_persistent_) return storage_->loadMutable(id);
-  return retryBackend(IoOpKind::kRmw, id,
-                      [&](std::uint32_t) { return storage_->loadMutable(id); });
 }
 
 void BlockDevice::backendStore(IoOpKind op, BlockId first,
@@ -237,7 +231,7 @@ void BlockDevice::writeCopy(BlockId id, std::span<const Word> contents) {
 std::span<const Word> BlockDevice::inspect(BlockId id) {
   checkLive(id);
   // Uncounted, but retried: buffer-btree's apply path reads leaves here.
-  return {backendLoad(id), words_per_block_};
+  return {backendLoad(IoOpKind::kRead, id), words_per_block_};
 }
 
 void BlockDevice::captureImage(Image& image) {
@@ -246,7 +240,7 @@ void BlockDevice::captureImage(Image& image) {
   // already owns; every word up to next_id is overwritten.
   image.words.resize(next_id_ * words_per_block_);
   for (BlockId id = 0; id < next_id_; ++id) {
-    const Word* p = backendLoad(id);
+    const Word* p = backendLoad(IoOpKind::kRead, id);
     std::copy(p, p + words_per_block_,
               image.words.begin() +
                   static_cast<std::ptrdiff_t>(id * words_per_block_));
@@ -262,6 +256,10 @@ void BlockDevice::restoreImage(const Image& image) {
   EXTHASH_CHECK_MSG(image.words_per_block == words_per_block_,
                     "image geometry mismatch: " << image.words_per_block
                                                 << " vs " << words_per_block_);
+  // The ids from the image's watermark up to the current one are fresh
+  // again after the restore, and allocateExtent hands fresh ids out
+  // without a store: zero them here, in the same run as the image.
+  const BlockId stored = std::max(next_id_, image.next_id);
   next_id_ = image.next_id;
   if (next_id_ > 0) ensureBacking(next_id_ - 1);
   for (BlockId id = 0; id < next_id_; ++id) {
@@ -270,7 +268,11 @@ void BlockDevice::restoreImage(const Image& image) {
     Word* p = storage_->frame(id);
     std::copy(src, src + static_cast<std::ptrdiff_t>(words_per_block_), p);
   }
-  if (next_id_ > 0) backendStore(IoOpKind::kWrite, 0, next_id_);
+  for (BlockId id = next_id_; id < stored; ++id) {
+    Word* p = storage_->frame(id);
+    std::fill(p, p + words_per_block_, Word{0});
+  }
+  if (stored > 0) backendStore(IoOpKind::kWrite, 0, stored);
   allocated_ = image.allocated;
   allocated_.resize(next_id_);
   free_ranges_ = image.free_ranges;

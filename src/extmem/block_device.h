@@ -107,7 +107,7 @@ class BlockDevice {
   template <class F>
   decltype(auto) withRead(BlockId id, F&& fn) {
     checkLive(id);
-    const Word* p = backendLoad(id);
+    const Word* p = backendLoad(IoOpKind::kRead, id);
     ++stats_.reads;
     if (bypass_depth_ > 0) ++stats_.cache_bypass_reads;
     return std::forward<F>(fn)(std::span<const Word>(p, words_per_block_));
@@ -118,7 +118,7 @@ class BlockDevice {
   template <class F>
   decltype(auto) withWrite(BlockId id, F&& fn) {
     checkLive(id);
-    Word* p = backendLoadMutable(id);
+    Word* p = backendLoad(IoOpKind::kRmw, id);
     ++stats_.rmws;
     const std::span<Word> block(p, words_per_block_);
     if constexpr (std::is_void_v<std::invoke_result_t<F&, std::span<Word>>>) {
@@ -242,9 +242,11 @@ class BlockDevice {
   /// and no buffer is reallocated unless the device outgrew it.
   void captureImage(Image& image);
   /// Overwrite the device's entire durable state with `image` (geometry
-  /// must match): every frame is filled, then the whole image is stored
-  /// as one run through the retry ladder — recovery's restore after a
-  /// crash. Does not touch statistics or the retry policy.
+  /// must match): every frame is filled, and the frames past the image's
+  /// watermark up to the device's current one are zeroed, so the device
+  /// equals one that never grew past the image; then all of them are
+  /// stored as one run through the retry ladder — recovery's restore
+  /// after a crash. Does not touch statistics or the retry policy.
   void restoreImage(const Image& image);
 
  private:
@@ -252,8 +254,8 @@ class BlockDevice {
   // call runs inside the one retry ladder; on MemStorage it is a single
   // backend call (a store is none at all). Defined in the .cpp, so none of
   // it is instantiated per callback type.
-  const Word* backendLoad(BlockId id);
-  Word* backendLoadMutable(BlockId id);
+  /// Load block `id`; a failure is blamed on `op` (a read or an rmw).
+  Word* backendLoad(IoOpKind op, BlockId id);
   /// Store [first, first + count) with one backend call in the ladder.
   void backendStore(IoOpKind op, BlockId first, std::size_t count);
   /// withOverwriteRun's store: counts `count` writes, or on failure the

@@ -158,7 +158,7 @@ void FileStorage::ensureCapacity(BlockId block_count) {
   allocated_blocks_ = target;
 }
 
-void FileStorage::readSlot(BlockId id, Word* dst) const {
+void FileStorage::readSlot(BlockId id, Word* dst) {
   const std::size_t block_bytes = words_per_block_ * sizeof(Word);
   char* out = direct_active_ ? static_cast<char*>(bounce_)
                              : reinterpret_cast<char*>(dst);
@@ -191,13 +191,7 @@ void FileStorage::readSlot(BlockId id, Word* dst) const {
   if (direct_active_) std::memcpy(dst, bounce_, block_bytes);
 }
 
-const Word* FileStorage::load(BlockId id) const {
-  Word* frame = mirror_.ptr(id);
-  readSlot(id, frame);
-  return frame;
-}
-
-Word* FileStorage::loadMutable(BlockId id) {
+Word* FileStorage::load(BlockId id) {
   Word* frame = mirror_.ptr(id);
   readSlot(id, frame);
   return frame;

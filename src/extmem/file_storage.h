@@ -62,8 +62,7 @@ class FileStorage final : public StorageBackend {
     return words_per_block_;
   }
   void ensureCapacity(BlockId block_count) override;
-  const Word* load(BlockId id) const override;
-  Word* loadMutable(BlockId id) override;
+  Word* load(BlockId id) override;
   Word* frame(BlockId id) override;
   void storeRun(BlockId first, std::size_t count) override;
   void sync() override;
@@ -81,7 +80,7 @@ class FileStorage final : public StorageBackend {
   std::size_t slotBytes() const noexcept { return slot_bytes_; }
 
  private:
-  void readSlot(BlockId id, Word* dst) const;
+  void readSlot(BlockId id, Word* dst);
 
   std::size_t words_per_block_;
   std::string path_;
@@ -91,7 +90,7 @@ class FileStorage final : public StorageBackend {
   bool direct_active_ = false;
   std::size_t slot_bytes_ = 0;
   std::uint64_t allocated_blocks_ = 0;  // fallocate high-water, in blocks
-  mutable detail::ChunkArena mirror_;
+  detail::ChunkArena mirror_;
   // O_DIRECT bounce buffer (posix_memalign'd to the transfer alignment);
   // null in buffered mode, where frames transfer directly.
   void* bounce_ = nullptr;

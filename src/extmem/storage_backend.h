@@ -16,14 +16,13 @@
 //
 // Contract (what BlockDevice relies on):
 //   - load(id) returns a pointer to the block's current contents that
-//     stays valid for that block until its next load/loadMutable/frame —
-//     NEVER invalidated by capacity growth or access to OTHER blocks.
-//     Callers hold spans into several blocks at once (e.g. a bucket page
-//     and its overflow page), so backends keep one stable frame per
-//     block (chunked arena), not a shared bounce buffer.
-//   - loadMutable(id) is load() with write intent: mutate the frame, then
-//     storeRun(id, 1) persists it. frame(id) skips the read (blind
-//     overwrite).
+//     stays valid for that block until its next load/frame — NEVER
+//     invalidated by capacity growth or access to OTHER blocks. Callers
+//     hold spans into several blocks at once (e.g. a bucket page and its
+//     overflow page), so backends keep one stable frame per block
+//     (chunked arena), not a shared bounce buffer. A writer mutates the
+//     loaded frame, then storeRun(id, 1) persists it. frame(id) skips the
+//     read (blind overwrite).
 //   - storeRun(first, count) persists the whole frames of the consecutive
 //     blocks [first, first + count). A failure names the block where the
 //     failing transfer began: every block before it landed, and later
@@ -101,11 +100,8 @@ class StorageBackend {
   virtual void ensureCapacity(BlockId block_count) = 0;
 
   /// Fetch the block's current contents into its stable frame and return
-  /// it (const: logically a read; file backends fill a mutable mirror).
-  virtual const Word* load(BlockId id) const = 0;
-  /// load() with write intent: mutate the returned frame, then
-  /// storeRun(id, 1).
-  virtual Word* loadMutable(BlockId id) = 0;
+  /// it. A reader only reads it; a writer mutates it, then storeRun(id, 1).
+  virtual Word* load(BlockId id) = 0;
   /// The block's frame WITHOUT reading the device (blind overwrite path);
   /// contents are whatever the frame last held. Pair with storeRun.
   virtual Word* frame(BlockId id) = 0;
@@ -133,8 +129,7 @@ class MemStorage final : public StorageBackend {
   void ensureCapacity(BlockId block_count) override {
     arena_.ensure(block_count);
   }
-  const Word* load(BlockId id) const override { return arena_.ptr(id); }
-  Word* loadMutable(BlockId id) override { return arena_.ptr(id); }
+  Word* load(BlockId id) override { return arena_.ptr(id); }
   Word* frame(BlockId id) override { return arena_.ptr(id); }
   void storeRun(BlockId, std::size_t) override {}
   void sync() override {}

@@ -1,7 +1,8 @@
 // Shared helpers for the batch-first dictionary API (applyBatch /
-// lookupBatch): grouping a batch by target bucket. Header-only so the
-// tables inline them into their own addressing. The chained-bucket
-// tables' chain passes live in tables/bucket_chain.h.
+// lookupBatch): grouping a batch by target bucket, and the grouping
+// scratch a lookup batch charges. Header-only so the tables inline them
+// into their own addressing. The chained-bucket tables' chain passes live
+// in tables/bucket_chain.h.
 #pragma once
 
 #include <array>
@@ -50,6 +51,14 @@ std::vector<std::pair<std::uint64_t, std::size_t>> orderByBucket(
     order.swap(buffer);
   }
   return order;
+}
+
+/// The charge for a lookup batch's grouping index, 2 words per key while
+/// it lives. One key needs no grouping and charges nothing, so lookup(key),
+/// a one-key lookupBatch, holds no more memory than a single probe.
+inline extmem::MemoryCharge lookupScratch(extmem::MemoryBudget& memory,
+                                          std::size_t keys) {
+  return extmem::MemoryCharge(memory, keys == 1 ? 0 : 2 * keys);
 }
 
 /// Invoke fn(bucket, begin, end) for each run of equal buckets in an

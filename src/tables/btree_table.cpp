@@ -148,30 +148,40 @@ std::size_t BTreeTable::rootChildIndex(std::uint64_t key) const {
       std::upper_bound(keys.begin(), keys.end(), key) - keys.begin());
 }
 
-std::optional<std::uint64_t> BTreeTable::lookup(std::uint64_t key) {
-  if (root_.is_leaf) {
-    const auto it = std::lower_bound(
-        root_.records.begin(), root_.records.end(), key,
-        [](const Record& r, std::uint64_t k) { return r.key < k; });
-    if (it != root_.records.end() && it->key == key) return it->value;
-    return std::nullopt;
-  }
-  BlockId current = root_.children[rootChildIndex(key)];
-  while (true) {
-    struct Step {
-      bool internal = false;
-      BlockId next = kInvalidBlock;
-      std::optional<std::uint64_t> value;
-    };
-    const Step s =
-        ctx_.device->withRead(current, [&](std::span<const Word> data) {
-          ConstNodeView v{data, internal_cap_};
-          if (v.isInternal())
-            return Step{true, v.child(v.childIndexFor(key)), std::nullopt};
-          return Step{false, kInvalidBlock, v.leafFind(key)};
-        });
-    if (!s.internal) return s.value;
-    current = s.next;
+void BTreeTable::lookupBatch(std::span<const std::uint64_t> keys,
+                             std::span<std::optional<std::uint64_t>> out) {
+  EXTHASH_CHECK(keys.size() == out.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t key = keys[i];
+    if (root_.is_leaf) {
+      const auto it = std::lower_bound(
+          root_.records.begin(), root_.records.end(), key,
+          [](const Record& r, std::uint64_t k) { return r.key < k; });
+      out[i] = (it != root_.records.end() && it->key == key)
+                   ? std::optional(it->value)
+                   : std::nullopt;
+      continue;
+    }
+    BlockId current = root_.children[rootChildIndex(key)];
+    while (true) {
+      struct Step {
+        bool internal = false;
+        BlockId next = kInvalidBlock;
+        std::optional<std::uint64_t> value;
+      };
+      const Step s =
+          ctx_.device->withRead(current, [&](std::span<const Word> data) {
+            ConstNodeView v{data, internal_cap_};
+            if (v.isInternal())
+              return Step{true, v.child(v.childIndexFor(key)), std::nullopt};
+            return Step{false, kInvalidBlock, v.leafFind(key)};
+          });
+      if (!s.internal) {
+        out[i] = s.value;
+        break;
+      }
+      current = s.next;
+    }
   }
 }
 

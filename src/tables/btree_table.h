@@ -32,7 +32,6 @@ class BTreeTable final : public ExternalHashTable {
   ~BTreeTable() override;
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Leaf-grouped batch apply: ops are sorted by key (arrival order kept
   /// per key), each run destined for one leaf shares a single root-to-leaf
@@ -40,6 +39,10 @@ class BTreeTable final : public ExternalHashTable {
   /// op. A group that would split its leaf falls back to the serial insert
   /// path for that group only.
   void applyBatch(std::span<const Op> ops) override;
+  /// One root-to-leaf descent per key, Θ(log_b n) I/Os each: queries are
+  /// not grouped.
+  void lookupBatch(std::span<const std::uint64_t> keys,
+                   std::span<std::optional<std::uint64_t>> out) override;
   std::size_t size() const override { return size_; }
   std::string_view name() const override { return "btree"; }
   void visitLayout(LayoutVisitor& visitor) const override;

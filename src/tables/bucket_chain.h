@@ -1,7 +1,10 @@
 // The chained-bucket page protocol shared by ChainingHashTable and
 // LinearHashTable: a bucket is a primary block plus an overflow chain of
-// BucketPages linked through their page headers. These helpers walk,
-// extend, update, unlink, visit, audit and free such chains; the tables
+// BucketPages linked through their page headers. These helpers extend,
+// update and unlink a chain one op at a time (insert, erase), replay a
+// group of ops or answer a group of keys in one pass (applyOps,
+// lookupPending; a lookup is a group of one key), and visit, audit and
+// free whole tables of chains; the tables
 // keep only their addressing (bucket of a key, primary block of a bucket)
 // and pass it in. Header-only so each table inlines them.
 //
@@ -134,28 +137,6 @@ bool insert(Io&& io, extmem::BlockId primary, std::uint64_t key,
     ++overflow_blocks;
   }
   return true;
-}
-
-/// Point lookup along the chain at `primary`: one read per block visited.
-template <class Io>
-std::optional<std::uint64_t> lookup(Io&& io, extmem::BlockId primary,
-                                    std::uint64_t key) {
-  using extmem::BlockId;
-  struct Result {
-    std::optional<std::uint64_t> value;
-    BlockId next = extmem::kInvalidBlock;
-  };
-  BlockId current = primary;
-  while (current != extmem::kInvalidBlock) {
-    const Result r =
-        io.withRead(current, [&](std::span<const extmem::Word> data) {
-          extmem::ConstBucketPage page(data);
-          return Result{page.find(key), page.next()};
-        });
-    if (r.value) return r.value;
-    current = r.next;
-  }
-  return std::nullopt;
 }
 
 /// Remove `key` from the chain at `primary`; returns true if it was
@@ -457,7 +438,7 @@ void lookupBatch(Io&& io, extmem::MemoryBudget& memory,
                  std::span<std::optional<std::uint64_t>> out,
                  BucketOf&& bucket_of, BlockOf&& block_of) {
   EXTHASH_CHECK(keys.size() == out.size());
-  extmem::MemoryCharge scratch(memory, 2 * keys.size());
+  const auto scratch = batch::lookupScratch(memory, keys.size());
   const auto order = batch::orderByBucket(
       memory, keys.size(), [&](std::size_t i) { return bucket_of(keys[i]); });
 

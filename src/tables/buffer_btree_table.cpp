@@ -186,53 +186,6 @@ bool BufferBTreeTable::erase(std::uint64_t key) {
   return true;
 }
 
-std::optional<std::uint64_t> BufferBTreeTable::lookup(std::uint64_t key) {
-  // Newest messages live nearest the root; the first hit wins.
-  if (auto v = findInBuffer(root_buffer_, key)) {
-    if (*v == kTombstoneValue) return std::nullopt;
-    return v;
-  }
-  if (root_is_leaf_) {
-    const auto it = std::lower_bound(
-        root_records_.begin(), root_records_.end(), key,
-        [](const Record& r, std::uint64_t k) { return r.key < k; });
-    if (it != root_records_.end() && it->key == key) return it->value;
-    return std::nullopt;
-  }
-  const Geometry g{fanout_, buffer_cap_, leaf_cap_};
-  BlockId current = root_children_[rootChildIndex(key)];
-  while (true) {
-    struct Step {
-      std::optional<std::uint64_t> value;
-      bool done = false;
-      BlockId next = kInvalidBlock;
-    };
-    const Step s =
-        ctx_.device->withRead(current, [&](std::span<const Word> w) {
-          const NodeImage img = readNode(w, g);
-          if (auto v = findInBuffer(img.buffer, key))
-            return Step{v, true, kInvalidBlock};
-          if (img.is_leaf) {
-            const auto it = std::lower_bound(
-                img.records.begin(), img.records.end(), key,
-                [](const Record& r, std::uint64_t k) { return r.key < k; });
-            if (it != img.records.end() && it->key == key)
-              return Step{it->value, true, kInvalidBlock};
-            return Step{std::nullopt, true, kInvalidBlock};
-          }
-          const auto idx = static_cast<std::size_t>(
-              std::upper_bound(img.pivots.begin(), img.pivots.end(), key) -
-              img.pivots.begin());
-          return Step{std::nullopt, false, img.children[idx]};
-        });
-    if (s.done || s.value) {
-      if (s.value && *s.value == kTombstoneValue) return std::nullopt;
-      return s.value;
-    }
-    current = s.next;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Batch API
 // ---------------------------------------------------------------------------
@@ -318,6 +271,7 @@ void BufferBTreeTable::lookupGroup(
 void BufferBTreeTable::lookupBatch(std::span<const std::uint64_t> keys,
                                    std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(keys.size() == out.size());
+  // Newest messages live nearest the root; the first hit wins.
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (auto v = findInBuffer(root_buffer_, keys[i])) {

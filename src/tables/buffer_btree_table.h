@@ -34,7 +34,6 @@ class BufferBTreeTable final : public ExternalHashTable {
   ~BufferBTreeTable() override;
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Batch fast path: the whole batch accumulates in the root buffer and
   /// cascades down in ONE flush, so every touched node pays its rmw once

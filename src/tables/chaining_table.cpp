@@ -74,11 +74,6 @@ bool ChainingHashTable::insert(std::uint64_t key, std::uint64_t value) {
   return inserted_new;
 }
 
-std::optional<std::uint64_t> ChainingHashTable::lookup(std::uint64_t key) {
-  EXTHASH_CHECK(!destroyed_);
-  return chain::lookup(io(), primaryBlock(bucketOf(key)), key);
-}
-
 bool ChainingHashTable::erase(std::uint64_t key) {
   EXTHASH_CHECK(!destroyed_);
   const bool erased = chain::erase(io(), primaryBlock(bucketOf(key)), key,

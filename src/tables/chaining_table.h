@@ -71,7 +71,6 @@ class ChainingHashTable final : public ExternalHashTable {
       TableContext ctx, ChainingConfig config, RecordCursor& records);
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Batch fast path: ops grouped by bucket, one chain pass per bucket —
   /// k ops against a single-block bucket cost one rmw instead of k.

@@ -139,20 +139,6 @@ bool CuckooHashTable::insert(std::uint64_t key, std::uint64_t value) {
   return true;
 }
 
-std::optional<std::uint64_t> CuckooHashTable::lookup(std::uint64_t key) {
-  // Worst case two reads; stash is memory (free). Bucket 2 is probed
-  // first because inserts prefer it (see insert), keeping the common case
-  // at one read.
-  if (auto v = stash_.find(key)) return v;
-  const auto first = ctx_.device->withRead(
-      extent_ + bucket2(key),
-      [&](std::span<const Word> d) { return ConstBucketPage(d).find(key); });
-  if (first) return first;
-  return ctx_.device->withRead(
-      extent_ + bucket1(key),
-      [&](std::span<const Word> d) { return ConstBucketPage(d).find(key); });
-}
-
 void CuckooHashTable::applyBatch(std::span<const Op> ops) {
   if (ops.size() < 2) {
     for (const Op& op : ops) {
@@ -277,7 +263,7 @@ void CuckooHashTable::lookupBatch(std::span<const std::uint64_t> keys,
     if (auto v = stash_.find(keys[i])) out[i] = v;
     else pending.push_back(i);
   }
-  extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
+  const auto scratch = batch::lookupScratch(*ctx_.memory, keys.size());
 
   std::vector<std::size_t> second_round;
   const auto probeGrouped = [&](const std::vector<std::size_t>& indices,

@@ -28,7 +28,6 @@ class CuckooHashTable final : public ExternalHashTable {
   ~CuckooHashTable() override;
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Bucket-grouped batch: stash-resident keys resolve in memory, then
   /// one rmw per touched first-choice bucket handles updates/erases, and

@@ -160,13 +160,6 @@ bool ExtendibleHashTable::insert(std::uint64_t key, std::uint64_t value) {
   return false;
 }
 
-std::optional<std::uint64_t> ExtendibleHashTable::lookup(std::uint64_t key) {
-  return io().withRead(
-      directory_[dirIndex(key)], [&](std::span<const Word> data) {
-        return ConstBucketPage(data).find(key);
-      });
-}
-
 bool ExtendibleHashTable::erase(std::uint64_t key) {
   const bool removed = io().withWrite(
       directory_[dirIndex(key)], [&](std::span<Word> data) {
@@ -249,7 +242,7 @@ void ExtendibleHashTable::lookupBatch(
     std::span<const std::uint64_t> keys,
     std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(keys.size() == out.size());
-  extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
+  const auto scratch = batch::lookupScratch(*ctx_.memory, keys.size());
   const auto order =
       batch::orderByBucket(*ctx_.memory, keys.size(), [&](std::size_t i) {
         return static_cast<std::uint64_t>(directory_[dirIndex(keys[i])]);

@@ -30,7 +30,6 @@ class ExtendibleHashTable final : public ExternalHashTable {
   ~ExtendibleHashTable() override;
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Batch fast path: ops grouped by target bucket block; each group is
   /// replayed with one rmw, and only ops that overflow the page fall back

@@ -4,7 +4,8 @@
 //
 // The interface mirrors the paper's abstraction:
 //  * insert / lookup / erase are the dictionary operations whose I/O cost
-//    the device counts;
+//    the device counts; lookup is lookupBatch of one key, so each kind has
+//    one query implementation;
 //  * visitLayout exposes the *layout of items* — which records live in
 //    memory and which live in which disk block — uncounted, for the
 //    lower-bound analysis (memory / fast / slow zone accounting);
@@ -101,8 +102,14 @@ class ExternalHashTable {
   /// if the key was new.
   virtual bool insert(std::uint64_t key, std::uint64_t value) = 0;
 
-  /// Point lookup; nullopt if absent.
-  virtual std::optional<std::uint64_t> lookup(std::uint64_t key) = 0;
+  /// Point lookup; nullopt if absent. This is lookupBatch of one key, so
+  /// the paper's tq is counted on the code batches run; a one-key batch
+  /// charges no grouping scratch (batch::lookupScratch).
+  std::optional<std::uint64_t> lookup(std::uint64_t key) {
+    std::optional<std::uint64_t> value;
+    lookupBatch({&key, 1}, {&value, 1});
+    return value;
+  }
 
   /// Remove `key`; returns true if it was present. Structures following
   /// the paper's insert-only model throw UnsupportedOperation.
@@ -128,13 +135,10 @@ class ExternalHashTable {
   }
 
   /// Batched point lookups: out[i] receives the result for keys[i]. The
-  /// default is the serial loop; bucketed tables override it to answer all
-  /// keys that share a block extent with one read.
+  /// bucketed tables answer all keys that share a block extent with one
+  /// read; this is every kind's one query path (lookup() included).
   virtual void lookupBatch(std::span<const std::uint64_t> keys,
-                           std::span<std::optional<std::uint64_t>> out) {
-    EXTHASH_CHECK(keys.size() == out.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) out[i] = lookup(keys[i]);
-  }
+                           std::span<std::optional<std::uint64_t>> out) = 0;
 
   /// Number of live records.
   virtual std::size_t size() const = 0;

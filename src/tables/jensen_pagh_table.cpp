@@ -110,21 +110,6 @@ bool JensenPaghTable::insert(std::uint64_t key, std::uint64_t value) {
   return inserted_new;
 }
 
-std::optional<std::uint64_t> JensenPaghTable::lookup(std::uint64_t key) {
-  struct Probe {
-    std::optional<std::uint64_t> value;
-    bool overflowed = false;
-  };
-  const Probe p = ctx_.device->withRead(
-      extent_ + bucketOf(key), [&](std::span<const Word> data) {
-        ConstBucketPage page(data);
-        return Probe{page.find(key), (page.flags() & kHasOverflowFlag) != 0};
-      });
-  if (p.value) return p.value;
-  if (!p.overflowed) return std::nullopt;
-  return overflow_->lookup(key);
-}
-
 bool JensenPaghTable::erase(std::uint64_t key) {
   struct Probe {
     bool removed = false;
@@ -238,14 +223,10 @@ void JensenPaghTable::applyBatch(std::span<const Op> ops) {
 void JensenPaghTable::lookupBatch(std::span<const std::uint64_t> keys,
                                   std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(keys.size() == out.size());
-  if (keys.size() < 2) {
-    for (std::size_t i = 0; i < keys.size(); ++i) out[i] = lookup(keys[i]);
-    return;
-  }
   // One read per distinct primary bucket; only keys that miss a FLAGGED
   // bucket consult the overflow table (a miss in an un-overflowed bucket
-  // ends the query at one I/O, same as the serial probe).
-  extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
+  // ends the query at one I/O).
+  const auto scratch = batch::lookupScratch(*ctx_.memory, keys.size());
   const auto order =
       batch::orderByBucket(*ctx_.memory, keys.size(), [&](std::size_t i) {
         return bucketOf(keys[i]);

@@ -35,7 +35,6 @@ class JensenPaghTable final : public ExternalHashTable {
   ~JensenPaghTable() override;
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Bucket-grouped batch apply: one rmw replays every op targeting a
   /// primary bucket (serial cost: one rmw per op), overflow-bound ops are

@@ -122,10 +122,6 @@ bool LinearHashTable::insertNoSplit(std::uint64_t key, std::uint64_t value) {
   return inserted_new;
 }
 
-std::optional<std::uint64_t> LinearHashTable::lookup(std::uint64_t key) {
-  return chain::lookup(io(), blockOfBucket(bucketOf(key)), key);
-}
-
 bool LinearHashTable::erase(std::uint64_t key) {
   const bool erased = chain::erase(io(), blockOfBucket(bucketOf(key)), key,
                                    overflow_blocks_);

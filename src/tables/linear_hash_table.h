@@ -29,7 +29,6 @@ class LinearHashTable final : public ExternalHashTable {
   ~LinearHashTable() override;
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Batch fast path: ops grouped by bucket under the current split state,
   /// one chain pass per bucket; splits are deferred to the end of the

@@ -131,28 +131,6 @@ bool LinearProbingHashTable::insert(std::uint64_t key, std::uint64_t value) {
   return true;
 }
 
-std::optional<std::uint64_t> LinearProbingHashTable::lookup(
-    std::uint64_t key) {
-  const std::uint64_t home = homeBucket(key);
-  const std::uint64_t d = config_.bucket_count;
-  for (std::uint64_t step = 0; step < d; ++step) {
-    const std::uint64_t j = (home + step) % d;
-    struct Probe {
-      std::optional<std::uint64_t> value;
-      bool overflowed = false;
-    };
-    const Probe p =
-        ctx_.device->withRead(blockOf(j), [&](std::span<const Word> data) {
-          ConstBucketPage page(data);
-          return Probe{page.find(key),
-                       (page.flags() & kOverflowedFlag) != 0};
-        });
-    if (p.value) return p.value;
-    if (!p.overflowed) return std::nullopt;  // probe run ends here
-  }
-  return std::nullopt;
-}
-
 void LinearProbingHashTable::applyBatch(std::span<const Op> ops) {
   if (ops.size() < 2) {
     for (const Op& op : ops) {
@@ -245,7 +223,7 @@ void LinearProbingHashTable::lookupBatch(
     std::span<std::optional<std::uint64_t>> out) {
   EXTHASH_CHECK(keys.size() == out.size());
   const std::uint64_t d = config_.bucket_count;
-  extmem::MemoryCharge scratch(*ctx_.memory, 2 * keys.size());
+  const auto scratch = batch::lookupScratch(*ctx_.memory, keys.size());
   const auto order =
       batch::orderByBucket(*ctx_.memory, keys.size(), [&](std::size_t i) {
         return homeBucket(keys[i]);
@@ -253,7 +231,8 @@ void LinearProbingHashTable::lookupBatch(
 
   // One probe-run walk per home bucket: each visited block is read once
   // and answers every still-pending key of the group. The walk ends at
-  // the first block that never overflowed, exactly like the serial probe.
+  // the first block that never overflowed, where every probe run of the
+  // home ends.
   std::vector<std::size_t> pending;
   batch::forEachGroup(order, [&](std::uint64_t home, std::size_t i,
                                  std::size_t j) {

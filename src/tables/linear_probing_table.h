@@ -31,7 +31,6 @@ class LinearProbingHashTable final : public ExternalHashTable {
   ~LinearProbingHashTable() override;
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Home-bucket-grouped batch: one rmw on the home block resolves every
   /// op whose probe run is just that block (the 1 - 1/2^Ω(b) common

@@ -111,21 +111,6 @@ void LogMethodTable::mergeDown(std::vector<HashedRecord> newest) {
   ++merges_;
 }
 
-std::optional<std::uint64_t> LogMethodTable::lookup(std::uint64_t key) {
-  if (auto v = memtable_.find(key)) {
-    if (*v == kTombstoneValue) return std::nullopt;
-    return v;
-  }
-  for (const auto& level : levels_) {
-    if (!level) continue;
-    if (auto v = level->lookup(key)) {
-      if (*v == kTombstoneValue) return std::nullopt;
-      return v;
-    }
-  }
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // Batch API
 // ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ class LogMethodTable final : public MemtableFront<LogMethodTable> {
  public:
   LogMethodTable(TableContext ctx, LogMethodConfig config);
 
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   std::string_view name() const override { return "log-method"; }
   void visitLayout(LayoutVisitor& visitor) const override;
   std::optional<extmem::BlockId> primaryBlockOf(

@@ -177,53 +177,6 @@ void LsmTable::compactLevel(std::size_t level) {
   if (levels_[level + 1].size() > config_.fanout) compactLevel(level + 1);
 }
 
-std::optional<std::uint64_t> LsmTable::probeRun(Run& run, std::uint64_t key) {
-  if (run.records == 0 || key < run.min_key || key > run.max_key)
-    return std::nullopt;
-  if (run.bloom && !run.bloom->mayContain(key)) return std::nullopt;
-  // Fence pointers: find the last fenced group whose first key is <= key.
-  const auto it =
-      std::upper_bound(run.fences.begin(), run.fences.end(), key);
-  if (it == run.fences.begin()) return std::nullopt;
-  const std::size_t group =
-      static_cast<std::size_t>(it - run.fences.begin()) - 1;
-  const std::size_t first_block = group * config_.fence_stride;
-  const std::size_t last_block =
-      std::min(run.blocks, first_block + config_.fence_stride);
-  for (std::size_t blk = first_block; blk < last_block; ++blk) {
-    struct Probe {
-      std::optional<std::uint64_t> value;
-      bool past = false;
-    };
-    const Probe p = io().withRead(
-        run.extent + blk, [&](std::span<const Word> data) {
-          ConstSortedRunPage page(data);
-          if (page.count() == 0) return Probe{std::nullopt, true};
-          if (key < page.firstKey()) return Probe{std::nullopt, true};
-          return Probe{page.find(key), key <= page.lastKey()};
-        });
-    if (p.value) return p.value;
-    if (p.past) return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> LsmTable::lookup(std::uint64_t key) {
-  if (auto v = memtable_.find(key)) {
-    if (*v == kTombstoneValue) return std::nullopt;
-    return v;
-  }
-  for (auto& level : levels_) {
-    for (auto& run : level) {  // newest first
-      if (auto v = probeRun(run, key)) {
-        if (*v == kTombstoneValue) return std::nullopt;
-        return v;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 void LsmTable::lookupBelow(std::span<const std::uint64_t> keys,
                            std::span<std::optional<std::uint64_t>> out,
                            std::vector<std::size_t>& pending) {

@@ -13,15 +13,16 @@
 // probe costs `fence_stride` reads in the worst case (1 by default).
 // Deletions are tombstones, dropped when a merge reaches the bottom level.
 //
-// Caching: the LOOKUP path honors an attachCache'd BlockCache — run
-// probes (point and batched) read through it, so Θ(#runs) probing over a
-// skewed key set re-reads its hot blocks for free once resident. Merges
-// and run writes deliberately bypass the cache: a compaction is a
-// one-shot streaming scan that would only flush the lookup working set
-// (the classic scan-pollution argument — and the scan-resistant policies
-// would fight a pollution we can simply not create). The table never
-// dirties the cache; frees invalidate through it so compacted-away block
-// ids can't serve stale frames when the device pool reuses them.
+// Caching: the LOOKUP path honors an attachCache'd BlockCache — the run
+// probes of lookups and of erase presence checks read through it, so
+// Θ(#runs) probing over a skewed key set re-reads its hot blocks for free
+// once resident. Merges and run writes deliberately bypass the cache: a
+// compaction is a one-shot streaming scan that would only flush the
+// lookup working set (the classic scan-pollution argument — and the
+// scan-resistant policies would fight a pollution we can simply not
+// create). The table never dirties the cache; frees invalidate through it
+// so compacted-away block ids can't serve stale frames when the device
+// pool reuses them.
 #pragma once
 
 #include <memory>
@@ -57,7 +58,6 @@ class LsmTable final : public MemtableFront<LsmTable> {
   LsmTable(TableContext ctx, LsmConfig config);
   ~LsmTable() override;
 
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   std::string_view name() const override { return "lsm"; }
   void visitLayout(LayoutVisitor& visitor) const override;
   std::string debugString() const override;
@@ -97,7 +97,9 @@ class LsmTable final : public MemtableFront<LsmTable> {
   void flushMemtable();
   /// Write `records` as one key-ordered level-0 run.
   void bulkSpill(std::vector<Record> records);
-  /// probeRunBatch over every run, newest first.
+  /// probeRunBatch over every run, newest first: the one run probe, for a
+  /// batch, a single lookup (a batch of one key) and erase's presence
+  /// checks alike.
   void lookupBelow(std::span<const std::uint64_t> keys,
                    std::span<std::optional<std::uint64_t>> out,
                    std::vector<std::size_t>& pending);
@@ -107,9 +109,9 @@ class LsmTable final : public MemtableFront<LsmTable> {
   void compactLevel(std::size_t level);
   Run writeRun(RecordCursor& records, std::size_t record_estimate);
   void freeRun(Run& run);
-  std::optional<std::uint64_t> probeRun(Run& run, std::uint64_t key);
-  /// Resolve every pending key against one run, reading each touched
-  /// block once; resolved indices are removed from `pending`.
+  /// Resolve every pending key against one run (key range, Bloom filter
+  /// and fence pointers first), reading each touched block once; resolved
+  /// indices are removed from `pending`.
   void probeRunBatch(Run& run, std::span<const std::uint64_t> keys,
                      std::vector<std::size_t>& pending,
                      std::span<std::optional<std::uint64_t>> out);

@@ -58,7 +58,7 @@ class MemtableFront : public ExternalHashTable {
   bool erase(std::uint64_t key) override {
     // The lookup is needed to report presence; it also keeps live_size_
     // exact. Costs one query's worth of reads, as documented.
-    if (!self().lookup(key).has_value()) return false;
+    if (!lookup(key).has_value()) return false;
     writeTombstone(key);
     return true;
   }

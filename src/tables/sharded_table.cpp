@@ -145,16 +145,6 @@ bool ShardedTable::insert(std::uint64_t key, std::uint64_t value) {
   return result;
 }
 
-std::optional<std::uint64_t> ShardedTable::lookup(std::uint64_t key) {
-  const std::size_t s = shardOf(key);
-  std::optional<std::uint64_t> result;
-  if (const auto err = runGuarded(
-          s, [&] { result = shards_[s].table->lookup(key); })) {
-    std::rethrow_exception(err);
-  }
-  return result;
-}
-
 bool ShardedTable::erase(std::uint64_t key) {
   const std::size_t s = shardOf(key);
   bool result = false;
@@ -362,15 +352,10 @@ std::optional<extmem::BlockId> ShardedTable::primaryBlockOf(
 }
 
 extmem::IoStats ShardedTable::ioStats() const {
+  // Each inner table's ioStats() is its shard's device counters plus its
+  // attached shard cache's.
   extmem::IoStats total;
-  for (const Shard& shard : shards_) {
-    total += shard.device->stats();
-    if (shard.cache) {
-      total.cache_hits += shard.cache->hits();
-      total.cache_writebacks += shard.cache->writebacks();
-      total.cache_ghost_hits += shard.cache->ghostHits();
-    }
-  }
+  for (const Shard& shard : shards_) total += shard.table->ioStats();
   return total;
 }
 

@@ -103,7 +103,6 @@ class ShardedTable final : public ExternalHashTable {
   }
 
   bool insert(std::uint64_t key, std::uint64_t value) override;
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override;
   bool erase(std::uint64_t key) override;
   /// Splits the batch per shard (op order preserved within a shard — and
   /// all ops of one key land in one shard) and applies shard-parallel.
@@ -120,8 +119,9 @@ class ShardedTable final : public ExternalHashTable {
   std::optional<extmem::BlockId> primaryBlockOf(
       std::uint64_t key) const override;
   std::string debugString() const override;
-  /// Aggregates per-shard device counters AND per-shard cache counters
-  /// (cache_hits / cache_writebacks / cache_ghost_hits).
+  /// The sum of the inner tables' ioStats(): per-shard device counters
+  /// AND per-shard cache counters (cache_hits / cache_writebacks /
+  /// cache_ghost_hits).
   extmem::IoStats ioStats() const override;
   /// Flush barrier across every auto-attached shard cache, one shard per
   /// fan-out slice. The façade must be quiescent (no batch in flight on
@@ -158,8 +158,9 @@ class ShardedTable final : public ExternalHashTable {
   void clearShardErrors() noexcept;
 
   /// Ops / lookup keys dispatched to shard i through applyBatch /
-  /// lookupBatch (one add per sub-batch; single-key calls are not
-  /// counted), and the IoErrors that latched it.
+  /// lookupBatch (one add per sub-batch; lookup() is a one-key
+  /// lookupBatch and counts, single-op insert and erase do not), and the
+  /// IoErrors that latched it.
   std::uint64_t shardOps(std::size_t i) const noexcept {
     return shards_[i].ops;
   }

@@ -318,6 +318,41 @@ TEST(BatchUtil, OrderByBucketMatchesSortReference) {
   }
 }
 
+// lookup(key) is a one-key lookupBatch, and like a point probe it holds no
+// grouping scratch: single lookups leave the budget's use and peak where
+// the fill left them, so the paper benches' memory columns count the
+// tables alone. The tables are filled one op per applyBatch, as
+// workload::runMeasurement fills them.
+TEST(SingleLookup, ChargesNoMemory) {
+  constexpr std::size_t kN = 1500, kProbes = 200;
+  const auto keys = distinctKeys(kN + kProbes, /*seed=*/31);
+  for (const TableKind kind : kAllTableKindsWithSharded) {
+    TestRig rig(8);
+    GeneralConfig cfg;
+    cfg.expected_n = kN;
+    cfg.target_load = 0.5;
+    cfg.buffer_items = 64;
+    cfg.sharded_inner = TableKind::kChaining;
+    cfg.shard_threads = 2;
+    auto table = makeTable(kind, rig.context(), cfg);
+    for (std::size_t i = 0; i < kN; ++i) {
+      const Op op = Op::insertOp(keys[i], i + 1);
+      table->applyBatch({&op, 1});
+    }
+    const std::size_t used = rig.memory->used();
+    const std::size_t peak = rig.memory->peak();
+    for (std::size_t i = 0; i < kProbes; ++i) {
+      const std::size_t hit = i * (kN / kProbes);
+      EXPECT_EQ(table->lookup(keys[hit]), std::optional<std::uint64_t>(hit + 1))
+          << tableKindName(kind);
+      EXPECT_EQ(table->lookup(keys[kN + i]), std::nullopt)
+          << tableKindName(kind);
+    }
+    EXPECT_EQ(rig.memory->used(), used) << tableKindName(kind);
+    EXPECT_EQ(rig.memory->peak(), peak) << tableKindName(kind);
+  }
+}
+
 std::uint64_t costOf(TableKind kind, std::size_t b, std::size_t n,
                      std::size_t batch, const GeneralConfig& cfg) {
   TestRig rig(b);

@@ -163,6 +163,19 @@ TEST(FileStorage, FreshAndReusedBlocksReadZero) {
   const BlockId b = device.allocate();
   EXPECT_EQ(b, a);
   EXPECT_EQ(device.readCopy(b), std::vector<Word>(kWords, 0));
+
+  // A restore to a smaller image hands the ids past its watermark out
+  // fresh again, and they must read zero although the file still held
+  // what the run before the restore wrote there.
+  BlockDevice::Image image;
+  device.captureImage(image);
+  const BlockId grown = device.allocateExtent(2);
+  fillBlock(device, grown, 0xBB);
+  fillBlock(device, grown + 1, 0xBC);
+  device.restoreImage(image);
+  EXPECT_EQ(device.allocateExtent(2), grown);
+  EXPECT_EQ(device.readCopy(grown), std::vector<Word>(kWords, 0));
+  EXPECT_EQ(device.readCopy(grown + 1), std::vector<Word>(kWords, 0));
 }
 
 // A process that dies holding a device never unlinks its backing file, and

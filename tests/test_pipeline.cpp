@@ -206,9 +206,6 @@ class GatedTable final : public tables::ExternalHashTable {
   bool insert(std::uint64_t key, std::uint64_t value) override {
     return inner_->insert(key, value);
   }
-  std::optional<std::uint64_t> lookup(std::uint64_t key) override {
-    return inner_->lookup(key);
-  }
   bool erase(std::uint64_t key) override { return inner_->erase(key); }
   void applyBatch(std::span<const Op> ops) override {
     {
